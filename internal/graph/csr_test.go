@@ -56,8 +56,7 @@ func TestCSRStructure(t *testing.T) {
 	}
 }
 
-// TestCSRReadsMatchOverlay checks that Degree, Neighbor, Neighbors and
-// HasEdge answer identically from the mutable overlay and from the compacted
+// TestCSRReadsMatchOverlay checks that Degree, Neighbor and HasEdge answer identically from the mutable overlay and from the compacted
 // CSR form of the same graph.
 func TestCSRReadsMatchOverlay(t *testing.T) {
 	overlay := randomSimple(t, 150, 200, 11)

@@ -194,35 +194,12 @@ func (g *Graph) Degree(u int) int {
 }
 
 // Neighbor returns the i-th neighbour of u (0 ≤ i < Degree(u)), in sorted
-// order. Together with Degree it is the allocation-free iteration API that
-// replaced the Neighbors slice accessor.
+// order. Together with Degree it is the allocation-free iteration API.
 func (g *Graph) Neighbor(u, i int) int {
 	if g.adj != nil {
 		return int(g.adj[u][i])
 	}
 	return int(g.tgt[int(g.off[u])+i])
-}
-
-// Neighbors returns the sorted neighbour list of u as a fresh slice.
-//
-// Deprecated: Neighbors allocates on every call since the adjacency moved to
-// the compact CSR layout. Iterate with Degree(u) and Neighbor(u, i), or grab
-// the raw arrays with CSR(), instead.
-func (g *Graph) Neighbors(u int) []int {
-	ns := g.row(u)
-	out := make([]int, len(ns))
-	for i, v := range ns {
-		out[i] = int(v)
-	}
-	return out
-}
-
-// NeighborsCopy returns a copy of the neighbour list of u.
-//
-// Deprecated: identical to Neighbors, which now always returns a fresh
-// slice; iterate with Degree and Neighbor instead.
-func (g *Graph) NeighborsCopy(u int) []int {
-	return g.Neighbors(u)
 }
 
 // MaxDegree returns Δ, the maximum degree of the graph (0 for an empty graph).

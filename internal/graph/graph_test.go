@@ -74,7 +74,10 @@ func TestNeighborsSorted(t *testing.T) {
 	g.MustAddEdge(2, 0)
 	g.MustAddEdge(2, 3)
 	g.MustAddEdge(2, 1)
-	ns := g.Neighbors(2)
+	var ns []int
+	for i := 0; i < g.Degree(2); i++ {
+		ns = append(ns, g.Neighbor(2, i))
+	}
 	want := []int{0, 1, 3, 4}
 	if len(ns) != len(want) {
 		t.Fatalf("neighbours = %v, want %v", ns, want)
@@ -83,15 +86,6 @@ func TestNeighborsSorted(t *testing.T) {
 		if ns[i] != want[i] {
 			t.Fatalf("neighbours = %v, want %v", ns, want)
 		}
-	}
-}
-
-func TestNeighborsCopyIsolation(t *testing.T) {
-	g := Ring(4)
-	c := g.NeighborsCopy(0)
-	c[0] = 99
-	if g.Neighbors(0)[0] == 99 {
-		t.Error("NeighborsCopy returned a slice aliasing internal storage")
 	}
 }
 

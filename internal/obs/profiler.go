@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Engine phase names recorded by sim's step loop. The sequential engine
-// reports select/execute/guard_eval/account; the sharded engine reports
-// select/execute/merge/boundary_exchange/account globally plus per-shard
-// execute and boundary_exchange breakdowns.
+// Engine phase names recorded by sim's step loop. A run without sharding
+// reports select/execute/guard_eval/account; a run asked for more than one
+// shard reports select/execute/merge/boundary_exchange/account globally plus
+// per-shard execute and boundary_exchange breakdowns.
 const (
 	PhaseSelect   = "select"
 	PhaseExecute  = "execute"

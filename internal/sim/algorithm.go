@@ -74,13 +74,6 @@ func (n *Network) Neighbor(u, i int) int { return n.g.Neighbor(u, i) }
 // engine re-fetches them at every injection boundary.
 func (n *Network) CSR() (offsets, targets []int32) { return n.g.CSR() }
 
-// Neighbors returns the neighbour process indices of u, sorted.
-//
-// Deprecated: Neighbors allocates a fresh slice on every call since the
-// topology moved to the CSR layout. Iterate with Degree(u) and
-// Neighbor(u, i), or use CSR, instead.
-func (n *Network) Neighbors(u int) []int { return n.g.Neighbors(u) }
-
 // View returns the view of process u on configuration c.
 func (n *Network) View(c *Configuration, u int) View {
 	checkProcessIndex(u, n.N())

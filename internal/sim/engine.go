@@ -159,8 +159,9 @@ func WithMemoReadOnly(share *MemoShare) Option {
 // WithProfiler attaches a phase profiler to the run: on the profiler's
 // sampled steps (see obs.NewPhaseProfiler) the engine records wall time per
 // step phase — daemon select, rule execution, guard re-evaluation and
-// accounting sequentially; select, per-shard execute, merge, per-shard
-// boundary exchange and accounting when sharded. Timing never feeds back
+// accounting without sharding; select, per-shard execute, merge, per-shard
+// boundary exchange and accounting when WithShards asked for more than one
+// shard (even if the ⌈n/64⌉ cap leaves one). Timing never feeds back
 // into the execution, so profiled runs stay bit-identical to unprofiled
 // ones, and without a profiler (the default) the loop pays one nil check
 // per step and allocates nothing. The profiler belongs to a single run; read
@@ -315,16 +316,21 @@ func (e *Engine) Algorithm() Algorithm { return e.alg }
 // Daemon returns the engine's daemon.
 func (e *Engine) Daemon() Daemon { return e.daemon }
 
-func (e *Engine) checkStart(start *Configuration) {
-	if start.N() != e.net.N() {
-		panic(fmt.Sprintf("sim: configuration has %d states for %d processes", start.N(), e.net.N()))
+// checkStart reports a start configuration that does not fit the network.
+func (e *Engine) checkStart(start *Configuration) error {
+	if start == nil {
+		return fmt.Errorf("sim: nil start configuration")
 	}
+	if start.N() != e.net.N() {
+		return fmt.Errorf("sim: configuration has %d states for %d processes", start.N(), e.net.N())
+	}
+	return nil
 }
 
 // Run executes the algorithm from the given starting configuration until a
 // terminal configuration is reached or the step bound is hit. The starting
-// configuration is not modified. It is RunE with invalid option combinations
-// turned into panics; callers that prefer errors use RunE directly.
+// configuration is not modified. It is RunE with errors turned into panics;
+// callers that prefer errors use RunE directly.
 func (e *Engine) Run(start *Configuration, opts ...Option) Result {
 	res, err := e.RunE(start, opts...)
 	if err != nil {
@@ -334,24 +340,23 @@ func (e *Engine) Run(start *Configuration, opts ...Option) Result {
 }
 
 // RunE executes the algorithm from the given starting configuration until a
-// terminal configuration is reached or the step bound is hit, reporting
-// invalid option combinations as errors. The starting configuration is not
+// terminal configuration is reached or the step bound is hit. Invalid option
+// combinations and a start configuration whose size does not match the
+// network are reported as errors. The starting configuration is not
 // modified.
 //
-// The loop is incremental and allocation-free in the steady state: the
-// enabled set is maintained as a bitset and, after a step, only the
-// activated processes and their neighbours are re-evaluated — rule guards
-// read closed neighbourhoods only (the locally shared memory model), so
-// enabledness cannot change anywhere else. The configuration is
-// double-buffered instead of cloned per step, and the neutralization-based
-// round accounting runs on reusable bitsets. RunReference retains the
-// straightforward implementation; the two are differentially tested to
-// produce bit-identical Results.
-//
-// With WithShards(k), k > 1, the run executes the sharded loop of
-// runSharded instead: guard evaluation and rule execution are partitioned
-// across k contiguous node ranges and run concurrently (see WithShards for
-// the daemon semantics).
+// There is one engine loop. It runs each step over a partition of the
+// processes into shards (see WithShards); without sharding the partition is
+// a single shard and every phase runs on the calling goroutine. The loop is
+// incremental and allocation-free in the steady state: the enabled set is
+// maintained as a bitset and, after a step, only the activated processes and
+// their neighbours are re-evaluated — rule guards read closed neighbourhoods
+// only (the locally shared memory model), so enabledness cannot change
+// anywhere else. The configuration is double-buffered instead of cloned per
+// step, and the neutralization-based round accounting runs on reusable
+// bitsets. The test-only RunReference keeps the straightforward
+// implementation as the oracle; the differential tests compare the two bit
+// for bit.
 func (e *Engine) RunE(start *Configuration, opts ...Option) (Result, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -360,391 +365,559 @@ func (e *Engine) RunE(start *Configuration, opts ...Option) (Result, error) {
 	if err := o.validate(); err != nil {
 		return Result{}, err
 	}
-	e.checkStart(start)
-	if o.shards > 1 {
-		return e.runSharded(start, o), nil
+	if err := e.checkStart(start); err != nil {
+		return Result{}, err
 	}
 	return e.run(start, o), nil
 }
 
-// run is the sequential engine loop behind Run and RunE.
+// openEvent is an injected event whose recovery has not completed yet: the
+// counter values at the moment it fired. All open events close together at
+// the next legitimate configuration.
+type openEvent struct {
+	idx, steps, moves, rounds int
+}
+
+// engineRun is the state of one run of the engine loop. The per-shard phases
+// are methods handed to parallel as method expressions, so every step reuses
+// the same static function values: building closures per step would
+// allocate on every step of every run.
+type engineRun struct {
+	e     *Engine
+	o     Options
+	ev    *Evaluator
+	rules []Rule
+	// memo answers enabledness questions when WithMemo attached a share (nil
+	// otherwise, or when the rule set cannot be memoized). Its answers are
+	// bit-identical to ev.Enabled by construction — the cache stores pure
+	// functions of closed neighbourhoods. It is single-goroutine state;
+	// Options.validate only admits it on one shard.
+	memo   *MemoEvaluator
+	shards []engineShard
+
+	// Double-buffered configurations: guards and the daemon read cur, the
+	// step's writes land in next, and the two swap after every step.
+	bufs      [2]Configuration
+	cur, next *Configuration
+
+	res Result
+	// curLegit is the predicate's verdict on cur, kept current at every
+	// boundary of an injected run: recovery tracking needs the current
+	// verdict, not the sticky first-stabilization one. Static runs keep the
+	// predicate out of the loop once the first legitimate configuration is
+	// recorded.
+	curLegit   bool
+	openEvents []openEvent
+
+	// enabledBits is the authoritative enabled set; enabledList is its
+	// sorted materialisation handed to daemons.
+	enabledBits bitset
+	enabledList []int
+	// Round accounting (neutralization-based): pending holds the processes
+	// enabled at the start of the current round that have neither moved nor
+	// been neutralized yet; wasEnabled snapshots the enabled set before a
+	// step. roundProgress records whether the current round saw any step, so
+	// that a final partial round is counted.
+	pending, wasEnabled bitset
+	roundProgress       bool
+
+	// Each shard stages its selection and chosen rule indices in its own
+	// node range of selBuf and ruleBuf; the merge compacts them into the
+	// step's sorted selection (a prefix of selBuf), whose rule names land in
+	// ruleNames. dedup is the selection sanitizer's scratch (selection is
+	// sequential).
+	selBuf, ruleBuf []int
+	selected        []int
+	ruleNames       []string
+	dedup           bitset
+
+	// Phase profiling: on sampled steps the loop records the wall time of
+	// each phase. The clock reads sit between phases, never inside them, and
+	// nothing here feeds back into the execution. Per-shard durations are
+	// measured inside the workers into shardDur — each shard writes only its
+	// own slot, and parallel's join is the happens-before edge. The phase
+	// names follow the requested mode: a run asked for k > 1 shards reports
+	// select/execute/merge/boundary_exchange/account even where the ⌈n/64⌉
+	// cap leaves one shard; any other run reports
+	// select/execute/guard_eval/account.
+	prof      *obs.PhaseProfiler
+	sharded   bool
+	profStep  bool
+	tStep, t0 time.Time
+	shardDur  []time.Duration
+}
+
+// run is the engine loop behind RunE.
 func (e *Engine) run(start *Configuration, o Options) Result {
 	n := e.net.N()
 	ev := NewEvaluator(e.alg, e.net)
-	rules := ev.Rules()
-
-	// With a memo share attached, enabledness questions go through the
-	// memoized evaluator (nil when the rule set cannot be memoized, falling
-	// back to direct evaluation). The memoized answers are bit-identical to
-	// ev.Enabled by construction — the cache stores pure functions of closed
-	// neighbourhoods — so the rest of the loop is oblivious to the choice.
-	var memo *MemoEvaluator
+	r := &engineRun{
+		e:           e,
+		o:           o,
+		ev:          ev,
+		rules:       ev.Rules(),
+		shards:      makeShards(n, o.shards),
+		res:         newResult(n),
+		enabledBits: newBitset(n),
+		enabledList: make([]int, 0, n),
+		pending:     newBitset(n),
+		wasEnabled:  newBitset(n),
+		selBuf:      make([]int, n),
+		ruleBuf:     make([]int, n),
+		ruleNames:   make([]string, 0, n),
+		dedup:       newBitset(n),
+		prof:        o.profiler,
+		sharded:     o.shards > 1,
+	}
 	if o.memo != nil {
-		memo = NewMemoEvaluator(ev, o.memo)
-		if memo != nil && o.memoReadOnly {
-			memo.donor = false
+		r.memo = NewMemoEvaluator(ev, o.memo)
+		if r.memo != nil && o.memoReadOnly {
+			r.memo.donor = false
 		}
 	}
-	enabledAt := ev.Enabled
-	if memo != nil {
-		enabledAt = memo.Enabled
+	for s := range r.shards {
+		r.shards[s].ruleScratch = make([]int, 0, len(r.rules))
 	}
-
-	// Double-buffered state vectors: guards and the daemon read cur, the
-	// step's writes land in next, and the two swap after every step.
+	if r.prof != nil {
+		r.shardDur = make([]time.Duration, len(r.shards))
+	}
 	curStates := make([]State, n)
-	for u := 0; u < n; u++ {
+	for u := range curStates {
 		curStates[u] = start.State(u).Clone()
 	}
-	nextStates := make([]State, n)
-	curCfg := &Configuration{states: curStates}
-	nextCfg := &Configuration{states: nextStates}
+	r.bufs = [2]Configuration{{states: curStates}, {states: make([]State, n)}}
+	r.cur, r.next = &r.bufs[0], &r.bufs[1]
 
-	res := newResult(n)
-
-	// With an injector attached the predicate is evaluated once per boundary
-	// into curLegit (recovery tracking needs the *current* verdict, not the
-	// sticky first-stabilization one); recordLegit then reuses it instead of
-	// re-evaluating.
-	inj := o.injector
-	curLegit := false
-	evalLegit := func() {
-		if o.legitimate != nil {
-			curLegit = o.legitimate(curCfg)
-		}
-	}
-
-	recordLegit := func(partialRound bool) {
-		if res.LegitimateReached || o.legitimate == nil {
-			return
-		}
-		if inj != nil {
-			if curLegit {
-				res.markLegitimate(partialRound)
-			}
-			return
-		}
-		if o.legitimate(curCfg) {
-			res.markLegitimate(partialRound)
-		}
-	}
-
-	// openEvents tracks injected events whose recovery has not completed yet:
-	// the counter values at the moment each event fired. All open events
-	// close together at the next legitimate configuration.
-	type openEvent struct {
-		idx, steps, moves, rounds int
-	}
-	var openEvents []openEvent
-	closeRecovered := func(partialRound bool) {
-		if !curLegit || len(openEvents) == 0 {
-			return
-		}
-		for _, oe := range openEvents {
-			rec := &res.Events[oe.idx]
-			rec.Recovered = true
-			rec.RecoverySteps = res.Steps - oe.steps
-			rec.RecoveryMoves = res.Moves - oe.moves
-			rec.RecoveryRounds = res.Rounds - oe.rounds
-			if partialRound {
-				rec.RecoveryRounds++
-			}
-		}
-		openEvents = openEvents[:0]
-	}
-
-	// enabledBits is the authoritative enabled set; enabledList is its sorted
-	// materialisation handed to daemons.
-	enabledBits := newBitset(n)
-	for u := 0; u < n; u++ {
-		if enabledAt(curCfg, u) {
-			enabledBits.set(u)
-		}
-	}
-	enabledList := enabledBits.appendIndices(make([]int, 0, n))
-
-	// Round accounting (neutralization-based): pending holds the processes
-	// enabled at the start of the current round that have neither moved nor
-	// been neutralized yet. roundProgress records whether the current round
-	// saw any step, so that a final partial round is counted.
-	pending := newBitset(n)
-	pending.copyFrom(enabledBits)
-	wasEnabled := newBitset(n)
-	activated := newBitset(n)
-	touched := newBitset(n)
-	roundProgress := false
-
-	// Reusable per-step scratch buffers.
-	selectedBuf := make([]int, 0, n)
-	ruleNames := make([]string, 0, n)
-	ruleIdx := make([]int, 0, len(rules))
-	dedup := newBitset(n)
-
-	evalLegit()
-	recordLegit(false)
-	closeRecovered(false)
-
+	r.reseed()
 	for {
-		if inj != nil {
-			// Injection boundary: consult the injector before selecting the
-			// next step (and again after each applied event — several events
-			// may fire back to back, and at a terminal configuration the
-			// injector gets to perturb the system instead of ending the run).
-			p := InjectionPoint{
-				Step:       res.Steps,
-				Round:      res.Rounds,
-				Moves:      res.Moves,
-				Config:     curCfg,
-				Net:        e.net,
-				Legitimate: curLegit,
-				Terminal:   len(enabledList) == 0,
-			}
-			if injn := inj.Inject(p); injn != nil {
-				// Close the partial round in progress: rounds after the event
-				// belong to its recovery.
-				if roundProgress {
-					res.Rounds++
-					roundProgress = false
-				}
-				res.Events = append(res.Events, EventRecovery{
-					Label:            injn.Label,
-					Step:             res.Steps,
-					Round:            res.Rounds,
-					LegitimateBefore: curLegit,
-					RecoverySteps:    -1,
-					RecoveryMoves:    -1,
-					RecoveryRounds:   -1,
-				})
-				openEvents = append(openEvents, openEvent{
-					idx:    len(res.Events) - 1,
-					steps:  res.Steps,
-					moves:  res.Moves,
-					rounds: res.Rounds,
-				})
-				e.applyInjection(injn, curStates)
-
-				// Re-seed the incremental machinery: states and topology may
-				// have changed arbitrarily, so the whole enabled set is
-				// recomputed and a fresh round starts at the perturbed
-				// configuration. The memo's per-process state-id mirror is
-				// stale for the same reason (the memo tables themselves stay
-				// valid: keys self-describe the neighbourhood, so entries for
-				// the old topology are simply never probed again).
-				if memo != nil {
-					memo.InvalidateAll()
-				}
-				for u := 0; u < n; u++ {
-					if enabledAt(curCfg, u) {
-						enabledBits.set(u)
-					} else {
-						enabledBits.clear(u)
-					}
-				}
-				enabledList = enabledBits.appendIndices(enabledList[:0])
-				pending.copyFrom(enabledBits)
-
-				evalLegit()
-				recordLegit(false)
-				closeRecovered(false)
-				continue
-			}
+		if r.o.injector != nil && r.inject() {
+			continue
 		}
-		if len(enabledList) == 0 {
+		if r.stopped() {
 			break
 		}
-		if res.Steps >= o.maxSteps {
-			res.HitStepLimit = true
-			break
-		}
-		if o.stopWhenLegitimate {
-			if inj == nil {
-				if res.LegitimateReached {
-					break
-				}
-			} else if inj.Done() && curLegit {
-				// Injected runs may not stop at the first legitimate
-				// configuration: later events would never fire. They stop
-				// once the schedule is exhausted and the system recovered.
-				break
-			}
-		}
-
-		// Phase profiling: on sampled steps the loop records the wall time of
-		// each phase. The clock reads sit between phases, never inside them,
-		// and nothing here feeds back into the execution.
-		profStep := false
-		var tStep, t0 time.Time
-		if o.profiler != nil {
-			if profStep = o.profiler.StartStep(); profStep {
-				tStep = time.Now()
-				t0 = tStep
-			}
-		}
-
-		raw := e.daemon.Select(Selection{
-			Net:     e.net,
-			Alg:     e.alg,
-			Config:  curCfg,
-			Enabled: enabledList,
-			Step:    res.Steps,
-		})
-		selected := sanitizeSelectionInto(selectedBuf[:0], raw, n, enabledBits, dedup, enabledList)
-		selectedBuf = selected[:0]
-		if profStep {
-			o.profiler.Observe(obs.PhaseSelect, time.Since(t0))
-			t0 = time.Now()
-		}
-
-		// Composite atomicity: all selected processes read cur and their
-		// writes are installed together in next.
-		copy(nextStates, curStates)
-		ruleNames = ruleNames[:0]
-		for _, u := range selected {
-			v := e.net.View(curCfg, u)
-			var ri int
-			if memo != nil {
-				ri = chooseRuleFromMask(memo.Mask(curCfg, u), o)
-			} else {
-				ri = chooseRule(rules, v, o, ruleIdx)
-			}
-			if ri < 0 {
-				// Defensive: the daemon selected a non-enabled process; skip.
-				ruleNames = append(ruleNames, "")
-				continue
-			}
-			nextStates[u] = rules[ri].Action(v)
-			ruleNames = append(ruleNames, rules[ri].Name)
-			res.recordMove(u, rules[ri].Name)
-		}
-		if profStep {
-			o.profiler.Observe(obs.PhaseExecute, time.Since(t0))
-			t0 = time.Now()
-		}
-
-		// Snapshot the pre-step enabled set for neutralization accounting and
-		// mark the closed neighbourhoods whose guards must be re-evaluated.
-		wasEnabled.copyFrom(enabledBits)
-		activated.reset()
-		touched.reset()
-		for _, u := range selected {
-			activated.set(u)
-			touched.set(u)
-			for i, deg := 0, e.net.Degree(u); i < deg; i++ {
-				touched.set(e.net.Neighbor(u, i))
-			}
-		}
-
-		// Install the step and refresh enabledness only where it can change.
-		// Only the activated processes hold new states, so only their memoized
-		// ids go stale.
-		curStates, nextStates = nextStates, curStates
-		curCfg, nextCfg = nextCfg, curCfg
-		if memo != nil {
-			for _, u := range selected {
-				memo.Invalidate(u)
-			}
-		}
-		for wi, word := range touched {
-			base := wi << 6
-			for word != 0 {
-				u := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				if enabledAt(curCfg, u) {
-					enabledBits.set(u)
-				} else {
-					enabledBits.clear(u)
-				}
-			}
-		}
-		enabledList = enabledBits.appendIndices(enabledList[:0])
-		if profStep {
-			o.profiler.Observe(obs.PhaseGuard, time.Since(t0))
-			t0 = time.Now()
-		}
-		roundProgress = true
-
-		// pending loses the activated processes and the neutralized ones
-		// (enabled before the step, not activated, not enabled after it).
-		pending.subtract(activated)
-		pending.subtractDiff(wasEnabled, enabledBits)
-
-		for _, h := range o.hooks {
-			h(StepInfo{
-				Step:      res.Steps,
-				Activated: selected,
-				Rules:     ruleNames,
-				Before:    nextCfg,
-				After:     curCfg,
-				Round:     res.Rounds,
-			})
-		}
-		res.Steps++
-
-		if pending.empty() {
-			// The round is complete; the next one starts at cur.
-			res.Rounds++
-			roundProgress = false
-			pending.copyFrom(enabledBits)
-		}
-
-		if inj != nil {
-			evalLegit()
-			if curLegit {
-				res.LegitimateSteps++
-			}
-		}
-		recordLegit(roundProgress)
-		closeRecovered(roundProgress)
-		if profStep {
-			o.profiler.Observe(obs.PhaseAccount, time.Since(t0))
-			o.profiler.EndStep(time.Since(tStep))
-		}
+		r.step()
 	}
 
-	if roundProgress {
+	res := &r.res
+	if r.roundProgress {
 		// A partial round was in progress when the run stopped; count it so
 		// that round counts are conservative upper estimates.
 		res.Rounds++
 	}
-	res.Terminated = len(enabledList) == 0
-	res.Final = NewConfiguration(curStates)
+	res.Terminated = len(r.enabledList) == 0
+	res.Final = NewConfiguration(r.cur.states)
 	res.finish()
-	if memo != nil {
-		res.Memo = memo.Stats()
-		memo.Finish()
+	if r.memo != nil {
+		res.Memo = r.memo.Stats()
+		r.memo.Finish()
 	}
-	return res
+	return *res
 }
 
-// sanitizeSelectionInto is the allocation-free selection sanitizer of the hot
-// loop: it appends to out the selected processes that are actually enabled,
-// de-duplicated (via the dedup scratch bitset, left cleared) and sorted; when
-// the daemon misbehaves and returns an empty or fully invalid selection, the
-// first enabled process is used so that the run always makes progress
-// (matching the "distributed" requirement that at least one enabled process
-// moves).
-func sanitizeSelectionInto(out, selected []int, n int, enabledBits, dedup bitset, enabled []int) []int {
-	for _, u := range selected {
-		if u < 0 || u >= n || !enabledBits.get(u) || dedup.get(u) {
+// reseed recomputes the whole enabled set and starts a fresh round at cur:
+// at the start of the run and after every injected event, whose state and
+// topology edits may have changed enabledness anywhere. Before fanning out
+// to several shards it compacts the topology on this goroutine: the parallel
+// phases read adjacency through the CSR arrays, and compaction must not
+// race. A one-shard run reads whichever form is current and leaves the
+// graph as it found it.
+func (r *engineRun) reseed() {
+	if len(r.shards) > 1 {
+		r.e.net.CSR()
+	}
+	r.parallel((*engineRun).seedShard)
+	r.enabledList = r.enabledBits.appendIndices(r.enabledList[:0])
+	r.pending.copyFrom(r.enabledBits)
+	r.evalLegit()
+	r.recordLegit(false)
+	r.closeRecovered(false)
+}
+
+// inject is the injection boundary: it consults the injector before the next
+// step and applies the event it returns, reporting whether one fired. The
+// loop then consults the injector again — several events may fire back to
+// back, and at a terminal configuration the injector gets to perturb the
+// system instead of ending the run.
+func (r *engineRun) inject() bool {
+	res := &r.res
+	injn := r.o.injector.Inject(InjectionPoint{
+		Step:       res.Steps,
+		Round:      res.Rounds,
+		Moves:      res.Moves,
+		Config:     r.cur,
+		Net:        r.e.net,
+		Legitimate: r.curLegit,
+		Terminal:   len(r.enabledList) == 0,
+	})
+	if injn == nil {
+		return false
+	}
+	// Close the partial round in progress: rounds after the event belong to
+	// its recovery.
+	if r.roundProgress {
+		res.Rounds++
+		r.roundProgress = false
+	}
+	res.Events = append(res.Events, EventRecovery{
+		Label:            injn.Label,
+		Step:             res.Steps,
+		Round:            res.Rounds,
+		LegitimateBefore: r.curLegit,
+		RecoverySteps:    -1,
+		RecoveryMoves:    -1,
+		RecoveryRounds:   -1,
+	})
+	r.openEvents = append(r.openEvents, openEvent{
+		idx:    len(res.Events) - 1,
+		steps:  res.Steps,
+		moves:  res.Moves,
+		rounds: res.Rounds,
+	})
+	r.e.applyInjection(injn, r.cur.states)
+	// The memo's per-process state-id mirror is stale now (the memo tables
+	// themselves stay valid: keys self-describe the neighbourhood, so
+	// entries for the old topology are simply never probed again).
+	if r.memo != nil {
+		r.memo.InvalidateAll()
+	}
+	r.reseed()
+	return true
+}
+
+// stopped applies the stop rules before a step.
+func (r *engineRun) stopped() bool {
+	if len(r.enabledList) == 0 {
+		return true
+	}
+	if r.res.Steps >= r.o.maxSteps {
+		r.res.HitStepLimit = true
+		return true
+	}
+	if !r.o.stopWhenLegitimate {
+		return false
+	}
+	if inj := r.o.injector; inj != nil {
+		// Injected runs may not stop at the first legitimate configuration:
+		// later events would never fire. They stop once the schedule is
+		// exhausted and the system recovered.
+		return inj.Done() && r.curLegit
+	}
+	return r.res.LegitimateReached
+}
+
+// step executes one step: sequential selection, the parallel apply phase,
+// the sequential merge that installs the step, the parallel re-evaluation
+// and the sequential accounting.
+func (r *engineRun) step() {
+	if r.prof != nil {
+		if r.profStep = r.prof.StartStep(); r.profStep {
+			r.tStep = time.Now()
+			r.t0 = r.tStep
+		}
+	}
+
+	r.selectShards()
+	r.lap(obs.PhaseSelect, false)
+
+	r.parallel((*engineRun).applyShard)
+	if r.sharded {
+		r.lap(obs.PhaseExecute, true)
+	}
+
+	r.merge()
+	if r.sharded {
+		r.lap(obs.PhaseMerge, false)
+	} else {
+		r.lap(obs.PhaseExecute, false)
+	}
+
+	r.parallel((*engineRun).reevaluateShard)
+	r.enabledList = r.enabledBits.appendIndices(r.enabledList[:0])
+	if r.sharded {
+		r.lap(obs.PhaseBoundary, true)
+	} else {
+		r.lap(obs.PhaseGuard, false)
+	}
+
+	r.account()
+	if r.profStep {
+		r.observe(obs.PhaseAccount, false)
+		r.prof.EndStep(time.Since(r.tStep))
+	}
+}
+
+// selectShards is the selection phase, sequential: the daemon is consulted
+// once per shard holding enabled processes, in ascending shard order, on the
+// shard's contiguous slice of the sorted enabled list. Stateful daemons
+// (rng, cursors) see the sub-calls in that deterministic order; with one
+// shard this is a single Select on the whole enabled set.
+func (r *engineRun) selectShards() {
+	enabled := r.enabledList
+	for s := range r.shards {
+		sh := &r.shards[s]
+		k := len(enabled) // the last shard holds all the remaining ones
+		if s < len(r.shards)-1 {
+			k, _ = slices.BinarySearch(enabled, sh.hi)
+		}
+		shardEnabled := enabled[:k]
+		enabled = enabled[k:]
+		if len(shardEnabled) == 0 {
+			sh.selected = sh.selected[:0]
 			continue
 		}
-		dedup.set(u)
-		out = append(out, u)
+		raw := r.e.daemon.Select(Selection{
+			Net:     r.e.net,
+			Alg:     r.e.alg,
+			Config:  r.cur,
+			Enabled: shardEnabled,
+			Step:    r.res.Steps,
+		})
+		sh.selected = sanitizeShardSelectionInto(r.selBuf[sh.lo:sh.lo:sh.hi], raw, sh.lo, sh.hi, r.enabledBits, r.dedup, shardEnabled)
 	}
-	for _, u := range out {
-		dedup.clear(u)
+}
+
+// applyShard is the apply phase of one shard: it copies the shard's segment
+// of the double buffer and executes the chosen rule of each of its selected
+// processes, all reading cur (composite atomicity). Move accounting is left
+// to the sequential merge — Result's counters and the MovesPerRule map are
+// not safe for concurrent writes.
+func (r *engineRun) applyShard(sh *engineShard) {
+	t := r.shardStart()
+	cur, next := r.cur, r.next.states
+	copy(next[sh.lo:sh.hi], cur.states[sh.lo:sh.hi])
+	ruleIdxs := r.ruleBuf[sh.lo : sh.lo+len(sh.selected)]
+	for i, u := range sh.selected {
+		v := r.e.net.View(cur, u)
+		var ri int
+		if r.memo != nil {
+			ri = chooseRuleFromMask(r.memo.Mask(cur, u), &r.o)
+		} else {
+			ri = chooseRule(r.rules, v, &r.o, sh.ruleScratch)
+		}
+		ruleIdxs[i] = ri
+		if ri >= 0 {
+			next[u] = r.rules[ri].Action(v)
+		}
 	}
-	if len(out) == 0 {
-		return append(out, enabled[0])
+	// Mark the closed neighbourhoods whose guards must be re-evaluated. The
+	// marks go to the shard-private bitset: a boundary process has
+	// neighbours in foreign word ranges.
+	sh.touched.reset()
+	for _, u := range sh.selected {
+		sh.touched.set(u)
+		for i, deg := 0, r.e.net.Degree(u); i < deg; i++ {
+			sh.touched.set(r.e.net.Neighbor(u, i))
+		}
 	}
-	slices.Sort(out)
-	return out
+	r.shardEnd(sh, t)
+}
+
+// merge is the sequential merge, in ascending shard order (= ascending
+// process order, shards are contiguous). It compacts the shards' staged
+// selections and rule indices into the sorted selection at the front of
+// selBuf and ruleBuf — a shard's block never starts after its staging
+// range, so a move only overwrites blocks already merged — records the
+// moves, and installs the step.
+func (r *engineRun) merge() {
+	k := 0
+	for s := range r.shards {
+		sh := &r.shards[s]
+		if k != sh.lo { // a block already in place (always shard 0's) stays
+			copy(r.selBuf[k:], sh.selected)
+			copy(r.ruleBuf[k:], r.ruleBuf[sh.lo:sh.lo+len(sh.selected)])
+		}
+		k += len(sh.selected)
+	}
+	r.selected = r.selBuf[:k]
+	r.ruleNames = r.ruleNames[:0]
+	for i, u := range r.selected {
+		ri := r.ruleBuf[i]
+		if ri < 0 {
+			// Defensive: the daemon selected a non-enabled process; skip.
+			r.ruleNames = append(r.ruleNames, "")
+			continue
+		}
+		r.ruleNames = append(r.ruleNames, r.rules[ri].Name)
+		r.res.recordMove(u, r.rules[ri].Name)
+	}
+	r.wasEnabled.copyFrom(r.enabledBits)
+
+	r.cur, r.next = r.next, r.cur
+	// Only the activated processes hold new states, so only their memoized
+	// ids go stale.
+	if r.memo != nil {
+		for _, u := range r.selected {
+			r.memo.Invalidate(u)
+		}
+	}
+}
+
+// seedShard evaluates every process of the shard's range, writing only the
+// shard's own enabledBits words.
+func (r *engineRun) seedShard(sh *engineShard) {
+	for u := sh.lo; u < sh.hi; u++ {
+		if r.enabledAt(u) {
+			r.enabledBits.set(u)
+		} else {
+			r.enabledBits.clear(u)
+		}
+	}
+}
+
+// reevaluateShard is the boundary exchange and re-evaluation of one shard:
+// it OR-merges every shard's touched marks for its own word range — the
+// only point where a shard observes its neighbours' writes — and
+// re-evaluates the marked processes of its range, updating exclusively its
+// own enabledBits words.
+func (r *engineRun) reevaluateShard(sh *engineShard) {
+	t := r.shardStart()
+	for wi := sh.wordLo; wi < sh.wordHi; wi++ {
+		var word uint64
+		for s := range r.shards {
+			word |= r.shards[s].touched[wi]
+		}
+		base := wi << 6
+		for word != 0 {
+			u := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			if r.enabledAt(u) {
+				r.enabledBits.set(u)
+			} else {
+				r.enabledBits.clear(u)
+			}
+		}
+	}
+	r.shardEnd(sh, t)
+}
+
+func (r *engineRun) enabledAt(u int) bool {
+	if r.memo != nil {
+		return r.memo.Enabled(r.cur, u)
+	}
+	return r.ev.Enabled(r.cur, u)
+}
+
+// account closes the step: round accounting, hooks, legitimacy and
+// recovery tracking.
+func (r *engineRun) account() {
+	res := &r.res
+	r.roundProgress = true
+	// pending loses the activated processes and the neutralized ones
+	// (enabled before the step, not activated, not enabled after it).
+	for _, u := range r.selected {
+		r.pending.clear(u)
+	}
+	r.pending.subtractDiff(r.wasEnabled, r.enabledBits)
+
+	for _, h := range r.o.hooks {
+		h(StepInfo{
+			Step:      res.Steps,
+			Activated: r.selected,
+			Rules:     r.ruleNames,
+			Before:    r.next,
+			After:     r.cur,
+			Round:     res.Rounds,
+		})
+	}
+	res.Steps++
+
+	if r.pending.empty() {
+		// The round is complete; the next one starts at cur.
+		res.Rounds++
+		r.roundProgress = false
+		r.pending.copyFrom(r.enabledBits)
+	}
+
+	if r.o.injector != nil {
+		r.evalLegit()
+		if r.curLegit {
+			res.LegitimateSteps++
+		}
+	}
+	r.recordLegit(r.roundProgress)
+	r.closeRecovered(r.roundProgress)
+}
+
+func (r *engineRun) evalLegit() {
+	if r.o.legitimate != nil {
+		r.curLegit = r.o.legitimate(r.cur)
+	}
+}
+
+// recordLegit records the first legitimate configuration. Injected runs
+// reuse the boundary's curLegit instead of re-evaluating the predicate.
+func (r *engineRun) recordLegit(partialRound bool) {
+	if r.res.LegitimateReached || r.o.legitimate == nil {
+		return
+	}
+	if r.o.injector != nil {
+		if r.curLegit {
+			r.res.markLegitimate(partialRound)
+		}
+		return
+	}
+	if r.o.legitimate(r.cur) {
+		r.res.markLegitimate(partialRound)
+	}
+}
+
+// closeRecovered closes every open event once cur is legitimate.
+func (r *engineRun) closeRecovered(partialRound bool) {
+	if !r.curLegit || len(r.openEvents) == 0 {
+		return
+	}
+	for _, oe := range r.openEvents {
+		rec := &r.res.Events[oe.idx]
+		rec.Recovered = true
+		rec.RecoverySteps = r.res.Steps - oe.steps
+		rec.RecoveryMoves = r.res.Moves - oe.moves
+		rec.RecoveryRounds = r.res.Rounds - oe.rounds
+		if partialRound {
+			rec.RecoveryRounds++
+		}
+	}
+	r.openEvents = r.openEvents[:0]
+}
+
+// lap closes a profiled phase: it records the wall time since the previous
+// lap — and, with perShard, each shard's own time inside the phase — and
+// restarts the clock. On unsampled steps it does nothing (and inlines to
+// one check).
+func (r *engineRun) lap(phase string, perShard bool) {
+	if r.profStep {
+		r.observe(phase, perShard)
+	}
+}
+
+func (r *engineRun) observe(phase string, perShard bool) {
+	now := time.Now()
+	r.prof.Observe(phase, now.Sub(r.t0))
+	if perShard {
+		for i, d := range r.shardDur {
+			r.prof.ObserveShard(i, phase, d)
+		}
+	}
+	r.t0 = now
+}
+
+func (r *engineRun) shardStart() time.Time {
+	if r.profStep {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+func (r *engineRun) shardEnd(sh *engineShard, t time.Time) {
+	if r.profStep {
+		r.shardDur[sh.idx] = time.Since(t)
+	}
 }
 
 // chooseRule returns the index of the rule process v executes, or -1 when no
 // rule is enabled. scratch is a reusable buffer for the RandomEnabledRule
 // policy; it must have capacity for all rule indices.
-func chooseRule(rules []Rule, v View, o Options, scratch []int) int {
+func chooseRule(rules []Rule, v View, o *Options, scratch []int) int {
 	enabled := scratch[:0]
 	for i, r := range rules {
 		if r.Guard(v) {
@@ -766,7 +939,7 @@ func chooseRule(rules []Rule, v View, o Options, scratch []int) int {
 // consumes the rng identically (one Intn over the same count, selecting set
 // bits in ascending index order), so memoized and direct runs stay
 // bit-identical under both policies.
-func chooseRuleFromMask(mask uint64, o Options) int {
+func chooseRuleFromMask(mask uint64, o *Options) int {
 	if mask == 0 {
 		return -1
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"sdr/internal/graph"
@@ -94,4 +95,46 @@ func BenchmarkEngineGreedyAdversarial(b *testing.B) {
 func BenchmarkEngineGreedyAdversarialReference(b *testing.B) {
 	benchmarkEngineRun(b, runReference, maxPropagation{}, graph.Grid(6, 6),
 		func() Daemon { return NewGreedyAdversarialDaemon(rand.New(rand.NewSource(5))) })
+}
+
+// TestSteadyStateAllocationFree pins the allocation-free steady state of the
+// one-shard engine loop: doubling the step budget of a synchronous run must
+// not add a single allocation, with and without a memo attached. Per-step
+// allocations (a closure built per phase, a buffer regrown per step) fail it.
+func TestSteadyStateAllocationFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under the race detector: its instrumentation allocates on the memoized path")
+	}
+	net := NewNetwork(graph.Ring(256))
+	start := InitialConfiguration(ticker{}, net)
+	const k = 200
+	for _, memo := range []bool{false, true} {
+		allocs := func(steps int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				opts := []Option{WithMaxSteps(steps)}
+				if memo {
+					opts = append(opts, WithMemo(NewMemoShare(1<<10)))
+				}
+				res := NewEngine(net, ticker{}, SynchronousDaemon{}).Run(start, opts...)
+				if res.Steps != steps || memo != (res.Memo.Lookups() > 0) {
+					t.Fatalf("memo=%v: ran %d steps (want %d) with %d memo lookups", memo, res.Steps, steps, res.Memo.Lookups())
+				}
+			})
+		}
+		if once, twice := allocs(k), allocs(2*k); twice > once {
+			t.Errorf("memo=%v: %d steps allocate %v times, %d steps %v times", memo, k, once, 2*k, twice)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -9,8 +9,9 @@ package sim
 // seeds, and the benchmarks in engine_bench_test.go quantify the speedup.
 
 // RunReference executes the algorithm exactly like Run but with the retained
-// reference implementation. It is exported for differential tests and
-// benchmarks; simulation code should always use Run.
+// reference implementation. It lives in a test file: the differential tests
+// (including those of package sim_test) and the reference benchmarks use it
+// as the oracle, and it is not part of the package API.
 func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -25,7 +26,9 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 	if o.shards > 1 {
 		panic("sim: RunReference does not support sharding; it is the differential oracle for the sequential loop")
 	}
-	e.checkStart(start)
+	if err := e.checkStart(start); err != nil {
+		panic(err.Error())
+	}
 
 	n := e.net.N()
 	cur := start.Clone()

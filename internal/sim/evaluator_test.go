@@ -56,9 +56,9 @@ func TestEvaluatorReusesBuffers(t *testing.T) {
 	}
 }
 
-// TestKeyInternerEquivalence pins the interner to the deprecated
-// Configuration.Key: within one interner, two configurations get equal keys
-// exactly when their Key() strings are equal.
+// TestKeyInternerEquivalence pins the interner to configuration equality:
+// within one interner, two configurations get equal keys exactly when they
+// assign equal states to every process.
 func TestKeyInternerEquivalence(t *testing.T) {
 	net, alg, _ := evaluatorTestSetup(t)
 	_ = alg
@@ -78,10 +78,10 @@ func TestKeyInternerEquivalence(t *testing.T) {
 	}
 	for i, a := range configs {
 		for j, b := range configs {
-			keyEqual := a.Key() == b.Key()
+			equal := a.Equal(b)
 			internEqual := interned[i] == interned[j]
-			if keyEqual != internEqual {
-				t.Fatalf("configs %d and %d: Key equality %v but interned equality %v", i, j, keyEqual, internEqual)
+			if equal != internEqual {
+				t.Fatalf("configs %d and %d: equality %v but interned equality %v", i, j, equal, internEqual)
 			}
 		}
 	}

@@ -11,12 +11,11 @@ import (
 // per-process ids. On the product state spaces that exploration and cycle
 // detection visit, the number of distinct local states is tiny compared to
 // the number of configurations, so interning shrinks both the bytes hashed
-// per lookup and the resident key set compared to the deprecated
-// Configuration.Key strings.
+// per lookup and the resident key set compared to rendering every local
+// state into a string key.
 //
 // Keys from the same interner are equal exactly when the configurations
-// render equal per-process states, i.e. exactly when the deprecated
-// Configuration.Key values are equal; keys from different interners are not
+// render equal per-process states; keys from different interners are not
 // comparable. Ids depend on discovery order, but equal states always receive
 // equal ids, so key equality is order-independent even under concurrent
 // interning.

@@ -83,25 +83,32 @@ func shardWorkloads(seed int64) []diffWorkload {
 
 // TestShardedSynchronousBitIdentical is the pinned exactness check of the
 // acceptance criteria: sharded synchronous runs at shard counts 1, 2 and 7
-// reproduce the sequential Result bit for bit, across the paper's
-// instantiations.
+// reproduce the one-shard Result bit for bit, across the paper's
+// instantiations. The one-shard run is the same loop, so the runs at 2 and 7
+// shards are also checked against the independent RunReference oracle.
 func TestShardedSynchronousBitIdentical(t *testing.T) {
 	for _, w := range shardWorkloads(11) {
 		seq := sim.NewEngine(w.net, w.alg, sim.SynchronousDaemon{}).Run(w.start, w.opts...)
+		ref := sim.NewEngine(w.net, w.alg, sim.SynchronousDaemon{}).RunReference(w.start, w.opts...)
 		for _, shards := range []int{1, 2, 7} {
 			opts := append(append([]sim.Option{}, w.opts...), sim.WithShards(shards))
 			sharded, err := sim.NewEngine(w.net, w.alg, sim.SynchronousDaemon{}).RunE(w.start, opts...)
 			if err != nil {
 				t.Fatalf("%s/shards=%d: %v", w.name, shards, err)
 			}
-			assertResultsIdentical(t, w.name+"/shards="+string(rune('0'+shards)), sharded, seq)
+			name := w.name + "/shards=" + string(rune('0'+shards))
+			assertResultsIdentical(t, name, sharded, seq)
+			if shards > 1 {
+				assertResultsIdentical(t, name+"/reference", sharded, ref)
+			}
 		}
 	}
 }
 
 // TestShardedHooksMatchSequentialSynchronous extends the exactness check to
 // the step-by-step trace: the sharded loop must hand hooks the same
-// activation sets, rule names and round indices as the sequential loop.
+// activation sets, rule names and round indices as the one-shard loop (at 3
+// shards) and as the independent RunReference oracle (at 2 and 7 shards).
 func TestShardedHooksMatchSequentialSynchronous(t *testing.T) {
 	type step struct {
 		step, round int
@@ -124,30 +131,44 @@ func TestShardedHooksMatchSequentialSynchronous(t *testing.T) {
 	comp := core.Compose(u)
 	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(23)))
 
-	var seqSteps, shSteps []step
-	sim.NewEngine(net, comp, sim.SynchronousDaemon{}).Run(start,
-		sim.WithMaxSteps(200), sim.WithStepHook(record(&seqSteps)))
-	if _, err := sim.NewEngine(net, comp, sim.SynchronousDaemon{}).RunE(start,
-		sim.WithMaxSteps(200), sim.WithStepHook(record(&shSteps)), sim.WithShards(3)); err != nil {
-		t.Fatal(err)
-	}
-	if len(seqSteps) != len(shSteps) {
-		t.Fatalf("%d sequential steps vs %d sharded steps", len(seqSteps), len(shSteps))
-	}
-	for i := range seqSteps {
-		a, b := shSteps[i], seqSteps[i]
-		if a.step != b.step || a.round != b.round {
-			t.Fatalf("step %d: step/round %d/%d vs %d/%d", i, a.step, a.round, b.step, b.round)
+	sharded := func(shards int) []step {
+		var steps []step
+		if _, err := sim.NewEngine(net, comp, sim.SynchronousDaemon{}).RunE(start,
+			sim.WithMaxSteps(200), sim.WithStepHook(record(&steps)), sim.WithShards(shards)); err != nil {
+			t.Fatal(err)
 		}
-		if len(a.activated) != len(b.activated) {
-			t.Fatalf("step %d: %d activated vs %d", i, len(a.activated), len(b.activated))
+		return steps
+	}
+	compare := func(name string, shSteps, seqSteps []step) {
+		t.Helper()
+		if len(seqSteps) != len(shSteps) {
+			t.Fatalf("%s: %d expected steps vs %d sharded steps", name, len(seqSteps), len(shSteps))
 		}
-		for j := range a.activated {
-			if a.activated[j] != b.activated[j] || a.rules[j] != b.rules[j] {
-				t.Fatalf("step %d: (%d,%q) vs (%d,%q)",
-					i, a.activated[j], a.rules[j], b.activated[j], b.rules[j])
+		for i := range seqSteps {
+			a, b := shSteps[i], seqSteps[i]
+			if a.step != b.step || a.round != b.round {
+				t.Fatalf("%s: step %d: step/round %d/%d vs %d/%d", name, i, a.step, a.round, b.step, b.round)
+			}
+			if len(a.activated) != len(b.activated) {
+				t.Fatalf("%s: step %d: %d activated vs %d", name, i, len(a.activated), len(b.activated))
+			}
+			for j := range a.activated {
+				if a.activated[j] != b.activated[j] || a.rules[j] != b.rules[j] {
+					t.Fatalf("%s: step %d: (%d,%q) vs (%d,%q)",
+						name, i, a.activated[j], a.rules[j], b.activated[j], b.rules[j])
+				}
 			}
 		}
+	}
+
+	var seqSteps, refSteps []step
+	sim.NewEngine(net, comp, sim.SynchronousDaemon{}).Run(start,
+		sim.WithMaxSteps(200), sim.WithStepHook(record(&seqSteps)))
+	sim.NewEngine(net, comp, sim.SynchronousDaemon{}).RunReference(start,
+		sim.WithMaxSteps(200), sim.WithStepHook(record(&refSteps)))
+	compare("shards=3", sharded(3), seqSteps)
+	for _, shards := range []int{2, 7} {
+		compare("reference/shards="+string(rune('0'+shards)), sharded(shards), refSteps)
 	}
 }
 

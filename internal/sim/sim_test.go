@@ -105,10 +105,11 @@ func TestConfigurationBasics(t *testing.T) {
 	if c.Equal(nil) {
 		t.Error("Equal(nil) = true")
 	}
-	if c.String() == "" || c.Key() == "" {
+	ki := NewKeyInterner()
+	if c.String() == "" || ki.Key(c) == "" {
 		t.Error("empty String/Key")
 	}
-	if c.Key() == clone.Key() {
+	if ki.Key(c) == ki.Key(clone) {
 		t.Error("distinct configurations share a key")
 	}
 }
@@ -342,6 +343,17 @@ func TestRunPanicsOnMismatchedConfiguration(t *testing.T) {
 		}
 	}()
 	eng.Run(NewConfiguration([]State{intState{0}}))
+}
+
+// TestRunERejectsMismatchedConfiguration pins RunE's contract: a start
+// configuration that does not fit the network is an error, not a panic.
+func TestRunERejectsMismatchedConfiguration(t *testing.T) {
+	eng := NewEngine(NewNetwork(graph.Path(4)), maxPropagation{}, SynchronousDaemon{})
+	for _, start := range []*Configuration{NewConfiguration([]State{intState{0}}), nil} {
+		if _, err := eng.RunE(start); err == nil {
+			t.Errorf("RunE accepted start configuration %v for 4 processes", start)
+		}
+	}
 }
 
 func TestNewEnginePanicsOnNil(t *testing.T) {

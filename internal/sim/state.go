@@ -83,23 +83,6 @@ func (c *Configuration) String() string {
 	return "[" + strings.Join(parts, " | ") + "]"
 }
 
-// Key returns a canonical string usable as a map key.
-//
-// Deprecated: Key renders every local state to a string on every call,
-// which dominates the cost of state-space exploration and cycle detection.
-// Hold a KeyInterner instead: its varint keys have the same equality
-// semantics at a fraction of the bytes hashed and retained.
-func (c *Configuration) Key() string {
-	var b strings.Builder
-	for i, s := range c.states {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(s.String())
-	}
-	return b.String()
-}
-
 // ForEach calls fn for every process index and state.
 func (c *Configuration) ForEach(fn func(u int, s State)) {
 	for u, s := range c.states {
