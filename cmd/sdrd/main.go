@@ -41,6 +41,15 @@ import (
 	"sdr/internal/server"
 )
 
+// Connection timeouts. A client that sends its request headers slowly, or
+// keeps an idle keep-alive connection open, would otherwise hold a
+// connection forever. Neither bounds a request in progress, so record
+// streams that follow a long campaign stay open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sdrd:", err)
@@ -75,7 +84,8 @@ func run(args []string) error {
 	if *pprofOn {
 		api.EnablePprof()
 	}
-	srv := &http.Server{Addr: *addr, Handler: api}
+	srv := &http.Server{Addr: *addr, Handler: api,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

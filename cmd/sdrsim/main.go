@@ -107,7 +107,7 @@ func certify(sp scenario.Spec, vo scenario.VerifyOptions, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	g := run.Graph
+	g := run.Net.Graph()
 	fmt.Fprintf(out, "algorithm : %s\n", run.Alg.Name())
 	fmt.Fprintf(out, "topology  : %s (n=%d m=%d Δ=%d D=%d)\n", run.Spec.Topology, g.N(), g.M(), g.MaxDegree(), g.Diameter())
 	daemons := "every daemon"
@@ -187,9 +187,9 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 	if observer != nil {
 		opts = append(opts, sim.WithStepHook(observer.Hook()))
 	}
-	// Topology stats are captured before the run: churn events mutate the
-	// graph in place, and the header should describe the starting topology.
-	g := run.Graph
+	// Topology stats are captured before the run: churn events replace the
+	// network's graph, and the header should describe the starting topology.
+	g := run.Net.Graph()
 	topoLine := fmt.Sprintf("%s (n=%d m=%d Δ=%d D=%d)", run.Spec.Topology, g.N(), g.M(), g.MaxDegree(), g.Diameter())
 	res := run.Execute(opts...)
 

@@ -4,9 +4,10 @@
 //
 // The library lives under internal/:
 //
-//   - internal/graph    — the network model and topology generators, stored
-//     in a compact CSR adjacency layout (Graph.CSR) with allocation-free
-//     Degree/Neighbor iteration and a mutable overlay for churn edits;
+//   - internal/graph    — the network model and topology generators: immutable
+//     graphs in a compact CSR adjacency layout with allocation-free,
+//     branch-free Degree/Neighbor iteration, built by a Builder; churn
+//     derives each next topology with Graph.WithEdits;
 //   - internal/sim      — the locally shared memory model with composite
 //     atomicity, daemons, move/round accounting, the shared
 //     neighbourhood→enabled-rules memoization layer (MemoEvaluator,

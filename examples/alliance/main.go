@@ -84,7 +84,7 @@ func demo(name string, n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	g := run.Graph
+	g := run.Net.Graph()
 	res := run.Execute()
 	members := alliance.Members(res.Final)
 	fmt.Printf("  network   : n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDegree())

@@ -60,7 +60,7 @@ func run(args []string) error {
 		return err
 	}
 	n := run.Net.N()
-	fmt.Printf("network: 5×5 torus (n=%d, D=%d); algorithm %s\n", n, run.Graph.Diameter(), run.Alg.Name())
+	fmt.Printf("network: 5×5 torus (n=%d, D=%d); algorithm %s\n", n, run.Net.Graph().Diameter(), run.Alg.Name())
 	fmt.Printf("churn  : %s, events at steps %v\n", run.Churn.Schedule(), run.Churn.Times())
 	fmt.Printf("per-process SDR move bound (Corollary 4): %d\n\n", core.MaxSDRMovesPerProcess(n))
 

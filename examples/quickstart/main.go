@@ -64,7 +64,7 @@ func run() error {
 	fmt.Println("stabilized  :", result.Final)
 	fmt.Printf("cost        : %d moves, %d rounds\n", result.StabilizationMoves, result.StabilizationRounds)
 	fmt.Printf("paper bounds: ≤ %d moves (Theorem 6), ≤ %d rounds (Theorem 7)\n",
-		unison.MaxStabilizationMoves(n, run.Graph.Diameter()), unison.MaxStabilizationRounds(n))
+		unison.MaxStabilizationMoves(n, run.Net.Graph().Diameter()), unison.MaxStabilizationRounds(n))
 
 	// 4. After stabilization the clocks keep ticking while never drifting by
 	//    more than one increment across an edge (the unison specification).

@@ -60,7 +60,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	g := run.Graph
+	g := run.Net.Graph()
 	fmt.Printf("network: random connected graph, n=%d m=%d D=%d, root=%d\n\n", g.N(), g.M(), g.Diameter(), run.Spec.Params.Root)
 	fmt.Println("corrupted distances:", spantree.Distances(run.Start))
 	fmt.Println("corrupted parents  :", spantree.Parents(run.Start))

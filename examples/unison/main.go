@@ -62,7 +62,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	g := sdrRun.Graph
+	g := sdrRun.Net.Graph()
 	fmt.Printf("network: random connected graph, n=%d m=%d Δ=%d D=%d\n\n", g.N(), g.M(), g.MaxDegree(), g.Diameter())
 	sdrRes := sdrRun.Execute()
 	fmt.Println("U ∘ SDR (this paper)")

@@ -123,7 +123,7 @@ func RunA2Daemons(cfg Config) Table {
 			rounds:     m.result.StabilizationRounds,
 			moves:      m.result.StabilizationMoves,
 			roundBound: unison.MaxStabilizationRounds(m.run.Net.N()),
-			moveBound:  unison.MaxStabilizationMoves(m.run.Net.N(), m.run.Graph.Diameter()),
+			moveBound:  unison.MaxStabilizationMoves(m.run.Net.N(), m.run.Net.Graph().Diameter()),
 		}
 	})
 	for ci, c := range cells {

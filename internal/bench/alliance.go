@@ -52,7 +52,7 @@ func RunE7FGAMoves(cfg Config) Table {
 	}
 	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
 		m := runPlain(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
-		g := m.run.Graph
+		g := m.run.Net.Graph()
 		return trial{
 			moves:      m.result.Moves,
 			bound:      alliance.MaxStandaloneMoves(g.N(), g.M(), g.MaxDegree()),
@@ -131,7 +131,7 @@ func RunE9AllianceStabilization(cfg Config) Table {
 	}
 	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
 		m := runPlain(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
-		g := m.run.Graph
+		g := m.run.Net.Graph()
 		return trial{
 			moves:      m.result.Moves,
 			rounds:     m.result.Rounds,

@@ -60,7 +60,7 @@ func RunE5UnisonMoves(cfg Config) Table {
 	type trial struct{ moves, bound, diameter int }
 	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
 		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
-		diameter := m.run.Graph.Diameter()
+		diameter := m.run.Net.Graph().Diameter()
 		return trial{
 			moves:    m.result.StabilizationMoves,
 			bound:    unison.MaxStabilizationMoves(m.run.Net.N(), diameter),

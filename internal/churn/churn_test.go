@@ -42,13 +42,7 @@ func (bareAlg) InitialState(u int, net *sim.Network) sim.State { return intState
 
 var _ sim.Enumerable = fakeAlg{}
 
-func ringNet(n int) *sim.Network {
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		g.MustAddEdge(u, (u+1)%n)
-	}
-	return sim.NewNetwork(g)
-}
+func ringNet(n int) *sim.Network { return sim.NewNetwork(graph.Ring(n)) }
 
 func TestParseRoundTrip(t *testing.T) {
 	cases := []string{
@@ -140,12 +134,33 @@ func TestDroppableEdgesKeepConnectivity(t *testing.T) {
 	if len(drops) != 1 {
 		t.Fatalf("on a ring exactly one edge is removable without disconnecting; got %v", drops)
 	}
-	probe := net.Graph().Clone()
-	probe.MustRemoveEdge(drops[0][0], drops[0][1])
-	if !probe.Connected() {
-		t.Fatalf("dropping %v disconnects the ring", drops[0])
+	probe, err := net.Graph().WithEdits(drops, nil)
+	if err != nil || !probe.Connected() {
+		t.Fatalf("dropping %v disconnects the ring (err %v)", drops[0], err)
 	}
 }
+
+// scriptedInjector fires a fixed list of events, one per boundary, built by
+// the wrapped churn injector from the point the engine hands it, and keeps
+// the topology each boundary observed.
+type scriptedInjector struct {
+	inj    *Injector
+	kinds  []Kind
+	events []*sim.Injection
+	seen   []*graph.Graph
+}
+
+func (s *scriptedInjector) Inject(p sim.InjectionPoint) *sim.Injection {
+	if len(s.events) == len(s.kinds) {
+		return nil
+	}
+	s.seen = append(s.seen, p.Net.Graph())
+	injn := s.inj.build(s.kinds[len(s.events)], p)
+	s.events = append(s.events, injn)
+	return injn
+}
+
+func (s *scriptedInjector) Done() bool { return len(s.events) == len(s.kinds) }
 
 func TestPartitionHealRoundTrip(t *testing.T) {
 	net := ringNet(8)
@@ -153,28 +168,26 @@ func TestPartitionHealRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sim.InjectionPoint{Net: net, Config: sim.InitialConfiguration(fakeAlg{}, net)}
-	part := inj.build(Partition, p)
+	script := &scriptedInjector{inj: inj, kinds: []Kind{Partition, Heal, Heal}}
+	engine := sim.NewEngine(net, fakeAlg{}, sim.SynchronousDaemon{})
+	if _, err := engine.RunE(sim.InitialConfiguration(fakeAlg{}, net), sim.WithInjector(script)); err != nil {
+		t.Fatal(err)
+	}
+	ring := script.seen[0]
+	part, heal, second := script.events[0], script.events[1], script.events[2]
 	if len(part.DropEdges) == 0 {
 		t.Fatalf("partition produced no cut on a ring")
 	}
-	for _, e := range part.DropEdges {
-		net.Graph().MustRemoveEdge(e[0], e[1])
-	}
-	if net.Graph().Connected() {
+	if script.seen[1].Connected() {
 		t.Fatalf("removing the cut %v left the ring connected", part.DropEdges)
 	}
-	heal := inj.build(Heal, p)
 	if !reflect.DeepEqual(heal.AddEdges, part.DropEdges) {
 		t.Errorf("heal re-adds %v, partition dropped %v", heal.AddEdges, part.DropEdges)
 	}
-	for _, e := range heal.AddEdges {
-		net.Graph().MustAddEdge(e[0], e[1])
+	if !script.seen[2].Equal(ring) || !net.Graph().Equal(ring) {
+		t.Fatalf("healed topology differs from the ring")
 	}
-	if !net.Graph().Connected() {
-		t.Fatalf("healed ring is disconnected")
-	}
-	if second := inj.build(Heal, p); len(second.AddEdges) != 0 {
+	if len(second.AddEdges) != 0 {
 		t.Errorf("second heal without an open partition re-added %v", second.AddEdges)
 	}
 }

@@ -197,22 +197,23 @@ func (i *Injector) targets(p sim.InjectionPoint, count int) []int {
 }
 
 // droppableEdges picks up to count edges whose cumulative removal keeps the
-// network connected, probing removals on a clone of the current graph.
+// network connected, probing each candidate with a connectivity check that
+// skips the edges picked so far.
 func (i *Injector) droppableEdges(p sim.InjectionPoint, count int) [][2]int {
 	g := p.Net.Graph()
 	edges := g.Edges()
-	probe := g.Clone()
+	excluded := make(map[[2]int]bool, count)
 	var drops [][2]int
 	for _, pi := range i.rng.Perm(len(edges)) {
 		if len(drops) == count {
 			break
 		}
 		e := edges[pi]
-		probe.MustRemoveEdge(e[0], e[1])
-		if probe.Connected() {
+		excluded[e] = true
+		if g.ConnectedWithout(excluded) {
 			drops = append(drops, e)
 		} else {
-			probe.MustAddEdge(e[0], e[1])
+			delete(excluded, e)
 		}
 	}
 	return drops

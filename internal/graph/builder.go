@@ -5,52 +5,53 @@ import (
 	"slices"
 )
 
-// Builder accumulates an edge list and compiles it into a Graph directly in
-// CSR form, without ever materializing per-node slices. Structured
-// generators (rings, tori, hypercubes, ...) know their full edge set up
-// front, so they build through it: two counting passes plus one sort per
-// node replace m insertSorted calls and n incremental slice growths, which
-// is what makes million-node topologies cheap to generate.
+// Builder accumulates an edge list and compiles it into a Graph in CSR
+// form, without ever materializing per-node slices: two counting passes
+// plus one sort per node, which is what makes million-node topologies cheap
+// to generate. It is the only way a Graph is built from scratch.
 type Builder struct {
 	n      int
 	us, vs []int32
+	// err is the first invalid input (negative n, out-of-range edge,
+	// self-loop); Graph returns it.
+	err error
 }
 
 // NewBuilder returns a builder for a graph on n nodes, pre-sizing the edge
-// list for edgeHint edges (0 is fine). It panics if n is negative.
+// list for edgeHint edges (0 is fine). A negative n is reported by Graph.
 func NewBuilder(n, edgeHint int) *Builder {
+	b := &Builder{n: n}
 	if n < 0 {
-		panic(fmt.Sprintf("graph: negative node count %d", n))
+		b.n, b.err = 0, fmt.Errorf("graph: negative node count %d", n)
 	}
-	if edgeHint < 0 {
-		edgeHint = 0
+	if edgeHint > 0 {
+		b.us, b.vs = make([]int32, 0, edgeHint), make([]int32, 0, edgeHint)
 	}
-	return &Builder{
-		n:  n,
-		us: make([]int32, 0, edgeHint),
-		vs: make([]int32, 0, edgeHint),
-	}
+	return b
 }
 
-// Add records the undirected edge {u, v}. Range violations and self-loops
-// panic immediately (they are generator bugs); duplicate edges are detected
-// at Graph time.
+// Add records the undirected edge {u, v}. An out-of-range edge or a
+// self-loop is kept as the builder's error and reported by Graph, like a
+// duplicate edge.
 func (b *Builder) Add(u, v int) {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n))
+	if b.err != nil {
+		return
 	}
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop on node %d is not allowed", u))
+	if b.err = checkEdge(u, v, b.n); b.err != nil {
+		return
 	}
 	b.us = append(b.us, int32(u))
 	b.vs = append(b.vs, int32(v))
 }
 
-// Graph compiles the accumulated edges into a compact CSR graph: count
-// degrees, prefix-sum into offsets, scatter both edge directions, sort each
-// node's range, and reject duplicates. The builder can be reused afterwards
-// only by discarding it; the returned graph owns fresh arrays.
+// Graph compiles the accumulated edges into a CSR graph: count degrees,
+// prefix-sum into offsets, scatter both edge directions, sort each node's
+// range, and reject duplicates. It returns the first invalid input instead
+// when there was one. The returned graph owns fresh arrays.
 func (b *Builder) Graph() (*Graph, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	off := make([]int32, b.n+1)
 	for i := range b.us {
 		off[b.us[i]+1]++
@@ -81,8 +82,8 @@ func (b *Builder) Graph() (*Graph, error) {
 	return &Graph{n: b.n, m: len(b.us), off: off, tgt: tgt}, nil
 }
 
-// MustGraph is Graph for edge sets known to be duplicate-free (structured
-// generators); it panics on error.
+// MustGraph is Graph for edge sets known to be valid (the generators); it
+// panics on error.
 func (b *Builder) MustGraph() *Graph {
 	g, err := b.Graph()
 	if err != nil {

@@ -2,35 +2,43 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// randomSimple builds a random simple connected graph in overlay (mutable)
-// form: a spanning path plus extra random edges.
-func randomSimple(t *testing.T, n int, extra int, seed int64) *Graph {
+// randomSimple builds a random simple connected graph, a spanning path plus
+// extra random edges, and returns it with its edge list.
+func randomSimple(t *testing.T, n int, extra int, seed int64) (*Graph, [][2]int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	seen := make(map[[2]int]bool)
+	var edges [][2]int
 	for u := 1; u < n; u++ {
-		g.MustAddEdge(u-1, u)
+		seen[[2]int{u - 1, u}] = true
+		edges = append(edges, [2]int{u - 1, u})
 	}
-	for added := 0; added < extra; {
+	for len(edges) < n-1+extra {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || g.HasEdge(u, v) {
+		e := [2]int{min(u, v), max(u, v)}
+		if u == v || seen[e] {
 			continue
 		}
-		g.MustAddEdge(u, v)
-		added++
+		seen[e] = true
+		edges = append(edges, [2]int{u, v})
 	}
-	return g
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, edges
 }
 
-// TestCSRStructure checks the invariants of the compacted arrays: offsets
-// are monotone with off[0]=0 and off[n]=2m, every row is strictly sorted,
-// and the relation is symmetric.
-func TestCSRStructure(t *testing.T) {
-	g := randomSimple(t, 200, 300, 7)
-	off, tgt := g.CSR()
+// checkCSR checks the invariants of g's arrays: offsets are monotone with
+// off[0]=0 and off[n]=2m, every row is strictly sorted, and the relation is
+// symmetric.
+func checkCSR(t *testing.T, g *Graph) {
+	t.Helper()
+	off, tgt := g.off, g.tgt
 	if len(off) != g.N()+1 {
 		t.Fatalf("len(off) = %d, want %d", len(off), g.N()+1)
 	}
@@ -56,78 +64,86 @@ func TestCSRStructure(t *testing.T) {
 	}
 }
 
-// TestCSRReadsMatchOverlay checks that Degree, Neighbor and HasEdge answer identically from the mutable overlay and from the compacted
-// CSR form of the same graph.
-func TestCSRReadsMatchOverlay(t *testing.T) {
-	overlay := randomSimple(t, 150, 200, 11)
-	compacted := overlay.Clone()
-	compacted.CSR() // force compaction; overlay stays in mutable form
-	if overlay.adj == nil {
-		t.Fatal("overlay graph unexpectedly compacted")
+func TestCSRStructure(t *testing.T) {
+	g, _ := randomSimple(t, 200, 300, 7)
+	checkCSR(t, g)
+}
+
+// TestCSRReadsMatchEdgeSet checks that Degree, Neighbor and HasEdge answer
+// from the CSR arrays exactly what the edge list the graph was built from
+// says.
+func TestCSRReadsMatchEdgeSet(t *testing.T) {
+	g, edges := randomSimple(t, 150, 200, 11)
+	rows := make([][]int, g.N())
+	for _, e := range edges {
+		rows[e[0]] = append(rows[e[0]], e[1])
+		rows[e[1]] = append(rows[e[1]], e[0])
 	}
-	if compacted.adj != nil {
-		t.Fatal("compacted graph still has the overlay")
-	}
-	for u := 0; u < overlay.N(); u++ {
-		if do, dc := overlay.Degree(u), compacted.Degree(u); do != dc {
-			t.Fatalf("Degree(%d): overlay %d, csr %d", u, do, dc)
+	for u, row := range rows {
+		slices.Sort(row)
+		if g.Degree(u) != len(row) {
+			t.Fatalf("Degree(%d) = %d, want %d", u, g.Degree(u), len(row))
 		}
-		for i := 0; i < overlay.Degree(u); i++ {
-			if no, nc := overlay.Neighbor(u, i), compacted.Neighbor(u, i); no != nc {
-				t.Fatalf("Neighbor(%d,%d): overlay %d, csr %d", u, i, no, nc)
+		for i, v := range row {
+			if g.Neighbor(u, i) != v {
+				t.Fatalf("Neighbor(%d,%d) = %d, want %d", u, i, g.Neighbor(u, i), v)
 			}
 		}
-	}
-	for u := 0; u < overlay.N(); u++ {
-		for v := 0; v < overlay.N(); v++ {
-			if overlay.HasEdge(u, v) != compacted.HasEdge(u, v) {
-				t.Fatalf("HasEdge(%d,%d) disagrees between forms", u, v)
+		for v := 0; v < g.N(); v++ {
+			if _, want := slices.BinarySearch(row, v); g.HasEdge(u, v) != want {
+				t.Fatalf("HasEdge(%d,%d) = %v, want %v", u, v, !want, want)
 			}
 		}
-	}
-	if !overlay.Equal(compacted) || !compacted.Equal(overlay) {
-		t.Fatal("Equal disagrees between forms")
 	}
 }
 
-// TestCSRMutationRoundTrip checks that edits after compaction re-enter the
-// overlay, are visible immediately, and compact back into consistent arrays.
-func TestCSRMutationRoundTrip(t *testing.T) {
-	g := randomSimple(t, 64, 40, 3)
-	g.CSR()
-	m := g.M()
-	g.MustRemoveEdge(0, 1)
-	if g.HasEdge(0, 1) || g.M() != m-1 {
-		t.Fatalf("remove not visible: HasEdge=%v m=%d", g.HasEdge(0, 1), g.M())
+// TestWithEditsRoundTrip checks that WithEdits leaves its receiver's arrays
+// untouched, builds consistent arrays for the result, and that undoing the
+// edits rebuilds the original edge set.
+func TestWithEditsRoundTrip(t *testing.T) {
+	g, _ := randomSimple(t, 64, 40, 3)
+	off, tgt := slices.Clone(g.off), slices.Clone(g.tgt)
+	drop, add := [][2]int{{0, 1}}, [][2]int{firstNonEdge(g), {63, 0}}
+	if g.HasEdge(63, 0) {
+		add = add[:1]
 	}
-	if g.adj == nil {
-		t.Fatal("mutation did not re-enter the overlay form")
+	h, err := g.WithEdits(drop, add)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.MustAddEdge(0, 63)
-	off, tgt := g.CSR()
-	if int(off[g.N()]) != 2*g.M() || len(tgt) != 2*g.M() {
-		t.Fatalf("recompaction inconsistent: off[n]=%d len(tgt)=%d m=%d", off[g.N()], len(tgt), g.M())
+	if !slices.Equal(g.off, off) || !slices.Equal(g.tgt, tgt) {
+		t.Fatal("WithEdits modified its receiver")
 	}
-	if !g.HasEdge(0, 63) || g.HasEdge(0, 1) {
-		t.Fatal("edits lost across recompaction")
+	checkCSR(t, h)
+	if h.HasEdge(0, 1) || h.M() != g.M()-len(drop)+len(add) {
+		t.Fatalf("edits not applied: HasEdge(0,1)=%v m=%d", h.HasEdge(0, 1), h.M())
 	}
-	// A second CSR call without edits must return the same backing arrays.
-	off2, tgt2 := g.CSR()
-	if &off2[0] != &off[0] || &tgt2[0] != &tgt[0] {
-		t.Fatal("CSR recompacted without pending edits")
+	for _, e := range add {
+		if !h.HasEdge(e[0], e[1]) {
+			t.Fatalf("added edge %v missing", e)
+		}
+	}
+	back, err := h.WithEdits(add, drop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(g) {
+		t.Fatal("undoing the edits did not restore the graph")
+	}
+	if same, err := g.WithEdits(nil, nil); err != nil || same != g {
+		t.Fatal("WithEdits without edits did not return its receiver")
 	}
 }
 
 // TestCSREdgeless covers isolated nodes: empty rows and empty targets.
 func TestCSREdgeless(t *testing.T) {
 	g := New(3)
-	off, tgt := g.CSR()
-	if len(off) != 4 || len(tgt) != 0 {
-		t.Fatalf("edgeless CSR: off=%v tgt=%v", off, tgt)
+	if len(g.off) != 4 || len(g.tgt) != 0 {
+		t.Fatalf("edgeless CSR: off=%v tgt=%v", g.off, g.tgt)
 	}
-	for _, o := range off {
+	for _, o := range g.off {
 		if o != 0 {
-			t.Fatalf("edgeless offsets must be zero: %v", off)
+			t.Fatalf("edgeless offsets must be zero: %v", g.off)
 		}
 	}
 	if g.Degree(1) != 0 {

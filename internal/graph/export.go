@@ -43,23 +43,20 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return fmt.Errorf("graph: decoding JSON: %w", err)
 	}
-	fresh := New(jg.N)
-	for _, e := range jg.Edges {
-		if err := fresh.AddEdge(e[0], e[1]); err != nil {
-			return fmt.Errorf("graph: decoding JSON: %w", err)
-		}
+	fresh, err := FromEdges(jg.N, jg.Edges)
+	if err != nil {
+		return fmt.Errorf("graph: decoding JSON: %w", err)
 	}
 	*g = *fresh
 	return nil
 }
 
-// FromEdges builds a graph with n nodes and the given edge list.
+// FromEdges builds a graph with n nodes and the given edge list. A negative
+// n, an out-of-range edge, a self-loop or a duplicate edge is an error.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	g := New(n)
+	b := NewBuilder(n, len(edges))
 	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
+		b.Add(e[0], e[1])
 	}
-	return g, nil
+	return b.Graph()
 }

@@ -11,9 +11,12 @@ import (
 // degree), hypercubes, random connected graphs, and a few pathological
 // shapes (caterpillar, lollipop) used to stress the daemon.
 //
-// Structured families compile their edge set through a Builder straight
-// into CSR form; only the random families that probe the partial graph
-// while building (RandomConnected, RandomRegularish) grow incrementally.
+// Every family compiles its edge set through a Builder straight into CSR
+// form. The random families that probe the partial graph while drawing
+// (RandomConnected, RandomRegularish) keep that bookkeeping local to the
+// generator and build once at the end, consuming exactly the rng draws an
+// incremental construction would; the seeded outputs are pinned by
+// TestRandomGeneratorsPinned.
 
 // Ring returns a cycle C_n. It panics for n < 3.
 func Ring(n int) *Graph {
@@ -200,15 +203,19 @@ func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("graph: edge probability must be in [0,1], got %v", p))
 	}
-	g := RandomTree(n, rng)
+	tree := RandomTree(n, rng)
+	b := NewBuilder(n, tree.M())
+	for _, e := range tree.Edges() {
+		b.Add(e[0], e[1])
+	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) && rng.Float64() < p {
-				g.MustAddEdge(u, v)
+			if !tree.HasEdge(u, v) && rng.Float64() < p {
+				b.Add(u, v)
 			}
 		}
 	}
-	return g
+	return b.MustGraph()
 }
 
 // RandomRegularish returns a random connected graph where every node has
@@ -219,21 +226,47 @@ func RandomRegularish(n, minDegree int, rng *rand.Rand) *Graph {
 	if n < 1 || minDegree < 1 {
 		panic(fmt.Sprintf("graph: invalid parameters n=%d minDegree=%d", n, minDegree))
 	}
-	g := RandomTree(n, rng)
+	tree := RandomTree(n, rng)
 	if minDegree >= n {
 		minDegree = n - 1
 	}
+	// edges and deg track the growing graph; below counts the nodes under
+	// the degree floor, so the loop condition is MinDegree() < minDegree
+	// without an O(n) scan per attempt.
+	edges := make(map[[2]int]bool, n*minDegree)
+	deg := make([]int, n)
+	for _, e := range tree.Edges() {
+		edges[e] = true
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	below := 0
+	for _, d := range deg {
+		if d < minDegree {
+			below++
+		}
+	}
 	maxEdges := n * (n - 1) / 2
-	for g.MinDegree() < minDegree && g.M() < maxEdges {
+	for below > 0 && len(edges) < maxEdges {
 		u := rng.Intn(n)
-		if g.Degree(u) >= minDegree {
+		if deg[u] >= minDegree {
 			continue
 		}
 		v := rng.Intn(n)
-		if u == v || g.HasEdge(u, v) {
+		e := [2]int{min(u, v), max(u, v)}
+		if u == v || edges[e] {
 			continue
 		}
-		g.MustAddEdge(u, v)
+		edges[e] = true
+		for _, w := range e {
+			if deg[w]++; deg[w] == minDegree {
+				below--
+			}
+		}
 	}
-	return g
+	b := NewBuilder(n, len(edges))
+	for e := range edges {
+		b.Add(e[0], e[1])
+	}
+	return b.MustGraph()
 }

@@ -29,11 +29,19 @@ func TestNewNegativePanics(t *testing.T) {
 	New(-1)
 }
 
-func TestAddEdge(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatalf("AddEdge(0,1): %v", err)
+// mustEdit is WithEdits for edits known to be valid.
+func mustEdit(t *testing.T, g *Graph, drop, add [][2]int) *Graph {
+	t.Helper()
+	h, err := g.WithEdits(drop, add)
+	if err != nil {
+		t.Fatalf("WithEdits(%v, %v): %v", drop, add, err)
 	}
+	return h
+}
+
+func TestAddEdge(t *testing.T) {
+	base := New(3)
+	g := mustEdit(t, base, nil, [][2]int{{0, 1}})
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Error("edge {0,1} not symmetric")
 	}
@@ -43,10 +51,13 @@ func TestAddEdge(t *testing.T) {
 	if g.Degree(0) != 1 || g.Degree(1) != 1 || g.Degree(2) != 0 {
 		t.Errorf("unexpected degrees %d %d %d", g.Degree(0), g.Degree(1), g.Degree(2))
 	}
+	if base.M() != 0 || base.HasEdge(0, 1) {
+		t.Error("WithEdits modified its receiver")
+	}
 }
 
 func TestAddEdgeErrors(t *testing.T) {
-	g := New(3)
+	g := Path(3)
 	cases := []struct {
 		name string
 		u, v int
@@ -54,26 +65,37 @@ func TestAddEdgeErrors(t *testing.T) {
 		{"self-loop", 1, 1},
 		{"out of range low", -1, 0},
 		{"out of range high", 0, 3},
+		{"duplicate", 1, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := g.AddEdge(tc.u, tc.v); err == nil {
-				t.Errorf("AddEdge(%d,%d) succeeded, want error", tc.u, tc.v)
+			if _, err := g.WithEdits(nil, [][2]int{{tc.u, tc.v}}); err == nil {
+				t.Errorf("adding {%d,%d} succeeded, want error", tc.u, tc.v)
+			}
+			if _, err := FromEdges(3, [][2]int{{0, 1}, {1, 2}, {tc.u, tc.v}}); err == nil {
+				t.Errorf("FromEdges with {%d,%d} succeeded, want error", tc.u, tc.v)
 			}
 		})
 	}
-	g.MustAddEdge(0, 1)
-	if err := g.AddEdge(1, 0); err == nil {
-		t.Error("duplicate edge accepted")
+	if _, err := g.WithEdits([][2]int{{0, 2}}, nil); err == nil {
+		t.Error("dropping an absent edge succeeded")
+	}
+	if _, err := g.WithEdits([][2]int{{0, 1}, {1, 0}}, nil); err == nil {
+		t.Error("dropping an edge twice succeeded")
+	}
+	if _, err := g.WithEdits(nil, [][2]int{{0, 2}, {2, 0}}); err == nil {
+		t.Error("adding an edge twice succeeded")
+	}
+	if h := mustEdit(t, g, [][2]int{{0, 1}}, [][2]int{{1, 0}}); !h.Equal(g) {
+		t.Error("dropping and re-adding an edge changed the graph")
 	}
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(2, 4)
-	g.MustAddEdge(2, 0)
-	g.MustAddEdge(2, 3)
-	g.MustAddEdge(2, 1)
+	g, err := FromEdges(5, [][2]int{{2, 4}, {2, 0}, {2, 3}, {2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ns []int
 	for i := 0; i < g.Degree(2); i++ {
 		ns = append(ns, g.Neighbor(2, i))
@@ -89,24 +111,26 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 }
 
-func TestCloneAndEqual(t *testing.T) {
+func TestEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := RandomConnected(20, 0.2, rng)
-	c := g.Clone()
-	if !g.Equal(c) {
-		t.Fatal("clone not equal to original")
+	c, err := FromEdges(g.N(), g.Edges())
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.MustAddEdge(firstNonEdge(c))
-	if g.Equal(c) {
+	if !g.Equal(c) {
+		t.Fatal("rebuilt copy not equal to original")
+	}
+	if g.Equal(mustEdit(t, c, nil, [][2]int{firstNonEdge(c)})) {
 		t.Fatal("graphs with different edge sets reported equal")
 	}
 }
 
-func firstNonEdge(g *Graph) (int, int) {
+func firstNonEdge(g *Graph) [2]int {
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
 			if !g.HasEdge(u, v) {
-				return u, v
+				return [2]int{u, v}
 			}
 		}
 	}
@@ -233,8 +257,7 @@ func TestBFSAndDistances(t *testing.T) {
 	if d := g.Distance(1, 4); d != 3 {
 		t.Errorf("Distance(1,4) = %d, want 3", d)
 	}
-	disconnected := New(3)
-	disconnected.MustAddEdge(0, 1)
+	disconnected := mustEdit(t, New(3), nil, [][2]int{{0, 1}})
 	if d := disconnected.Distance(0, 2); d != -1 {
 		t.Errorf("Distance in disconnected graph = %d, want -1", d)
 	}

@@ -109,8 +109,8 @@ func buildAllianceStandalone(spec alliance.Spec, g *graph.Graph) (Assembly, erro
 func allianceReport(spec alliance.Spec) func(r *Run, res sim.Result) Report {
 	return func(r *Run, res sim.Result) Report {
 		members := alliance.Members(res.Final)
-		isAlliance := alliance.IsAlliance(r.Graph, spec, members)
-		minimal := alliance.Is1Minimal(r.Graph, spec, members)
+		isAlliance := alliance.IsAlliance(r.Net.Graph(), spec, members)
+		minimal := alliance.Is1Minimal(r.Net.Graph(), spec, members)
 		return Report{
 			Lines: []string{
 				fmt.Sprintf("alliance  : %v (size %d)", members, len(members)),
@@ -167,7 +167,7 @@ func init() {
 		Description: "Boulinier-Petit-Villain self-stabilizing unison, the Section 5.3 baseline; K and α derived from the topology",
 		Build: func(g *graph.Graph, net *sim.Network, p Params) (Assembly, error) {
 			b := unison.NewBPVFor(g)
-			return Assembly{Algorithm: b, Legitimate: b.LegitimatePredicate(g)}, nil
+			return Assembly{Algorithm: b, Legitimate: b.LegitimatePredicate(net)}, nil
 		},
 		Report: func(r *Run, res sim.Result) Report {
 			return Report{OK: res.LegitimateReached}
@@ -278,7 +278,7 @@ func unisonReport(r *Run, res sim.Result) Report {
 // bfsReport renders the spanning-tree outcome: the distance vector and the
 // exactness of the tree.
 func bfsReport(r *Run, res sim.Result) Report {
-	err := spantree.VerifyTree(r.Graph, r.Spec.Params.Root, res.Final)
+	err := spantree.VerifyTree(r.Net.Graph(), r.Spec.Params.Root, res.Final)
 	return Report{
 		Lines: []string{
 			fmt.Sprintf("bfs tree  : distances=%v", spantree.Distances(res.Final)),

@@ -149,7 +149,7 @@ func TestPartitionHealPresetRuns(t *testing.T) {
 		t.Errorf("event labels %v, want partition then heal", got)
 	}
 	// The run must end on a healed, connected network.
-	if !run.Graph.Connected() {
+	if !run.Net.Graph().Connected() {
 		t.Error("network still partitioned after the final heal")
 	}
 	if last := res.Events[len(res.Events)-1]; !last.Recovered {

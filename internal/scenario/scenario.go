@@ -34,7 +34,6 @@ import (
 
 	"sdr/internal/churn"
 	"sdr/internal/core"
-	"sdr/internal/graph"
 	"sdr/internal/sim"
 )
 
@@ -121,8 +120,6 @@ type Run struct {
 	Spec Spec
 	// Entry is the algorithm registry entry the run was built from.
 	Entry AlgorithmEntry
-	// Graph is the generated topology.
-	Graph *graph.Graph
 	// Net is the network the algorithm runs on.
 	Net *sim.Network
 	// Alg is the built algorithm.
@@ -204,7 +201,6 @@ func (s Spec) Resolve() (*Run, error) {
 	return &Run{
 		Spec:        s,
 		Entry:       entry,
-		Graph:       g,
 		Net:         net,
 		Alg:         asm.Algorithm,
 		Inner:       asm.Inner,

@@ -152,7 +152,7 @@ func TestParamsKnobs(t *testing.T) {
 	// Params.EdgeProb steers the random topology density.
 	dense := Spec{Algorithm: "unison", Topology: "random", N: 12, Daemon: "synchronous", Seed: 1, Params: Params{EdgeProb: 0.9}}.MustResolve()
 	sparse := Spec{Algorithm: "unison", Topology: "random", N: 12, Daemon: "synchronous", Seed: 1, Params: Params{EdgeProb: 0.05}}.MustResolve()
-	if dense.Graph.M() <= sparse.Graph.M() {
-		t.Errorf("EdgeProb ignored: dense m=%d, sparse m=%d", dense.Graph.M(), sparse.Graph.M())
+	if dense.Net.Graph().M() <= sparse.Net.Graph().M() {
+		t.Errorf("EdgeProb ignored: dense m=%d, sparse m=%d", dense.Net.Graph().M(), sparse.Net.Graph().M())
 	}
 }

@@ -53,7 +53,11 @@ func NewNetworkWithIDs(g *graph.Graph, ids []int) (*Network, error) {
 // N returns the number of processes.
 func (n *Network) N() int { return n.g.N() }
 
-// Graph returns the underlying topology.
+// Graph returns the current topology. An injected event with edge edits
+// replaces it between two steps of a run (the returned graph itself is
+// immutable), so code that must see the topology a run ended on reads it
+// here after the run rather than keeping the graph the network started
+// with.
 func (n *Network) Graph() *graph.Graph { return n.g }
 
 // ID returns the identifier of process u.
@@ -64,15 +68,8 @@ func (n *Network) Degree(u int) int { return n.g.Degree(u) }
 
 // Neighbor returns the i-th neighbour of process u (0 ≤ i < Degree(u)), in
 // sorted order. Together with Degree it is the allocation-free adjacency
-// iteration API; hot loops that stream whole neighbourhoods grab the raw
-// arrays with CSR instead.
+// iteration API.
 func (n *Network) Neighbor(u, i int) int { return n.g.Neighbor(u, i) }
-
-// CSR returns the compact adjacency arrays of the topology (see graph.CSR):
-// the neighbours of u are targets[offsets[u]:offsets[u+1]]. The arrays are
-// read-only and are invalidated by a topology mutation (churn events); the
-// engine re-fetches them at every injection boundary.
-func (n *Network) CSR() (offsets, targets []int32) { return n.g.CSR() }
 
 // View returns the view of process u on configuration c.
 func (n *Network) View(c *Configuration, u int) View {

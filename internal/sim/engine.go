@@ -368,7 +368,7 @@ func (e *Engine) RunE(start *Configuration, opts ...Option) (Result, error) {
 	if err := e.checkStart(start); err != nil {
 		return Result{}, err
 	}
-	return e.run(start, o), nil
+	return e.run(start, o)
 }
 
 // openEvent is an injected event whose recovery has not completed yet: the
@@ -447,8 +447,9 @@ type engineRun struct {
 	shardDur  []time.Duration
 }
 
-// run is the engine loop behind RunE.
-func (e *Engine) run(start *Configuration, o Options) Result {
+// run is the engine loop behind RunE. It fails only when an injected event
+// carries an invalid edit.
+func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 	n := e.net.N()
 	ev := NewEvaluator(e.alg, e.net)
 	r := &engineRun{
@@ -490,8 +491,14 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 
 	r.reseed()
 	for {
-		if r.o.injector != nil && r.inject() {
-			continue
+		if r.o.injector != nil {
+			fired, err := r.inject()
+			if err != nil {
+				return Result{}, err
+			}
+			if fired {
+				continue
+			}
 		}
 		if r.stopped() {
 			break
@@ -512,20 +519,13 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 		res.Memo = r.memo.Stats()
 		r.memo.Finish()
 	}
-	return *res
+	return *res, nil
 }
 
 // reseed recomputes the whole enabled set and starts a fresh round at cur:
 // at the start of the run and after every injected event, whose state and
-// topology edits may have changed enabledness anywhere. Before fanning out
-// to several shards it compacts the topology on this goroutine: the parallel
-// phases read adjacency through the CSR arrays, and compaction must not
-// race. A one-shard run reads whichever form is current and leaves the
-// graph as it found it.
+// topology edits may have changed enabledness anywhere.
 func (r *engineRun) reseed() {
-	if len(r.shards) > 1 {
-		r.e.net.CSR()
-	}
 	r.parallel((*engineRun).seedShard)
 	r.enabledList = r.enabledBits.appendIndices(r.enabledList[:0])
 	r.pending.copyFrom(r.enabledBits)
@@ -538,8 +538,9 @@ func (r *engineRun) reseed() {
 // step and applies the event it returns, reporting whether one fired. The
 // loop then consults the injector again — several events may fire back to
 // back, and at a terminal configuration the injector gets to perturb the
-// system instead of ending the run.
-func (r *engineRun) inject() bool {
+// system instead of ending the run. An event with an invalid edit ends the
+// run with an error.
+func (r *engineRun) inject() (bool, error) {
 	res := &r.res
 	injn := r.o.injector.Inject(InjectionPoint{
 		Step:       res.Steps,
@@ -551,7 +552,7 @@ func (r *engineRun) inject() bool {
 		Terminal:   len(r.enabledList) == 0,
 	})
 	if injn == nil {
-		return false
+		return false, nil
 	}
 	// Close the partial round in progress: rounds after the event belong to
 	// its recovery.
@@ -574,7 +575,9 @@ func (r *engineRun) inject() bool {
 		moves:  res.Moves,
 		rounds: res.Rounds,
 	})
-	r.e.applyInjection(injn, r.cur.states)
+	if err := r.e.applyInjection(injn, r.cur.states); err != nil {
+		return false, err
+	}
 	// The memo's per-process state-id mirror is stale now (the memo tables
 	// themselves stay valid: keys self-describe the neighbourhood, so
 	// entries for the old topology are simply never probed again).
@@ -582,7 +585,7 @@ func (r *engineRun) inject() bool {
 		r.memo.InvalidateAll()
 	}
 	r.reseed()
-	return true
+	return true, nil
 }
 
 // stopped applies the stop rules before a step.

@@ -158,7 +158,7 @@ func diffWorkloads(seed int64) []diffWorkload {
 			start: start,
 			opts: []sim.Option{
 				sim.WithMaxSteps(300),
-				sim.WithLegitimate(bpv.LegitimatePredicate(g)),
+				sim.WithLegitimate(bpv.LegitimatePredicate(net)),
 			},
 		})
 	}

@@ -39,9 +39,11 @@ type Injection struct {
 	Label string
 	// SetStates lists per-process state replacements.
 	SetStates []StateChange
-	// DropEdges and AddEdges mutate the network topology in place. Every
-	// dropped edge must be present and every added edge absent; a violation
-	// is an injector bug and panics.
+	// DropEdges and AddEdges edit the network topology: the engine builds
+	// the next graph with graph.WithEdits (drops first, then adds) and
+	// swaps it into the network. Every dropped edge must be present and
+	// every added edge absent at its turn; a violation makes RunE return an
+	// error naming the event's Label.
 	DropEdges [][2]int
 	AddEdges  [][2]int
 }
@@ -121,23 +123,23 @@ type EventRecovery struct {
 
 // applyInjection installs an event into the live run state: state
 // replacements land in curStates (the engine's current buffer) and edge
-// edits mutate the network graph in place, so that legitimacy-predicate
-// closures, evaluators and daemons holding the *Network keep observing a
-// consistent topology. Invalid edits are injector bugs and panic.
-func (e *Engine) applyInjection(injn *Injection, curStates []State) {
-	n := e.net.N()
+// edits build the next topology, which replaces the network's graph, so
+// that legitimacy-predicate closures, evaluators and daemons holding the
+// *Network observe it from the next step on. The previous graph is left
+// untouched. An invalid edit is reported before anything is installed.
+func (e *Engine) applyInjection(injn *Injection, curStates []State) error {
+	next, err := e.net.g.WithEdits(injn.DropEdges, injn.AddEdges)
+	if err != nil {
+		return fmt.Errorf("sim: injection %q: %w", injn.Label, err)
+	}
 	for _, sc := range injn.SetStates {
-		checkProcessIndex(sc.Process, n)
+		if n := e.net.N(); sc.Process < 0 || sc.Process >= n {
+			return fmt.Errorf("sim: injection %q: process index %d out of range [0,%d)", injn.Label, sc.Process, n)
+		}
+	}
+	for _, sc := range injn.SetStates {
 		curStates[sc.Process] = sc.State.Clone()
 	}
-	for _, ed := range injn.DropEdges {
-		if err := e.net.g.RemoveEdge(ed[0], ed[1]); err != nil {
-			panic(fmt.Sprintf("sim: injection %q: %v", injn.Label, err))
-		}
-	}
-	for _, ed := range injn.AddEdges {
-		if err := e.net.g.AddEdge(ed[0], ed[1]); err != nil {
-			panic(fmt.Sprintf("sim: injection %q: %v", injn.Label, err))
-		}
-	}
+	e.net.g = next
+	return nil
 }

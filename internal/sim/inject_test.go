@@ -2,9 +2,13 @@ package sim_test
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"sdr/internal/alliance"
+	"sdr/internal/churn"
 	"sdr/internal/core"
 	"sdr/internal/faults"
 	"sdr/internal/graph"
@@ -144,7 +148,6 @@ func TestReStabilizationAccounting(t *testing.T) {
 // stateless, so the suffix is exactly reproducible).
 func TestTopologyInjectionMatchesFreshRun(t *testing.T) {
 	g := graph.Ring(8)
-	pristine := g.Clone()
 	net := sim.NewNetwork(g)
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
@@ -171,11 +174,19 @@ func TestTopologyInjectionMatchesFreshRun(t *testing.T) {
 		t.Fatal("the event never fired")
 	}
 
-	// Reference: same mutation applied to a pristine copy, reference engine
-	// from the snapshot, for the remaining step budget.
-	refGraph := pristine
-	refGraph.MustRemoveEdge(0, 1)
-	refGraph.MustAddEdge(0, 4)
+	// Reference: the same edit applied to the starting graph, which the run
+	// must have left untouched, reference engine from the snapshot, for the
+	// remaining step budget.
+	if !g.Equal(graph.Ring(8)) {
+		t.Fatal("the injected run modified the graph it started on")
+	}
+	refGraph, err := g.WithEdits([][2]int{{0, 1}}, [][2]int{{0, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !net.Graph().Equal(refGraph) {
+		t.Fatal("the network does not hold the edited topology after the run")
+	}
 	refNet := sim.NewNetwork(refGraph)
 	ref := sim.NewEngine(refNet, comp, sim.SynchronousDaemon{}).
 		RunReference(snapshot, sim.WithMaxSteps(maxSteps-stepAtEvent))
@@ -225,5 +236,116 @@ func TestInjectionFastForwardAtTerminal(t *testing.T) {
 	}
 	if res.HitStepLimit {
 		t.Errorf("run hit the step limit instead of terminating")
+	}
+}
+
+// TestInvalidInjectionEditIsError checks that an event whose edge edit does
+// not fit the current topology ends RunE with an error naming the event,
+// before anything of it is installed, and that Run turns it into a panic.
+func TestInvalidInjectionEditIsError(t *testing.T) {
+	cases := []struct {
+		name string
+		injn sim.Injection
+	}{
+		{"drop-absent", sim.Injection{Label: "drop-absent", DropEdges: [][2]int{{0, 2}}}},
+		{"add-present", sim.Injection{Label: "add-present", AddEdges: [][2]int{{1, 0}}}},
+		{"add-twice", sim.Injection{Label: "add-twice", AddEdges: [][2]int{{0, 2}, {2, 0}}}},
+		{"out-of-range", sim.Injection{Label: "out-of-range", AddEdges: [][2]int{{0, 8}}}},
+		{"bad-process", sim.Injection{Label: "bad-process", SetStates: []sim.StateChange{{Process: 8}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Ring(8)
+			net := sim.NewNetwork(g)
+			comp := core.Compose(unison.New(unison.DefaultPeriod(g.N())))
+			start := sim.InitialConfiguration(comp, net)
+			injn := tc.injn
+			inj := &scriptedInjector{at: 3, build: func(sim.InjectionPoint) *sim.Injection { return &injn }}
+			_, err := sim.NewEngine(net, comp, sim.SynchronousDaemon{}).
+				RunE(start, sim.WithMaxSteps(50), sim.WithInjector(inj))
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("RunE error = %v, want one naming %q", err, tc.name)
+			}
+			if net.Graph() != g {
+				t.Error("a rejected event replaced the network's graph")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("Run did not panic on the invalid event")
+				}
+			}()
+			inj.fired = false
+			sim.NewEngine(net, comp, sim.SynchronousDaemon{}).
+				Run(start, sim.WithMaxSteps(50), sim.WithInjector(inj))
+		})
+	}
+}
+
+// TestConcurrentChurnedRunsShareOneGraph runs churned engines on several
+// goroutines, each on its own Network over one shared graph. Churn builds
+// every next topology instead of editing the current one, so the runs must
+// neither race (under -race) nor disturb each other: each equals its
+// sequential twin, and the shared graph still equals a fresh copy.
+func TestConcurrentChurnedRunsShareOneGraph(t *testing.T) {
+	g := graph.RandomRegularish(32, 3, rand.New(rand.NewSource(5)))
+	pristine, err := graph.FromEdges(g.N(), g.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := core.Compose(unison.New(unison.DefaultPeriod(g.N())))
+	sched := churn.Schedule{
+		Pattern:    churn.Periodic,
+		Events:     6,
+		Every:      15,
+		Count:      2,
+		EventKinds: []churn.Kind{churn.EdgeDrop, churn.Partition, churn.EdgeAdd, churn.Heal, churn.NodeCrash},
+	}
+	type outcome struct {
+		res   sim.Result
+		edges [][2]int
+	}
+	run := func(seed int64) outcome {
+		net := sim.NewNetwork(g)
+		rng := rand.New(rand.NewSource(seed))
+		start := faults.MustRandomConfiguration(comp, net, rng)
+		inj, err := churn.NewInjector(sched, comp, comp.Inner(), net, rng)
+		if err != nil {
+			t.Error(err)
+			return outcome{}
+		}
+		res, err := sim.NewEngine(net, comp, sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(seed)), 0.5)).
+			RunE(start, sim.WithMaxSteps(3_000), sim.WithInjector(inj),
+				sim.WithLegitimate(core.NormalPredicate(comp.Inner(), net)), sim.WithStopWhenLegitimate())
+		if err != nil {
+			t.Error(err)
+		}
+		return outcome{res, net.Graph().Edges()}
+	}
+	const workers = 4
+	want := make([]outcome, workers)
+	for w := range want {
+		want[w] = run(int64(w + 1))
+	}
+	got := make([]outcome, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = run(int64(w + 1))
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if len(want[w].res.Events) != sched.Events || reflect.DeepEqual(want[w].edges, g.Edges()) {
+			t.Fatalf("run %d did not churn the topology: %d events", w, len(want[w].res.Events))
+		}
+		if !got[w].res.Final.Equal(want[w].res.Final) || got[w].res.Moves != want[w].res.Moves ||
+			!reflect.DeepEqual(got[w].res.Events, want[w].res.Events) || !reflect.DeepEqual(got[w].edges, want[w].edges) {
+			t.Errorf("concurrent run %d differs from its sequential twin", w)
+		}
+	}
+	if !g.Equal(pristine) {
+		t.Fatal("churned runs modified the shared graph")
 	}
 }

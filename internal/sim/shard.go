@@ -11,10 +11,10 @@ import (
 // re-evaluation and rule execution — then runs concurrently, one goroutine
 // per shard. Without sharding the partition is a single shard and every
 // phase runs on the calling goroutine: the sequential engine is the
-// one-shard case of the same loop. Before fanning out, the loop compacts the
-// topology into the CSR arrays (graph.CSR), at the start of the run and at
-// every injection boundary, so shards never observe a topology
-// mid-mutation.
+// one-shard case of the same loop. Shards read the topology concurrently
+// without synchronization: a graph is immutable, and churn replaces the
+// network's graph only at the sequential injection boundary between steps,
+// so no shard ever observes a topology mid-edit.
 //
 // Exactness. Under the SynchronousDaemon a run is bit-identical for every
 // shard count: the daemon activates every enabled process, the union of the

@@ -236,16 +236,17 @@ func (b *BPV) mustReset(v sim.View) bool {
 	return false
 }
 
-// LegitimatePredicate returns the legitimacy predicate of the baseline on g:
-// every clock is in the ring and every edge satisfies the unison drift bound.
-func (b *BPV) LegitimatePredicate(g *graph.Graph) sim.Predicate {
+// LegitimatePredicate returns the legitimacy predicate of the baseline on the
+// network's current topology: every clock is in the ring and every edge
+// satisfies the unison drift bound.
+func (b *BPV) LegitimatePredicate(net *sim.Network) sim.Predicate {
 	return func(c *sim.Configuration) bool {
 		for u := 0; u < c.N(); u++ {
 			if bpvClock(c.State(u)) < 0 {
 				return false
 			}
 		}
-		for _, e := range g.Edges() {
+		for _, e := range net.Graph().Edges() {
 			if CircularDistance(bpvClock(c.State(e[0])), bpvClock(c.State(e[1])), b.k) > 1 {
 				return false
 			}

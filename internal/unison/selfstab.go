@@ -2,7 +2,6 @@ package unison
 
 import (
 	"sdr/internal/core"
-	"sdr/internal/graph"
 	"sdr/internal/sim"
 )
 
@@ -65,9 +64,9 @@ func SafetyPredicate(u *Unison, net *sim.Network) sim.Predicate {
 
 // StandaloneSafetyPredicate is SafetyPredicate for plain (non-composed)
 // ClockState configurations, used when running Algorithm U alone.
-func StandaloneSafetyPredicate(u *Unison, g *graph.Graph) sim.Predicate {
+func StandaloneSafetyPredicate(u *Unison, net *sim.Network) sim.Predicate {
 	return func(c *sim.Configuration) bool {
-		for _, e := range g.Edges() {
+		for _, e := range net.Graph().Edges() {
 			a := clockOf(c.State(e[0]))
 			b := clockOf(c.State(e[1]))
 			if CircularDistance(a, b, u.K()) > 1 {

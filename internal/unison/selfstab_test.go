@@ -209,7 +209,7 @@ func TestQuickSafetyPreservedByTicks(t *testing.T) {
 	u := New(9)
 	alg := core.NewStandalone(u)
 	net := sim.NewNetwork(g)
-	safety := StandaloneSafetyPredicate(u, g)
+	safety := StandaloneSafetyPredicate(u, net)
 
 	property := func(raw [5]uint8) bool {
 		states := make([]sim.State, 5)

@@ -190,7 +190,7 @@ func TestStandaloneUnisonFromInitSatisfiesSpecification(t *testing.T) {
 		u := New(DefaultPeriod(g.N()))
 		alg := core.NewStandalone(u)
 		net := sim.NewNetwork(g)
-		safety := StandaloneSafetyPredicate(u, g)
+		safety := StandaloneSafetyPredicate(u, net)
 		ticker := NewStandaloneTickCounter(g.N())
 
 		violations := 0
