@@ -10,11 +10,6 @@
 // machine-readable BENCH_<id>.json so the benchmark trajectory can be
 // tracked across revisions.
 //
-// -profile-steps k samples every k-th engine step of one profiled run per
-// grid cell and prints the per-phase timing table (guard evaluation, daemon
-// selection, rule execution, accounting; per-shard execute/boundary-exchange
-// with -shards > 1) — with -json it lands as BENCH_PROFILE.json.
-//
 // -campaign runs a JSON campaign spec (internal/campaign): trials stream to
 // CAMPAIGN_<id>.jsonl as they complete (resumable with -resume after an
 // interruption), and the per-cell aggregates snapshot to a versioned
@@ -28,7 +23,6 @@
 //	sdrbench -sweep -algorithms unison,bfstree -topologies ring,tree,grid -daemons synchronous,distributed-random -sizes 8
 //	sdrbench -churn "periodic-corrupt;poisson-mixed" -algorithms unison -topologies ring,torus -sizes 8,16
 //	sdrbench -verify -algorithms unison,dominating-set -topologies ring,tree -sizes 4,5,6 -json
-//	sdrbench -profile-steps 4 -algorithms unison -topologies torus -sizes 1024 [-shards 4] [-json]
 //	sdrbench -campaign spec.json [-resume] [-json-dir out] [-parallel 8]
 //	sdrbench -compare [-metric moves] [-threshold 0.1] baselines/BENCH_GATE.json out/BENCH_GATE.json
 //	sdrbench -list
@@ -88,12 +82,7 @@ func run(args []string, out io.Writer) error {
 		vStarts      = fs.Int("verify-starts", 4, "number of seeded corrupted starts per -verify cell")
 		vMaxConfig   = fs.Int("verify-max-configs", 0, "configuration cap per -verify exploration (0 = checker default)")
 		vMaxSel      = fs.Int("verify-max-selection", 1, "daemon selection size cap for -verify: k certifies daemons activating ≤ k processes per step; 0 is exact but exponential")
-		shards       = fs.Int("shards", 0, "engine shard count for -sweep/-churn cells (see sim.WithShards); 0 or 1 runs the sequential engine, >1 runs sharded (exact for the synchronous daemon, locally-central family otherwise; memoization is dropped)")
-		shardBench   = fs.Bool("shard-bench", false, "benchmark the sharded synchronous engine: one large torus unison∘SDR run per -shard-counts entry, with bit-identity checked across shard counts (writes BENCH_SHARD.json with -json)")
-		shardN       = fs.Int("shard-n", 1_000_000, "approximate network size of the -shard-bench torus (rounded up to the next square)")
-		shardSteps   = fs.Int("shard-steps", 12, "synchronous steps each -shard-bench run executes")
-		shardCounts  = fs.String("shard-counts", "1,2,4", "comma-separated shard counts -shard-bench compares (first entry is the speedup baseline)")
-		profileSteps = fs.Int("profile-steps", 0, "sample every k-th engine step and print the per-phase timing table over the -algorithms × -topologies × -daemons × -sizes grid (with -shards > 1: per-shard breakdown); writes BENCH_PROFILE.json with -json")
+		shards       = fs.Int("shards", 0, "engine shard count for -sweep/-churn cells (see sim.WithShards); 0 or 1 runs the sequential engine, >1 runs sharded with bit-identical results (memoization is dropped)")
 		memo         = fs.Bool("memo", true, "share each cell's neighbourhood→enabled-rules table across its trials (results are bit-identical either way; -memo=false for A/B timing)")
 		memoCap      = fs.Int("memo-cap", 0, "max entries per memo table (0 = the sim package default)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -197,46 +186,6 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		return nil
-	}
-
-	if *shardBench {
-		counts, err := parseCounts(*shardCounts)
-		if err != nil {
-			return fmt.Errorf("-shard-counts: %w", err)
-		}
-		table, err := bench.RunShardBench(*shardN, *shardSteps, counts, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		if err := emit(table); err != nil {
-			return err
-		}
-		if table.Violations > 0 {
-			return fmt.Errorf("%d shard count(s) diverged from the first shard count's final configuration", table.Violations)
-		}
-		return nil
-	}
-
-	if *profileSteps != 0 {
-		if *profileSteps < 0 {
-			return fmt.Errorf("-profile-steps must be ≥ 1, got %d", *profileSteps)
-		}
-		sw := scenario.Sweep{
-			Algorithms: splitNames(*algorithms),
-			Topologies: splitNames(*topologies),
-			Daemons:    splitNames(*daemons),
-			Faults:     splitNames(*faultList),
-			Sizes:      cfg.Sizes,
-			Trials:     1,
-			Seed:       cfg.Seed,
-			MaxSteps:   cfg.MaxSteps,
-			Shards:     cfg.Shards,
-		}
-		table, err := bench.RunProfile(sw, *profileSteps, cfg)
-		if err != nil {
-			return err
-		}
-		return emit(table)
 	}
 
 	if *campaignPath != "" {
@@ -518,26 +467,6 @@ func splitNamesOn(s, sep string) []string {
 		}
 	}
 	return names
-}
-
-// parseCounts parses a comma-separated list of shard counts (integers ≥ 1).
-func parseCounts(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := strconv.Atoi(part)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("invalid shard count %q (want integers ≥ 1)", part)
-		}
-		counts = append(counts, k)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("no shard counts given")
-	}
-	return counts, nil
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -259,82 +259,16 @@ func TestListJSONMatchesRegistryDump(t *testing.T) {
 	}
 }
 
-func TestShardBenchMode(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	args := []string{
-		"-shard-bench", "-shard-n", "256", "-shard-steps", "4",
-		"-shard-counts", "1,2", "-seed", "9", "-json", "-json-dir", dir,
-	}
-	if err := run(args, &out); err != nil {
-		t.Fatalf("run -shard-bench: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	if !strings.Contains(text, "SHARD") || strings.Count(text, "true") != 2 {
-		t.Errorf("shard bench output looks wrong:\n%s", text)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_SHARD.json"))
-	if err != nil {
-		t.Fatalf("read BENCH_SHARD.json: %v", err)
-	}
-	var table struct {
-		ID         string
-		Rows       [][]string
-		Violations int
-	}
-	if err := json.Unmarshal(data, &table); err != nil {
-		t.Fatalf("unmarshal BENCH_SHARD.json: %v", err)
-	}
-	if table.ID != "SHARD" || len(table.Rows) != 2 || table.Violations != 0 {
-		t.Errorf("unexpected BENCH_SHARD.json: %+v", table)
-	}
-}
-
-func TestProfileStepsMode(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	args := []string{
-		"-profile-steps", "2",
-		"-algorithms", "unison", "-topologies", "torus",
-		"-daemons", "synchronous", "-sizes", "64",
-		"-seed", "7", "-json", "-json-dir", dir,
-	}
-	if err := run(args, &out); err != nil {
-		t.Fatalf("run -profile-steps: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	for _, want := range []string{"PROFILE", "guard_eval", "step_wall", "cover"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("profile output missing %q:\n%s", want, text)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_PROFILE.json"))
-	if err != nil {
-		t.Fatalf("read BENCH_PROFILE.json: %v", err)
-	}
-	var table struct {
-		ID   string
-		Rows [][]string
-	}
-	if err := json.Unmarshal(data, &table); err != nil {
-		t.Fatalf("unmarshal BENCH_PROFILE.json: %v", err)
-	}
-	if table.ID != "PROFILE" || len(table.Rows) == 0 {
-		t.Errorf("unexpected BENCH_PROFILE.json: %+v", table)
-	}
-
-	if err := run([]string{"-profile-steps", "-3"}, &out); err == nil {
-		t.Error("negative -profile-steps must be rejected")
-	}
-}
-
-func TestShardedSweepMatchesSequentialSynchronous(t *testing.T) {
+// TestShardedSweepMatchesSequential pins exact sharding end to end: at
+// n=256 the cells really run on 2 shards, and every measurement column
+// matches the sequential sweep under every daemon.
+func TestShardedSweepMatchesSequential(t *testing.T) {
 	base := []string{
 		"-sweep",
 		"-algorithms", "unison,bfstree",
 		"-topologies", "ring,grid",
-		"-daemons", "synchronous",
-		"-sizes", "16", "-trials", "2", "-seed", "3",
+		"-daemons", "synchronous,central-random,round-robin",
+		"-sizes", "256", "-trials", "2", "-seed", "3",
 	}
 	var seq, sharded bytes.Buffer
 	if err := run(base, &seq); err != nil {
@@ -345,7 +279,7 @@ func TestShardedSweepMatchesSequentialSynchronous(t *testing.T) {
 	}
 	// Sharded cells skip memoization, so the memo-hit% column differs (and
 	// with it the column padding); every measurement column must agree
-	// (synchronous sharding is exact). Normalize by splitting rows into
+	// (sharding is exact). Normalize by splitting rows into
 	// fields and blanking memo-hit values ("-" or a percentage).
 	normalize := func(s string) string {
 		var lines []string
@@ -361,7 +295,7 @@ func TestShardedSweepMatchesSequentialSynchronous(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 	if normalize(seq.String()) != normalize(sharded.String()) {
-		t.Errorf("sharded synchronous sweep diverges:\n--- sequential\n%s--- sharded\n%s", seq.String(), sharded.String())
+		t.Errorf("sharded sweep diverges:\n--- sequential\n%s--- sharded\n%s", seq.String(), sharded.String())
 	}
 }
 

@@ -69,7 +69,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&sp.Churn, "churn", "", "mid-run churn schedule: a registered name or a grammar form like periodic:events=3,every=200 (see -list); empty runs statically")
 	fs.Int64Var(&sp.Seed, "seed", 1, "random seed")
 	fs.IntVar(&sp.MaxSteps, "max-steps", 2_000_000, "step bound")
-	fs.IntVar(&sp.Shards, "shards", 0, "engine shard count (see sim.WithShards); 0 or 1 runs the sequential engine, >1 runs sharded (bit-identical for -daemon synchronous, locally-central daemon family otherwise)")
+	fs.IntVar(&sp.Shards, "shards", 0, "engine shard count (see sim.WithShards); 0 or 1 runs the sequential engine, >1 runs sharded with a bit-identical report")
 	profileSteps := fs.Int("profile-steps", 0, "sample every k-th engine step and append a per-phase timing block to the report (0 = off; timing is observational, the run itself is unchanged)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -197,7 +197,7 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 	fmt.Fprintf(out, "topology  : %s\n", topoLine)
 	fmt.Fprintf(out, "daemon    : %s, scenario: %s, seed: %d\n", run.Daemon.Name(), run.Spec.Fault, run.Spec.Seed)
 	if run.Spec.Shards > 1 {
-		fmt.Fprintf(out, "sharding  : %d shards (exact for the synchronous daemon, locally-central family otherwise)\n", run.Spec.Shards)
+		fmt.Fprintf(out, "sharding  : %d shards\n", run.Spec.Shards)
 	}
 	if run.Churn != nil {
 		fmt.Fprintf(out, "churn     : %s, events at steps %v\n", run.Churn.Schedule(), run.Churn.Times())

@@ -13,8 +13,8 @@
 //     neighbourhood→enabled-rules memoization layer (MemoEvaluator,
 //     bit-identical to direct evaluation, with hit-rate telemetry), and the
 //     sharded engine (WithShards: shard-parallel steps over contiguous node
-//     ranges, bit-identical to the sequential engine for the synchronous
-//     daemon, a documented locally-central daemon family otherwise);
+//     ranges after one global daemon selection, bit-identical to the
+//     sequential engine for every daemon);
 //   - internal/core     — Algorithm SDR (the paper's contribution) and the
 //     composition operator I ∘ SDR;
 //   - internal/unison   — Algorithm U, U ∘ SDR, and the Boulinier-Petit-
@@ -46,7 +46,8 @@
 //   - internal/obs      — the zero-dependency observability core: atomic
 //     counters/gauges/histograms with Prometheus text exposition (the sdrd
 //     /metrics endpoint) and the sampled engine phase profiler behind
-//     sim.WithProfiler and the -profile-steps modes;
+//     sim.WithProfiler, sdrsim -profile-steps and the campaign
+//     profile_steps field;
 //   - internal/server   — the sdrd simulation service: an HTTP+JSON API over
 //     the campaign stream core with content-hash deduplicated, backpressured
 //     job execution, live-followable record streams byte-identical to the

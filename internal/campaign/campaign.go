@@ -116,9 +116,8 @@ type Spec struct {
 	// sim.WithShards); 0 or 1 means the sequential engine — the field
 	// marshals away, so existing spec files, streams and baselines keep
 	// their byte encoding. Sharded cells run without memoization (the
-	// memoized evaluator is sequential-only); synchronous-daemon cells are
-	// bit-identical across shard counts, other daemons switch to the
-	// locally-central sharded family.
+	// memoized evaluator is sequential-only); apart from the memo telemetry
+	// a cell streams the same records at every shard count.
 	Shards int `json:"shards,omitempty"`
 	// Params carries the entry-specific scenario knobs shared by every cell.
 	Params scenario.Params `json:"params,omitzero"`

@@ -207,6 +207,37 @@ func TestRunParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedCampaignStreamsIdenticalRecords pins exact sharding at the
+// campaign layer: at n=256 a spec with "shards": 2 really runs 2 shards, and
+// with memoization off (sharded cells drop it) every trial record is
+// byte-identical to the unsharded spec's, under central and round-robin
+// daemons alike. Only the spec header line differs.
+func TestShardedCampaignStreamsIdenticalRecords(t *testing.T) {
+	spec := Spec{
+		ID:         "shardtest",
+		Algorithms: []string{"unison", "bfstree"},
+		Topologies: []string{"ring", "torus"},
+		Daemons:    []string{"central-random", "round-robin"},
+		Faults:     []string{"random-all"},
+		Sizes:      []int{256},
+		Seed:       1,
+		MinTrials:  2,
+		MemoOff:    true,
+	}
+	_, seqPath := runInto(t, spec, Options{})
+	spec.Shards = 2
+	_, shardedPath := runInto(t, spec, Options{})
+	seq, sharded := readLines(t, seqPath), readLines(t, shardedPath)
+	if len(seq) != len(sharded) {
+		t.Fatalf("sharded stream has %d lines, unsharded %d", len(sharded), len(seq))
+	}
+	for i := 1; i < len(seq); i++ {
+		if seq[i] != sharded[i] {
+			t.Errorf("record %d differs:\n  unsharded %s\n  sharded   %s", i, seq[i], sharded[i])
+		}
+	}
+}
+
 func TestRunRefusesExistingStream(t *testing.T) {
 	spec := testSpec()
 	_, path := runInto(t, spec, Options{})

@@ -2,7 +2,7 @@
 // core (counters, gauges, fixed-bucket histograms with atomic hot paths and
 // Prometheus text-format exposition) and a sampled engine phase profiler.
 // The sim engine, the sdrd job manager, and the HTTP layer all record into
-// the same primitives, so /v1/stats, /metrics, and the -profile-steps tables
+// the same primitives, so /v1/stats, /metrics, and the sdrsim -profile-steps block
 // report from one source instead of parallel ad-hoc instruments.
 package obs
 

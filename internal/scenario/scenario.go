@@ -93,10 +93,8 @@ type Spec struct {
 	// MaxSteps bounds the execution; 0 means sim.DefaultMaxSteps.
 	MaxSteps int
 	// Shards is the number of engine shards the run executes on (see
-	// sim.WithShards); 0 or 1 means the sequential engine. Synchronous-daemon
-	// runs are bit-identical across shard counts; other daemons switch to the
-	// locally-central sharded family, so their measurements are only
-	// comparable at a fixed shard count.
+	// sim.WithShards); 0 or 1 means the sequential engine. Runs are
+	// bit-identical across shard counts under every daemon.
 	Shards int
 	// Params carries the entry-specific numeric knobs.
 	Params Params

@@ -38,9 +38,8 @@ type Sweep struct {
 	MaxSteps int
 	// Shards is the engine shard count shared by every cell (see
 	// Spec.Shards); 0 or 1 means the sequential engine. It is a shared knob,
-	// not a sweep axis: non-synchronous daemons change semantics with the
-	// shard count, so a sweep mixing shard counts would compare different
-	// adversaries.
+	// not a sweep axis: the shard count changes how fast a run executes,
+	// never what it computes.
 	Shards int
 	// Params carries the entry-specific knobs shared by every cell.
 	Params Params

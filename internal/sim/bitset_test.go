@@ -95,14 +95,14 @@ func TestSanitizeSelectionInto(t *testing.T) {
 	for _, u := range enabled {
 		enabledBits.set(u)
 	}
-	got := sanitizeShardSelectionInto(nil, []int{5, 3, 3, 9, -2, 40}, 0, n, enabledBits, dedup, enabled)
+	got := sanitizeSelectionInto(nil, []int{5, 3, 3, 9, -2, 40}, enabledBits, dedup, enabled)
 	if !slices.Equal(got, []int{3, 5}) {
-		t.Fatalf("sanitizeShardSelectionInto = %v, want [3 5]", got)
+		t.Fatalf("sanitizeSelectionInto = %v, want [3 5]", got)
 	}
 	if !dedup.empty() {
 		t.Fatal("dedup scratch not cleared")
 	}
-	got = sanitizeShardSelectionInto(nil, nil, 0, n, enabledBits, dedup, enabled)
+	got = sanitizeSelectionInto(nil, nil, enabledBits, dedup, enabled)
 	if !slices.Equal(got, []int{1}) {
 		t.Fatalf("fallback = %v, want [1]", got)
 	}

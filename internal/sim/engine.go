@@ -421,11 +421,10 @@ type engineRun struct {
 	pending, wasEnabled bitset
 	roundProgress       bool
 
-	// Each shard stages its selection and chosen rule indices in its own
-	// node range of selBuf and ruleBuf; the merge compacts them into the
-	// step's sorted selection (a prefix of selBuf), whose rule names land in
-	// ruleNames. dedup is the selection sanitizer's scratch (selection is
-	// sequential).
+	// The step's sorted selection is a prefix of selBuf; the chosen rule
+	// index of selected[i] lands in ruleBuf[i] and its name in ruleNames[i].
+	// Each shard works on its contiguous block of both. dedup is the
+	// selection sanitizer's scratch (selection is sequential).
 	selBuf, ruleBuf []int
 	selected        []int
 	ruleNames       []string
@@ -650,33 +649,31 @@ func (r *engineRun) step() {
 	}
 }
 
-// selectShards is the selection phase, sequential: the daemon is consulted
-// once per shard holding enabled processes, in ascending shard order, on the
-// shard's contiguous slice of the sorted enabled list. Stateful daemons
-// (rng, cursors) see the sub-calls in that deterministic order; with one
-// shard this is a single Select on the whole enabled set.
+// selectShards is the selection phase, sequential: one Select call on the
+// whole sorted enabled list, sanitized over [0, n) into the front of selBuf.
+// Every shard then takes its range of the sorted selection by binary search
+// (shards are contiguous), together with that block's offset into ruleBuf.
+// The daemon sees exactly the calls of a one-shard run, so the schedule does
+// not depend on the shard count.
 func (r *engineRun) selectShards() {
-	enabled := r.enabledList
+	raw := r.e.daemon.Select(Selection{
+		Net:     r.e.net,
+		Alg:     r.e.alg,
+		Config:  r.cur,
+		Enabled: r.enabledList,
+		Step:    r.res.Steps,
+	})
+	r.selected = sanitizeSelectionInto(r.selBuf[:0], raw, r.enabledBits, r.dedup, r.enabledList)
+	sel, off := r.selected, 0
 	for s := range r.shards {
 		sh := &r.shards[s]
-		k := len(enabled) // the last shard holds all the remaining ones
+		k := len(sel) // the last shard holds all the remaining ones
 		if s < len(r.shards)-1 {
-			k, _ = slices.BinarySearch(enabled, sh.hi)
+			k, _ = slices.BinarySearch(sel, sh.hi)
 		}
-		shardEnabled := enabled[:k]
-		enabled = enabled[k:]
-		if len(shardEnabled) == 0 {
-			sh.selected = sh.selected[:0]
-			continue
-		}
-		raw := r.e.daemon.Select(Selection{
-			Net:     r.e.net,
-			Alg:     r.e.alg,
-			Config:  r.cur,
-			Enabled: shardEnabled,
-			Step:    r.res.Steps,
-		})
-		sh.selected = sanitizeShardSelectionInto(r.selBuf[sh.lo:sh.lo:sh.hi], raw, sh.lo, sh.hi, r.enabledBits, r.dedup, shardEnabled)
+		sh.selected, sh.off = sel[:k], off
+		sel = sel[k:]
+		off += k
 	}
 }
 
@@ -689,7 +686,7 @@ func (r *engineRun) applyShard(sh *engineShard) {
 	t := r.shardStart()
 	cur, next := r.cur, r.next.states
 	copy(next[sh.lo:sh.hi], cur.states[sh.lo:sh.hi])
-	ruleIdxs := r.ruleBuf[sh.lo : sh.lo+len(sh.selected)]
+	ruleIdxs := r.ruleBuf[sh.off : sh.off+len(sh.selected)]
 	for i, u := range sh.selected {
 		v := r.e.net.View(cur, u)
 		var ri int
@@ -716,23 +713,10 @@ func (r *engineRun) applyShard(sh *engineShard) {
 	r.shardEnd(sh, t)
 }
 
-// merge is the sequential merge, in ascending shard order (= ascending
-// process order, shards are contiguous). It compacts the shards' staged
-// selections and rule indices into the sorted selection at the front of
-// selBuf and ruleBuf — a shard's block never starts after its staging
-// range, so a move only overwrites blocks already merged — records the
-// moves, and installs the step.
+// merge is the sequential merge: it records the moves of the step's sorted
+// selection, whose rule indices the shards wrote to the matching positions
+// of ruleBuf, and installs the step.
 func (r *engineRun) merge() {
-	k := 0
-	for s := range r.shards {
-		sh := &r.shards[s]
-		if k != sh.lo { // a block already in place (always shard 0's) stays
-			copy(r.selBuf[k:], sh.selected)
-			copy(r.ruleBuf[k:], r.ruleBuf[sh.lo:sh.lo+len(sh.selected)])
-		}
-		k += len(sh.selected)
-	}
-	r.selected = r.selBuf[:k]
 	r.ruleNames = r.ruleNames[:0]
 	for i, u := range r.selected {
 		ri := r.ruleBuf[i]

@@ -16,27 +16,15 @@ import (
 // network's graph only at the sequential injection boundary between steps,
 // so no shard ever observes a topology mid-edit.
 //
-// Exactness. Under the SynchronousDaemon a run is bit-identical for every
-// shard count: the daemon activates every enabled process, the union of the
-// per-shard selections is exactly the global enabled set, rule choice is
-// deterministic (FirstEnabledRule; RandomEnabledRule is rejected, see
-// Options.validate), and all accounting is merged in ascending shard order.
-// The test-only RunReference is the independent oracle: the differential
-// tests in shard_test.go compare sharded runs against it and against the
-// one-shard run.
-//
-// Locally-central daemon family. Every other daemon is consulted once per
-// shard and step, on the shard's slice of the enabled set, and the step
-// activates the union of the per-shard selections. This changes the daemon's
-// semantics: a central daemon activates one process per *non-empty shard*
-// per step instead of one per step, a round-robin daemon keeps one global
-// cursor walked shard by shard, and so on. We call the results the
-// "locally-central sharded family" of the base daemons. They remain legal
-// schedules of the distributed unfair daemon (every selection is a non-empty
-// subset of the enabled set) and are deterministic for a fixed seed and
-// shard count, but they are different adversaries than their one-shard
-// counterparts — complexity measurements under them are not comparable
-// across shard counts.
+// Exactness. Selection is sequential and global: the daemon is consulted
+// once per step on the whole sorted enabled list, exactly as in a one-shard
+// run, and each shard then executes its contiguous block of the sorted
+// selection. Rule choice is deterministic (FirstEnabledRule;
+// RandomEnabledRule is rejected, see Options.validate) and all accounting
+// runs in ascending process order, so a run is bit-identical for every
+// shard count under every daemon. The test-only RunReference is the
+// independent oracle: the differential tests in shard_test.go compare
+// sharded runs against it and against the one-shard run.
 //
 // Shard boundaries are aligned to multiples of 64 so that every bitset word
 // belongs to exactly one shard: a shard writes only words in its own range
@@ -48,14 +36,12 @@ import (
 
 // WithShards sets the number of shards of the run (default 1: one shard on
 // the calling goroutine). With k > 1 guard evaluation and rule execution run
-// concurrently on k contiguous node ranges. Synchronous-daemon runs are
-// bit-identical for every k; all other daemons switch to the documented
-// locally-central sharded family (one Select call per non-empty shard per
-// step). Sharding is incompatible with RandomEnabledRule and with WithMemo;
-// Options.validate reports both combinations as errors. Shard counts larger
-// than ⌈n/64⌉ are silently capped (boundaries are 64-aligned so that bitset
-// words have a single writer); a run capped to one shard still reports the
-// sharded phase names to a profiler (see WithProfiler).
+// concurrently on k contiguous node ranges; the run is bit-identical for
+// every k. Sharding is incompatible with RandomEnabledRule and with
+// WithMemo; Options.validate reports both combinations as errors. Shard
+// counts larger than ⌈n/64⌉ are silently capped (boundaries are 64-aligned
+// so that bitset words have a single writer); a run capped to one shard
+// still reports the sharded phase names to a profiler (see WithProfiler).
 func WithShards(k int) Option {
 	return func(o *Options) { o.shards = k }
 }
@@ -72,9 +58,10 @@ type engineShard struct {
 	// is what keeps the apply phase free of cross-shard writes.
 	touched bitset
 
-	// selected is the shard's sanitized selection of the current step,
-	// staged in the shard's node range of the run's selection buffer.
+	// selected is the shard's block of the step's sorted selection, and off
+	// its position in the run's selection and rule buffers.
 	selected []int
+	off      int
 
 	// ruleScratch is chooseRule's reusable buffer.
 	ruleScratch []int
@@ -129,19 +116,17 @@ func (r *engineRun) parallel(phase func(*engineRun, *engineShard)) {
 	wg.Wait()
 }
 
-// sanitizeShardSelectionInto is the allocation-free selection sanitizer of
-// the hot loop: it appends to out the processes of the daemon's selection
-// that are enabled and lie in the shard's node range [lo, hi),
-// de-duplicated (via the dedup scratch bitset, left cleared) and sorted. A
-// process can only be applied by the shard owning its state segment —
-// accepting a foreign index would make two shards write the same
-// double-buffer segment concurrently. When the daemon misbehaves and
-// returns an empty or fully invalid selection, the shard's first enabled
-// process is used so that the run always makes progress (matching the
-// "distributed" requirement that at least one enabled process moves).
-func sanitizeShardSelectionInto(out, selected []int, lo, hi int, enabledBits, dedup bitset, enabled []int) []int {
+// sanitizeSelectionInto is the allocation-free selection sanitizer of the
+// hot loop: it appends to out the processes of the daemon's selection that
+// are enabled, de-duplicated (via the dedup scratch bitset, left cleared)
+// and sorted. When the daemon misbehaves and returns an empty or fully
+// invalid selection, the first enabled process is used so that the run
+// always makes progress (matching the "distributed" requirement that at
+// least one enabled process moves).
+func sanitizeSelectionInto(out, selected []int, enabledBits, dedup bitset, enabled []int) []int {
+	n := len(enabledBits) * 64 // bits past the network size are never set
 	for _, u := range selected {
-		if u < lo || u >= hi || !enabledBits.get(u) || dedup.get(u) {
+		if u < 0 || u >= n || !enabledBits.get(u) || dedup.get(u) {
 			continue
 		}
 		dedup.set(u)
