@@ -3,25 +3,23 @@
 // index). By default every experiment is run with the full configuration;
 // use -experiment to run a single one and -quick for a fast, smaller sweep.
 //
-// Beyond the paper's tables, -sweep runs an arbitrary algorithm × topology ×
-// daemon × fault grid through the scenario registries, -verify sweeps
-// exhaustive convergence certification (model checking every daemon choice,
-// small n only) over the same grid, and -json writes every rendered table as
-// machine-readable BENCH_<id>.json so the benchmark trajectory can be
-// tracked across revisions.
+// Beyond the paper's tables, -verify sweeps exhaustive convergence
+// certification (model checking every daemon choice, small n only) over an
+// algorithm × topology × fault grid of the scenario registries, and -json
+// writes every rendered table as machine-readable BENCH_<id>.json so the
+// benchmark trajectory can be tracked across revisions.
 //
-// -campaign runs a JSON campaign spec (internal/campaign): trials stream to
-// CAMPAIGN_<id>.jsonl as they complete (resumable with -resume after an
-// interruption), and the per-cell aggregates snapshot to a versioned
-// baseline BENCH_<ID>.json. -compare diffs two baselines benchstat-style
-// with noise-aware thresholds and exits non-zero on significant regression —
-// the CI bench gate.
+// Any other grid — a custom algorithm × topology × daemon × fault sweep, a
+// churn sweep, a sharded run — is a campaign: -campaign runs a JSON campaign
+// spec (internal/campaign), trials stream to CAMPAIGN_<id>.jsonl as they
+// complete (resumable with -resume after an interruption), and the per-cell
+// aggregates snapshot to a versioned baseline BENCH_<ID>.json. -compare
+// diffs two baselines benchstat-style with noise-aware thresholds and exits
+// non-zero on significant regression — the CI bench gate.
 //
 // Usage:
 //
 //	sdrbench [-experiment E5] [-quick] [-markdown] [-sizes 8,16,32] [-trials 5] [-seed 1] [-parallel 8] [-json] [-json-dir out]
-//	sdrbench -sweep -algorithms unison,bfstree -topologies ring,tree,grid -daemons synchronous,distributed-random -sizes 8
-//	sdrbench -churn "periodic-corrupt;poisson-mixed" -algorithms unison -topologies ring,torus -sizes 8,16
 //	sdrbench -verify -algorithms unison,dominating-set -topologies ring,tree -sizes 4,5,6 -json
 //	sdrbench -campaign spec.json [-resume] [-json-dir out] [-parallel 8]
 //	sdrbench -compare [-metric moves] [-threshold 0.1] baselines/BENCH_GATE.json out/BENCH_GATE.json
@@ -67,12 +65,9 @@ func run(args []string, out io.Writer) error {
 		list         = fs.Bool("list", false, "list the experiments and the scenario registries, then exit")
 		jsonOut      = fs.Bool("json", false, "additionally write each table as machine-readable BENCH_<id>.json; with -list, print the machine-readable registry dump instead")
 		jsonDir      = fs.String("json-dir", ".", "directory the -json files are written to")
-		sweep        = fs.Bool("sweep", false, "run a custom algorithm×topology×daemon×fault grid instead of the paper's tables")
-		algorithms   = fs.String("algorithms", "unison", "comma-separated algorithm registry entries for -sweep/-verify")
-		topologies   = fs.String("topologies", "ring", "comma-separated topology registry entries for -sweep/-verify")
-		daemons      = fs.String("daemons", "distributed-random", "comma-separated daemon registry entries for -sweep")
-		faultList    = fs.String("faults", "random-all", "comma-separated fault-model registry entries for -sweep/-verify")
-		churnList    = fs.String("churn", "", "semicolon-separated churn schedules (names or grammar forms, whose options contain commas); runs the RECOVERY sweep: per-event re-stabilization costs over the -algorithms × -topologies × ... grid")
+		algorithms   = fs.String("algorithms", "unison", "comma-separated algorithm registry entries for -verify")
+		topologies   = fs.String("topologies", "ring", "comma-separated topology registry entries for -verify")
+		faultList    = fs.String("faults", "random-all", "comma-separated fault-model registry entries for -verify")
 		campaignPath = fs.String("campaign", "", "run the JSON campaign spec at this path: stream trials to CAMPAIGN_<id>.jsonl and snapshot a baseline BENCH_<ID>.json in -json-dir")
 		resume       = fs.Bool("resume", false, "continue an interrupted -campaign from its JSONL checkpoint")
 		compare      = fs.Bool("compare", false, "compare two baseline files (old new) and exit non-zero on significant regression")
@@ -82,9 +77,6 @@ func run(args []string, out io.Writer) error {
 		vStarts      = fs.Int("verify-starts", 4, "number of seeded corrupted starts per -verify cell")
 		vMaxConfig   = fs.Int("verify-max-configs", 0, "configuration cap per -verify exploration (0 = checker default)")
 		vMaxSel      = fs.Int("verify-max-selection", 1, "daemon selection size cap for -verify: k certifies daemons activating ≤ k processes per step; 0 is exact but exponential")
-		shards       = fs.Int("shards", 0, "engine shard count for -sweep/-churn cells (see sim.WithShards); 0 or 1 runs the sequential engine, >1 runs sharded with bit-identical results (memoization is dropped)")
-		memo         = fs.Bool("memo", true, "share each cell's neighbourhood→enabled-rules table across its trials (results are bit-identical either way; -memo=false for A/B timing)")
-		memoCap      = fs.Int("memo-cap", 0, "max entries per memo table (0 = the sim package default)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -162,12 +154,6 @@ func run(args []string, out io.Writer) error {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.NumCPU()
 	}
-	cfg.MemoOff = !*memo
-	cfg.MemoCap = *memoCap
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be ≥ 0, got %d", *shards)
-	}
-	cfg.Shards = *shards
 
 	emit := func(table bench.Table) error {
 		if *markdown {
@@ -189,13 +175,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *campaignPath != "" {
-		return runCampaign(*campaignPath, *jsonDir, *resume, *markdown, cfg, out)
+		return runCampaign(*campaignPath, *jsonDir, *resume, *markdown, cfg.Parallel, out)
 	}
 
 	if *verify {
-		if cfg.Shards > 1 {
-			return fmt.Errorf("-shards is not supported with -verify: exhaustive certification explores the sequential engine only")
-		}
 		if *sizes == "" {
 			// Exhaustive exploration is exponential in n; default to the
 			// certifiable sizes instead of the sampling sweep's n ≤ 64.
@@ -221,57 +204,6 @@ func run(args []string, out io.Writer) error {
 		}
 		if table.Violations > 0 {
 			return fmt.Errorf("%d verification cell(s) were refuted or incomplete", table.Violations)
-		}
-		return nil
-	}
-
-	if *churnList != "" {
-		sw := scenario.Sweep{
-			Algorithms: splitNames(*algorithms),
-			Topologies: splitNames(*topologies),
-			Daemons:    splitNames(*daemons),
-			Faults:     splitNames(*faultList),
-			Churns:     splitNamesOn(*churnList, ";"),
-			Sizes:      cfg.Sizes,
-			Trials:     cfg.Trials,
-			Seed:       cfg.Seed,
-			MaxSteps:   cfg.MaxSteps,
-			Shards:     cfg.Shards,
-		}
-		table, err := bench.RunRecovery(sw, cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit(table); err != nil {
-			return err
-		}
-		if table.Violations > 0 {
-			return fmt.Errorf("%d churn cell(s) had unrecovered events or failed their correctness check", table.Violations)
-		}
-		return nil
-	}
-
-	if *sweep {
-		sw := scenario.Sweep{
-			Algorithms: splitNames(*algorithms),
-			Topologies: splitNames(*topologies),
-			Daemons:    splitNames(*daemons),
-			Faults:     splitNames(*faultList),
-			Sizes:      cfg.Sizes,
-			Trials:     cfg.Trials,
-			Seed:       cfg.Seed,
-			MaxSteps:   cfg.MaxSteps,
-			Shards:     cfg.Shards,
-		}
-		table, err := bench.RunSweep(sw, cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit(table); err != nil {
-			return err
-		}
-		if table.Violations > 0 {
-			return fmt.Errorf("%d sweep cell(s) failed their correctness check", table.Violations)
 		}
 		return nil
 	}
@@ -321,23 +253,17 @@ var campaignInterrupt = func() (<-chan struct{}, func()) {
 // baseline snapshot is written as <jsonDir>/BENCH_<ID>.json (rotating any
 // previous snapshot). SIGINT/SIGTERM stop the campaign gracefully: the JSONL
 // checkpoint is flushed, and the run exits non-zero with a -resume hint.
-// Only cfg's execution knobs are read: Parallel, and MemoOff/MemoCap (a
-// -memo=false run disables memoization even when the spec leaves it on).
-func runCampaign(specPath, jsonDir string, resume, markdown bool, cfg bench.Config, out io.Writer) error {
+func runCampaign(specPath, jsonDir string, resume, markdown bool, parallel int, out io.Writer) error {
 	spec, err := campaign.LoadSpec(specPath)
 	if err != nil {
 		return err
-	}
-	if cfg.MemoOff {
-		spec.MemoOff = true
 	}
 	jsonlPath := filepath.Join(jsonDir, fmt.Sprintf("CAMPAIGN_%s.jsonl", spec.ID))
 	fmt.Fprintf(out, "campaign %s → %s\n", spec.ID, jsonlPath)
 	interrupt, stopNotify := campaignInterrupt()
 	defer stopNotify()
 	res, err := campaign.Run(spec, jsonlPath, campaign.Options{
-		Parallel:  cfg.Parallel,
-		MemoCap:   cfg.MemoCap,
+		Parallel:  parallel,
 		Resume:    resume,
 		Progress:  out,
 		Interrupt: interrupt,
@@ -453,14 +379,9 @@ func rotateExisting(path string) (string, error) {
 }
 
 // splitNames parses a comma-separated name list, dropping empty parts.
-func splitNames(s string) []string { return splitNamesOn(s, ",") }
-
-// splitNamesOn parses a name list on the given separator, dropping empty
-// parts. The churn flag separates on semicolons because churn grammar forms
-// contain commas.
-func splitNamesOn(s, sep string) []string {
+func splitNames(s string) []string {
 	var names []string
-	for _, part := range strings.Split(s, sep) {
+	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part != "" {
 			names = append(names, part)

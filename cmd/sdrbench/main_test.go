@@ -91,76 +91,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-func TestSweepMode(t *testing.T) {
-	var out bytes.Buffer
-	args := []string{
-		"-sweep",
-		"-algorithms", "unison,bfstree,dominating-set",
-		"-topologies", "ring,tree,grid",
-		"-daemons", "synchronous,distributed-random",
-		"-sizes", "8", "-trials", "1", "-seed", "3",
-	}
-	if err := run(args, &out); err != nil {
-		t.Fatalf("run -sweep: %v", err)
-	}
-	text := out.String()
-	if !strings.Contains(text, "SWEEP") || !strings.Contains(text, "dominating-set") {
-		t.Errorf("sweep output looks wrong:\n%s", text)
-	}
-	if got := strings.Count(text, "yes"); got != 3*3*2 {
-		t.Errorf("expected %d ok cells, counted %d:\n%s", 3*3*2, got, text)
-	}
-
-	// Unknown registry names must be rejected.
-	var errOut bytes.Buffer
-	if err := run([]string{"-sweep", "-algorithms", "nope"}, &errOut); err == nil {
-		t.Error("a sweep over an unknown algorithm must fail")
-	}
-}
-
-func TestChurnMode(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	args := []string{
-		"-churn", "periodic:events=2,every=100,kinds=corrupt-fraction+edge-drop",
-		"-algorithms", "unison",
-		"-topologies", "ring,torus",
-		"-daemons", "distributed-random",
-		"-sizes", "8", "-trials", "2", "-seed", "7",
-		"-json", "-json-dir", dir,
-	}
-	if err := run(args, &out); err != nil {
-		t.Fatalf("run -churn: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	for _, want := range []string{"RECOVERY", "rec-rounds(p50)", "avail(mean)"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("churn output missing %q:\n%s", want, text)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_RECOVERY.json"))
-	if err != nil {
-		t.Fatalf("BENCH_RECOVERY.json not written: %v", err)
-	}
-	var table struct {
-		ID         string
-		Rows       [][]string
-		Violations int
-	}
-	if err := json.Unmarshal(data, &table); err != nil {
-		t.Fatalf("BENCH_RECOVERY.json is not valid JSON: %v", err)
-	}
-	if table.ID != "RECOVERY" || len(table.Rows) != 2 || table.Violations != 0 {
-		t.Errorf("unexpected recovery table: %+v", table)
-	}
-
-	// An unparseable schedule must be rejected.
-	var errOut bytes.Buffer
-	if err := run([]string{"-churn", "no-such-schedule"}, &errOut); err == nil {
-		t.Error("an unknown churn schedule must fail")
-	}
-}
-
 func TestVerifyMode(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
@@ -256,53 +186,5 @@ func TestListJSONMatchesRegistryDump(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("-list -json diverged from scenario.WriteRegistryJSON:\ngot:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
-	}
-}
-
-// TestShardedSweepMatchesSequential pins exact sharding end to end: at
-// n=256 the cells really run on 2 shards, and every measurement column
-// matches the sequential sweep under every daemon.
-func TestShardedSweepMatchesSequential(t *testing.T) {
-	base := []string{
-		"-sweep",
-		"-algorithms", "unison,bfstree",
-		"-topologies", "ring,grid",
-		"-daemons", "synchronous,central-random,round-robin",
-		"-sizes", "256", "-trials", "2", "-seed", "3",
-	}
-	var seq, sharded bytes.Buffer
-	if err := run(base, &seq); err != nil {
-		t.Fatalf("sequential sweep: %v", err)
-	}
-	if err := run(append(append([]string{}, base...), "-shards", "2"), &sharded); err != nil {
-		t.Fatalf("sharded sweep: %v", err)
-	}
-	// Sharded cells skip memoization, so the memo-hit% column differs (and
-	// with it the column padding); every measurement column must agree
-	// (sharding is exact). Normalize by splitting rows into
-	// fields and blanking memo-hit values ("-" or a percentage).
-	normalize := func(s string) string {
-		var lines []string
-		for _, l := range strings.Split(s, "\n") {
-			f := strings.Fields(l)
-			for i, tok := range f {
-				if tok == "-" || strings.HasSuffix(tok, "%") {
-					f[i] = "_"
-				}
-			}
-			lines = append(lines, strings.Join(f, " "))
-		}
-		return strings.Join(lines, "\n")
-	}
-	if normalize(seq.String()) != normalize(sharded.String()) {
-		t.Errorf("sharded sweep diverges:\n--- sequential\n%s--- sharded\n%s", seq.String(), sharded.String())
-	}
-}
-
-func TestShardsRejectedUnderVerify(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-verify", "-shards", "2", "-sizes", "4", "-algorithms", "unison", "-topologies", "ring"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("-verify -shards 2 must be rejected, got %v", err)
 	}
 }

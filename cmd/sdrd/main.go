@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	sdrd [-addr :8321] [-workers 2] [-queue 16] [-parallel 8] [-cache 64] [-memo-cap 0] [-pprof] [-log-json]
+//	sdrd [-addr :8321] [-workers 2] [-queue 16] [-parallel 8] [-cache 64] [-pprof] [-log-json]
 package main
 
 import (
@@ -65,7 +65,6 @@ func run(args []string) error {
 	fs.IntVar(&cfg.QueueDepth, "queue", 16, "max queued (accepted, not started) jobs; beyond this, submissions get 429")
 	fs.IntVar(&cfg.Parallel, "parallel", 0, "per-job trial parallelism (0 = one per CPU); record streams are identical for every value")
 	fs.IntVar(&cfg.ResultCache, "cache", 64, "completed jobs retained for dedup and record serving (LRU)")
-	fs.IntVar(&cfg.MemoCap, "memo-cap", 0, "max entries per cell's transition-memo table (0 = the sim package default)")
 	pprofOn := fs.Bool("pprof", false, "mount GET /debug/pprof/* (exposes stacks and heap contents; opt-in)")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	if err := fs.Parse(args); err != nil {

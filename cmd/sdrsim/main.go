@@ -196,9 +196,6 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 	fmt.Fprintf(out, "algorithm : %s\n", run.Alg.Name())
 	fmt.Fprintf(out, "topology  : %s\n", topoLine)
 	fmt.Fprintf(out, "daemon    : %s, scenario: %s, seed: %d\n", run.Daemon.Name(), run.Spec.Fault, run.Spec.Seed)
-	if run.Spec.Shards > 1 {
-		fmt.Fprintf(out, "sharding  : %d shards\n", run.Spec.Shards)
-	}
 	if run.Churn != nil {
 		fmt.Fprintf(out, "churn     : %s, events at steps %v\n", run.Churn.Schedule(), run.Churn.Times())
 	}

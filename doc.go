@@ -36,13 +36,15 @@
 //   - internal/trace    — execution recording and export;
 //   - internal/stats    — summaries, percentiles, Student-t confidence
 //     intervals and growth fits for the reports;
-//   - internal/bench    — the experiment harness (E1-E10, A1-A3), built on
-//     scenario sweeps;
-//   - internal/campaign — the experiment frame: streaming multi-trial
-//     campaigns over scenario sweeps with a resumable JSONL sink, adaptive
-//     trial counts, versioned baseline snapshots and the noise-aware
-//     baseline comparison behind the CI regression gate
-//     (sdrbench -campaign / -compare);
+//   - internal/bench    — the paper's experiment tables (E1-E10, A1-A3, X1)
+//     and the -verify certification table, built on scenario sweeps, run
+//     unmemoized, and the worker pool (MapGrid) campaigns share;
+//   - internal/campaign — the experiment frame and the one runner for ad-hoc
+//     grids (custom sweeps, churn sweeps, sharded runs): streaming
+//     multi-trial campaigns over scenario sweeps with a resumable JSONL
+//     sink, per-cell transition memoization, adaptive trial counts,
+//     versioned baseline snapshots and the noise-aware baseline comparison
+//     behind the CI regression gate (sdrbench -campaign / -compare);
 //   - internal/obs      — the zero-dependency observability core: atomic
 //     counters/gauges/histograms with Prometheus text exposition (the sdrd
 //     /metrics endpoint) and the sampled engine phase profiler behind

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"sdr/internal/core"
 	"sdr/internal/scenario"
 	"sdr/internal/stats"
@@ -28,8 +30,6 @@ func RunA1NoCooperation(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 10007, []string{"unison"}, StandardTopologies(), []string{"distributed-random"}, []string{"inner-only"})
 	cells := sweep.Cells()
-	coopShares := cfg.memoShares(len(cells))
-	uncoopShares := cfg.memoShares(len(cells))
 	type trial struct {
 		coopMoves, uncoopMoves           int
 		coopSDR, uncoopSDR               int
@@ -37,9 +37,9 @@ func RunA1NoCooperation(cfg Config) Table {
 		bound                            int
 		coopStabilized, uncoopStabilized bool
 	}
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
 		coopSpec := sweep.Trial(cells[ci], tr)
-		m := runObserved(coopSpec, memoOpt(coopShares, ci, tr)...)
+		m := runObserved(coopSpec)
 
 		// Same seed for the uncooperative variant: the resolved topology,
 		// corrupted start and daemon are identical, so the two runs differ
@@ -50,7 +50,7 @@ func RunA1NoCooperation(cfg Config) Table {
 		// argument.
 		uncoopSpec := coopSpec
 		uncoopSpec.Algorithm = "unison-uncoop"
-		m2 := runObserved(uncoopSpec, memoOpt(uncoopShares, ci, tr)...)
+		m2 := runObserved(uncoopSpec)
 
 		return trial{
 			coopMoves:        m.result.StabilizationMoves,
@@ -115,10 +115,9 @@ func RunA2Daemons(cfg Config) Table {
 	sweep := sweepFor(cfg, 11003, []string{"unison"}, StandardTopologies()[:1], scenario.Daemons(), []string{"random-all"})
 	sweep.Sizes = []int{n}
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct{ rounds, moves, roundBound, moveBound int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runObserved(sweep.Trial(cells[ci], tr))
 		return trial{
 			rounds:     m.result.StabilizationRounds,
 			moves:      m.result.StabilizationMoves,
@@ -160,9 +159,8 @@ func RunA3Period(cfg Config) Table {
 			cells = append(cells, cell{n: n, factor: factor})
 		}
 	}
-	shares := cfg.memoShares(len(cells))
 	type trial struct{ rounds, moves, bound, k int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
 		c := cells[ci]
 		// The ring topology has exactly n processes, so the period can be
 		// derived from the requested size.
@@ -176,7 +174,7 @@ func RunA3Period(cfg Config) Table {
 			Seed:      cfg.Seed + int64(tr)*12007,
 			MaxSteps:  cfg.MaxSteps,
 			Params:    scenario.Params{K: k},
-		}, memoOpt(shares, ci, tr)...)
+		})
 		return trial{
 			rounds: m.result.StabilizationRounds,
 			moves:  m.result.StabilizationMoves,

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"strings"
 
@@ -45,13 +46,12 @@ func RunE7FGAMoves(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 7001, standaloneNames(allianceSpecNames()), DenseTopologies(), []string{"distributed-random"}, []string{"none"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct {
 		moves, bound, m, delta int
 		terminated             bool
 	}
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runPlain(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runPlain(sweep.Trial(cells[ci], tr))
 		g := m.run.Net.Graph()
 		return trial{
 			moves:      m.result.Moves,
@@ -90,10 +90,9 @@ func RunE8FGARounds(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 8009, standaloneNames(allianceSpecNames()), DenseTopologies(), []string{"distributed-random"}, []string{"none"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct{ rounds, bound int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runPlain(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runPlain(sweep.Trial(cells[ci], tr))
 		return trial{rounds: m.result.Rounds, bound: alliance.MaxStandaloneRounds(m.run.Net.N())}
 	})
 	for ci, c := range cells {
@@ -124,13 +123,12 @@ func RunE9AllianceStabilization(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 9001, allianceSpecNames(), DenseTopologies(), []string{"distributed-random"}, []string{"random-all", "fake-wave"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct {
 		moves, rounds, moveBound, roundBound int
 		minimal                              bool
 	}
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runPlain(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runPlain(sweep.Trial(cells[ci], tr))
 		g := m.run.Net.Graph()
 		return trial{
 			moves:      m.result.Moves,
@@ -193,7 +191,7 @@ func RunE10Correctness(cfg Config) Table {
 			if err != nil {
 				panic(err)
 			}
-			res := run.Execute(cfg.memoSelf()...)
+			res := run.Execute()
 			ok := run.Report(res).OK
 			if !ok {
 				t.Violations++
@@ -216,7 +214,7 @@ func RunE10Correctness(cfg Config) Table {
 		run := sp.MustResolve()
 
 		// Run to a normal configuration first.
-		res := run.Execute(cfg.memoSelf()...)
+		res := run.Execute()
 		reached := res.LegitimateReached
 
 		// From the normal configuration, run a bounded suffix under the same

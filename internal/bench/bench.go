@@ -29,21 +29,6 @@ type Config struct {
 	// values ≤ 1 run the grid sequentially. Per-trial seeding makes the
 	// tables identical for every value.
 	Parallel int
-	// MemoOff disables cross-trial transition memoization. The zero value
-	// keeps it on: trial 0 of every cell fills the cell's neighbourhood →
-	// enabled-rules table and the remaining trials share it read-only.
-	// Memoized tables are bit-identical to unmemoized ones; the switch only
-	// exists for A/B timing and debugging.
-	MemoOff bool
-	// MemoCap bounds the per-cell memo table entry count; 0 means
-	// sim.DefaultMemoEntries. Past the cap trials fall back to direct guard
-	// evaluation for uncached neighbourhoods.
-	MemoCap int
-	// Shards is the engine shard count sweeps run their cells on (see
-	// sim.WithShards); 0 or 1 means the sequential engine. Sharded cells run
-	// unmemoized: the memo table is not safe for concurrent guard evaluation,
-	// so the sweep runners drop their memo shares when Shards > 1.
-	Shards int
 }
 
 // QuickConfig returns the configuration used by unit tests and by the

@@ -141,55 +141,6 @@ func TestStandardTopologiesConnected(t *testing.T) {
 	}
 }
 
-func TestRunSweepGrid(t *testing.T) {
-	sw := scenario.Sweep{
-		Algorithms: []string{"unison", "bfstree"},
-		Topologies: []string{"ring", "grid"},
-		Daemons:    []string{"synchronous"},
-		Faults:     []string{"random-all"},
-		Sizes:      []int{6},
-		Trials:     2,
-		Seed:       3,
-		MaxSteps:   200_000,
-	}
-	table, err := RunSweep(sw, Config{Parallel: 2})
-	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	if got, want := len(table.Rows), 4; got != want {
-		t.Fatalf("sweep produced %d rows, want %d", got, want)
-	}
-	if table.Violations != 0 {
-		var buf bytes.Buffer
-		_ = table.Render(&buf)
-		t.Fatalf("sweep reported violations:\n%s", buf.String())
-	}
-}
-
-func TestRunSweepSkipsUnsatisfiableCells(t *testing.T) {
-	// 2-tuple-domination needs degree ≥ 2 everywhere; a path's endpoints
-	// have degree 1, so the cell must be skipped rather than fail.
-	sw := scenario.Sweep{
-		Algorithms: []string{"2-tuple-domination"},
-		Topologies: []string{"path"},
-		Daemons:    []string{"synchronous"},
-		Sizes:      []int{6},
-		Trials:     1,
-		Seed:       1,
-		MaxSteps:   10_000,
-	}
-	table, err := RunSweep(sw, Config{Parallel: 1})
-	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	if len(table.Rows) != 1 || table.Rows[0][5] != "skipped" {
-		t.Fatalf("unsatisfiable cell not skipped: %v", table.Rows)
-	}
-	if _, err := RunSweep(scenario.Sweep{Algorithms: []string{"nope"}, Topologies: []string{"ring"}, Daemons: []string{"synchronous"}, Sizes: []int{5}}, Config{Parallel: 1}); err == nil {
-		t.Error("a sweep naming an unknown algorithm must be rejected")
-	}
-}
-
 func TestTableJSON(t *testing.T) {
 	table := Table{ID: "T", Title: "json", Columns: []string{"a"}}
 	table.AddRow("1")

@@ -19,57 +19,16 @@ type gridJob struct{ cell, trial int }
 // returns the results indexed [cell][trial]. With workers ≤ 1 the grid runs
 // sequentially in order; otherwise the pairs are fanned out over a bounded
 // worker pool. fn must not touch shared mutable state (trials derive
-// everything from their seeds). Exported for internal/campaign and
-// internal/server, which fan their per-cell trial batches out over the same
-// pool.
-func MapGrid[T any](workers, cells, trials int, fn func(cell, trial int) T) [][]T {
-	return MapGridContext(context.Background(), workers, cells, trials, fn)
-}
-
-// MapGridWarm is MapGrid with a warm-up phase: trial 0 of every cell runs
-// (in parallel across cells) and completes before any trial ≥ 1 starts. The
-// experiment runners use it to drive the memo-share protocol — the cell's
-// first trial fills and donates the cell's transition table, and the barrier
-// guarantees every remaining trial sees the frozen table from construction,
-// making per-trial cache telemetry (not just the measurements) independent
-// of the worker count. With one trial per cell the warm phase is the whole
-// grid.
-func MapGridWarm[T any](workers, cells, trials int, fn func(cell, trial int) T) [][]T {
-	return MapGridWarmContext(context.Background(), workers, cells, trials, fn)
-}
-
-// MapGridContext is MapGrid under a cancellation context: once ctx is done no
-// further fn calls start (in-flight calls complete), and the skipped entries
-// of the result keep their zero value. Because pairs are dispatched in
-// (cell, trial) order and in-flight calls finish, the executed pairs always
-// form a prefix of that order — callers detect the cut by marking executed
-// results (see internal/campaign) and can therefore stop at a clean record
-// boundary.
-func MapGridContext[T any](ctx context.Context, workers, cells, trials int, fn func(cell, trial int) T) [][]T {
-	return mapGrid(ctx, workers, cells, trials, false, fn)
-}
-
-// MapGridWarmContext is MapGridWarm under a cancellation context, with the
-// same prefix guarantee per phase as MapGridContext.
-func MapGridWarmContext[T any](ctx context.Context, workers, cells, trials int, fn func(cell, trial int) T) [][]T {
-	return mapGrid(ctx, workers, cells, trials, true, fn)
-}
-
-// mapGrid is the one worker-pool implementation behind every MapGrid
-// variant, parameterized by the warm barrier: with warm set, trial 0 of
-// every cell completes before any trial ≥ 1 is dispatched.
-func mapGrid[T any](ctx context.Context, workers, cells, trials int, warm bool, fn func(cell, trial int) T) [][]T {
-	if warm && trials > 1 {
-		warmed := mapGrid(ctx, workers, cells, 1, false, fn)
-		rest := mapGrid(ctx, workers, cells, trials-1, false, func(cell, trial int) T {
-			return fn(cell, trial+1)
-		})
-		out := make([][]T, cells)
-		for c := range out {
-			out[c] = append(warmed[c], rest[c]...)
-		}
-		return out
-	}
+// everything from their seeds). Exported for internal/campaign, which fans
+// its per-cell trial waves out over the same pool.
+//
+// Once ctx is done no further fn calls start (in-flight calls complete), and
+// the skipped entries of the result keep their zero value. Because pairs are
+// dispatched in (cell, trial) order and in-flight calls finish, the executed
+// pairs always form a prefix of that order — callers detect the cut by
+// marking executed results (see internal/campaign) and can therefore stop at
+// a clean record boundary.
+func MapGrid[T any](ctx context.Context, workers, cells, trials int, fn func(cell, trial int) T) [][]T {
 	out := make([][]T, cells)
 	for c := range out {
 		out[c] = make([]T, trials)

@@ -11,7 +11,7 @@ func TestMapGridOrderAndCoverage(t *testing.T) {
 	var calls atomic.Int64
 	for _, workers := range []int{0, 1, 3, 16} {
 		calls.Store(0)
-		got := MapGrid(workers, 4, 3, func(cell, trial int) [2]int {
+		got := MapGrid(context.Background(), workers, 4, 3, func(cell, trial int) [2]int {
 			calls.Add(1)
 			return [2]int{cell, trial}
 		})
@@ -28,34 +28,6 @@ func TestMapGridOrderAndCoverage(t *testing.T) {
 	}
 }
 
-// TestMapGridWarmBarrier pins the warm-up contract the memo-share protocol
-// rests on: every cell's trial 0 completes before any trial ≥ 1 of any cell
-// starts, and the combined results still cover the grid in order.
-func TestMapGridWarmBarrier(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		var warmDone atomic.Int64
-		got := MapGridWarm(workers, 4, 3, func(cell, trial int) [2]int {
-			if trial == 0 {
-				warmDone.Add(1)
-			} else if warmDone.Load() != 4 {
-				t.Errorf("workers=%d: trial %d of cell %d started with only %d warm trials done",
-					workers, trial, cell, warmDone.Load())
-			}
-			return [2]int{cell, trial}
-		})
-		for c := 0; c < 4; c++ {
-			for tr := 0; tr < 3; tr++ {
-				if got[c][tr] != [2]int{c, tr} {
-					t.Fatalf("workers=%d: result[%d][%d] = %v", workers, c, tr, got[c][tr])
-				}
-			}
-		}
-	}
-	if got := MapGridWarm(2, 2, 1, func(cell, trial int) int { return cell*10 + trial }); !reflect.DeepEqual(got, [][]int{{0}, {10}}) {
-		t.Fatalf("single-trial grid = %v", got)
-	}
-}
-
 // TestMapGridContextCancel pins the cancellation contract server jobs abort
 // through: a cancelled context stops further dispatch, in-flight calls
 // complete, and the executed pairs form a prefix of (cell, trial) order.
@@ -64,7 +36,7 @@ func TestMapGridContextCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		var calls atomic.Int64
-		got := MapGridContext(ctx, workers, 3, 3, func(cell, trial int) bool {
+		got := MapGrid(ctx, workers, 3, 3, func(cell, trial int) bool {
 			calls.Add(1)
 			return true
 		})
@@ -99,7 +71,7 @@ func TestMapGridContextCancel(t *testing.T) {
 func TestMapGridContextMidCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got := MapGridContext(ctx, 1, 2, 4, func(cell, trial int) bool {
+	got := MapGrid(ctx, 1, 2, 4, func(cell, trial int) bool {
 		if cell == 0 && trial == 2 {
 			cancel()
 		}
@@ -112,7 +84,7 @@ func TestMapGridContextMidCancel(t *testing.T) {
 }
 
 func TestMapGridEmptyGrid(t *testing.T) {
-	got := MapGrid(8, 0, 5, func(cell, trial int) int { t.Fatal("must not be called"); return 0 })
+	got := MapGrid(context.Background(), 8, 0, 5, func(cell, trial int) int { t.Fatal("must not be called"); return 0 })
 	if len(got) != 0 {
 		t.Fatalf("empty grid returned %v", got)
 	}

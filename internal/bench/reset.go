@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"sdr/internal/core"
 	"sdr/internal/stats"
 )
@@ -23,10 +25,9 @@ func RunE1ResetRounds(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 1001, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"random-all"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct{ rounds, bound int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runObserved(sweep.Trial(cells[ci], tr))
 		return trial{rounds: m.result.StabilizationRounds, bound: core.MaxResetRounds(m.run.Net.N())}
 	})
 	for ci, c := range cells {
@@ -59,10 +60,9 @@ func RunE2ResetMovesPerProcess(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 2003, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"random-all", "fake-wave"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct{ maxMoves, bound int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runObserved(sweep.Trial(cells[ci], tr))
 		return trial{maxMoves: m.observer.MaxSDRMoves(), bound: core.MaxSDRMovesPerProcess(m.run.Net.N())}
 	})
 	for ci, c := range cells {
@@ -92,13 +92,12 @@ func RunE3Segments(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 3001, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"random-all"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct {
 		segments, bound, rootCreations int
 		languageOK                     bool
 	}
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runObserved(sweep.Trial(cells[ci], tr))
 		return trial{
 			segments:      m.observer.Segments(),
 			bound:         core.MaxSegments(m.run.Net.N()),

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"sdr/internal/core"
 	"sdr/internal/stats"
 )
@@ -20,13 +22,12 @@ func RunX1SpanningTree(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 13007, []string{"bfstree"}, StandardTopologies(), []string{"distributed-random"}, []string{"random-all", "fake-wave"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct {
 		moves, rounds, sdrMoves, sdrBound, rootCreations int
 		normalRoundsOK, treeExact                        bool
 	}
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runObserved(sweep.Trial(cells[ci], tr))
 		n := m.run.Net.N()
 		return trial{
 			moves:          m.result.Moves,

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"sdr/internal/stats"
 	"sdr/internal/unison"
 )
@@ -20,10 +22,9 @@ func RunE4UnisonRounds(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 4001, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"inner-only"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct{ rounds, bound int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runObserved(sweep.Trial(cells[ci], tr))
 		return trial{rounds: m.result.StabilizationRounds, bound: unison.MaxStabilizationRounds(m.run.Net.N())}
 	})
 	for ci, c := range cells {
@@ -56,10 +57,9 @@ func RunE5UnisonMoves(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 5003, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"random-all"})
 	cells := sweep.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct{ moves, bound, diameter int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr), memoOpt(shares, ci, tr)...)
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+		m := runObserved(sweep.Trial(cells[ci], tr))
 		diameter := m.run.Net.Graph().Diameter()
 		return trial{
 			moves:    m.result.StabilizationMoves,
@@ -115,18 +115,16 @@ func RunE6UnisonVsBPV(cfg Config) Table {
 	}
 	sweep := sweepFor(cfg, 6007, []string{"unison"}, StandardTopologies(), []string{"distributed-random"}, []string{"random-all"})
 	cells := sweep.Cells()
-	sdrShares := cfg.memoShares(len(cells))
-	bpvShares := cfg.memoShares(len(cells))
 	type trial struct{ sdrMoves, bpvMoves int }
-	results := MapGridWarm(cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
 		sdrSpec := sweep.Trial(cells[ci], tr)
-		m := runObserved(sdrSpec, memoOpt(sdrShares, ci, tr)...)
+		m := runObserved(sdrSpec)
 
 		// BPV on the same topology (same seed → same graph) from the same
 		// kind of uniformly random configuration.
 		bpvSpec := sdrSpec
 		bpvSpec.Algorithm = "bpv"
-		b := runPlain(bpvSpec, memoOpt(bpvShares, ci, tr)...)
+		b := runPlain(bpvSpec)
 		return trial{sdrMoves: m.result.StabilizationMoves, bpvMoves: b.result.StabilizationMoves}
 	})
 	var ratioAccum []float64

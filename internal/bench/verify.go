@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -77,7 +78,7 @@ func RunVerify(sw scenario.Sweep, vc VerifyConfig, parallel int) (Table, error) 
 		skipped bool
 		err     error
 	}
-	results := MapGrid(parallel, len(cells), 1, func(ci, _ int) cellResult {
+	results := MapGrid(context.TODO(), parallel, len(cells), 1, func(ci, _ int) cellResult {
 		run, err := sw.Trial(cells[ci], 0).Resolve()
 		if err != nil {
 			return cellResult{skipped: errors.Is(err, scenario.ErrUnsatisfiable), err: err}

@@ -61,24 +61,22 @@ type measurement struct {
 // hooked into the run (compositions only; the observer is nil otherwise).
 // Non-terminating algorithms stop at their first legitimate configuration —
 // for compositions this loses no SDR activity, since the normal set is
-// closed and SDR rules are disabled in it. extra options (memo shares) are
-// appended.
-func runObserved(sp scenario.Spec, extra ...sim.Option) measurement {
+// closed and SDR rules are disabled in it.
+func runObserved(sp scenario.Spec) measurement {
 	run := sp.MustResolve()
 	observer := run.Observer()
 	var opts []sim.Option
 	if observer != nil {
 		opts = append(opts, sim.WithStepHook(observer.Hook()))
 	}
-	opts = append(opts, extra...)
 	res := run.Execute(opts...)
 	return measurement{run: run, result: res, observer: observer}
 }
 
 // runPlain resolves and executes the spec without instrumentation.
-func runPlain(sp scenario.Spec, extra ...sim.Option) measurement {
+func runPlain(sp scenario.Spec) measurement {
 	run := sp.MustResolve()
-	return measurement{run: run, result: run.Execute(extra...)}
+	return measurement{run: run, result: run.Execute()}
 }
 
 // itoa formats an integer cell.

@@ -544,6 +544,27 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCommittedSpecsLoad keeps the campaign specs under baselines/ (the CI
+// smoke grids, the bench gate, E1E3) loadable as the Spec schema and its
+// registries evolve. Each spec's id must match its file name, because CI
+// reads the BENCH_<ID>.json the id names.
+func TestCommittedSpecsLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "baselines", "*.campaign.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed campaign specs found: %v", err)
+	}
+	for _, path := range paths {
+		spec, err := LoadSpec(path)
+		if err != nil {
+			t.Errorf("%v", err)
+			continue
+		}
+		if stem := strings.TrimSuffix(filepath.Base(path), ".campaign.json"); !strings.EqualFold(spec.ID, stem) {
+			t.Errorf("%s: id %q does not match the file name", path, spec.ID)
+		}
+	}
+}
+
 func TestProgressStream(t *testing.T) {
 	var buf bytes.Buffer
 	spec := testSpec()

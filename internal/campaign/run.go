@@ -22,9 +22,6 @@ type Options struct {
 	// sequentially. It changes wall-clock time only: the JSONL stream and
 	// the aggregates are identical for every value.
 	Parallel int
-	// MemoCap bounds each cell's memo table entry count; 0 means
-	// sim.DefaultMemoEntries. Ignored when the spec sets MemoOff.
-	MemoCap int
 	// Resume permits continuing an existing JSONL stream from its last
 	// completed trial. Without it an existing output file is an error.
 	Resume bool
@@ -158,7 +155,7 @@ func runStream(spec Spec, sw scenario.Sweep, cells []scenario.Cell, existing [][
 		// memo_hit_rate metric.
 		var share *sim.MemoShare
 		if !spec.MemoOff && spec.Shards <= 1 {
-			share = sim.NewMemoShare(opts.MemoCap)
+			share = sim.NewMemoShare(0)
 		}
 		donated := false
 		// Replay the resumed prefix into the accumulator; groupRecords has
@@ -207,7 +204,7 @@ func runStream(spec Spec, sw scenario.Sweep, cells []scenario.Cell, existing [][
 			}
 			first := len(recs)
 			memoOpts := memoTrialOpt(share, donated)
-			batch := bench.MapGridContext(opts.context(), opts.Parallel, 1, wave, func(_, k int) trialOutcome {
+			batch := bench.MapGrid(opts.context(), opts.Parallel, 1, wave, func(_, k int) trialOutcome {
 				tr := runTrial(sw, cells[ci], first+k, spec.RecordTime, spec.ProfileSteps, memoOpts...)
 				tr.executed = true
 				return tr
@@ -215,7 +212,7 @@ func runStream(spec Spec, sw scenario.Sweep, cells []scenario.Cell, existing [][
 			for _, tr := range batch[0] {
 				if !tr.executed {
 					// The context was cancelled mid-wave. Executed trials form
-					// a prefix of the wave (MapGridContext dispatches in order
+					// a prefix of the wave (MapGrid dispatches in order
 					// and lets in-flight calls finish), and every one of them
 					// is already recorded — the stream is a clean resumable
 					// prefix cut at a record boundary.

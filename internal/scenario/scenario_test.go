@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sdr/internal/obs"
 	"sdr/internal/sim"
 )
 
@@ -120,6 +121,24 @@ func TestExecuteStopsNonTerminatingAtLegitimate(t *testing.T) {
 	}
 	if !bres.LegitimateReached || bres.StabilizationMoves > bres.Moves {
 		t.Fatalf("stabilization accounting looks wrong: %+v", bres)
+	}
+}
+
+// TestSpecShardsReachTheEngine pins the Spec.Shards plumbing: sharded and
+// sequential reports are identical, so the shard count can only be seen in
+// the engine itself, through the per-shard rows of a phase profile.
+func TestSpecShardsReachTheEngine(t *testing.T) {
+	for _, shards := range []int{0, 1, 4} {
+		sp := Spec{Algorithm: "unison", Topology: "torus", N: 256, Daemon: "synchronous", Fault: "random-all", Seed: 3, MaxSteps: 20, Shards: shards}
+		prof := obs.NewPhaseProfiler(1)
+		sp.MustResolve().Execute(sim.WithProfiler(prof))
+		want := 0
+		if shards > 1 {
+			want = shards
+		}
+		if got := len(prof.Profile().Shards); got != want {
+			t.Errorf("Spec.Shards = %d: the engine ran %d shard(s), want %d", shards, got, want)
+		}
 	}
 }
 

@@ -29,8 +29,6 @@ type Config struct {
 	// (and statuses) are retained, LRU-evicted; completed jobs serve
 	// duplicate submissions from this cache.
 	ResultCache int
-	// MemoCap bounds each cell's transition-memo table (0 = sim default).
-	MemoCap int
 	// Registry receives the manager's metric families (job counters, queue
 	// gauges, the job-duration histogram, the records counter); nil creates
 	// a private registry. The HTTP layer serves it at GET /metrics, and
@@ -305,7 +303,6 @@ func (m *Manager) process(job *Job) {
 	start := time.Now()
 	res, err := campaign.RunSink(job.Spec, job.log, campaign.Options{
 		Parallel: m.cfg.Parallel,
-		MemoCap:  m.cfg.MemoCap,
 		Context:  jctx,
 	})
 	elapsed := time.Since(start)

@@ -31,9 +31,9 @@ import (
 // finish against an unfrozen share donates its table, which is atomically
 // published frozen (immutable — lock-free on the hit path) to every run that
 // starts afterwards. Later runs layer a private writable table over the
-// frozen one for neighbourhoods the donor never saw. bench.MapGridWarm and
-// the campaign runner complete trial 0 of a cell before its remaining trials
-// start, so the donor is always trial 0 and per-trial hit counts are
+// frozen one for neighbourhoods the donor never saw. The campaign runner
+// completes a cell's first satisfiable trial before its remaining trials
+// start, so the donor is always that trial and per-trial hit counts are
 // deterministic (independent of the worker count).
 
 // DefaultMemoEntries bounds a memo table's entry count when the share does
