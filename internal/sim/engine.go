@@ -161,11 +161,14 @@ func WithMemoReadOnly(share *MemoShare) Option {
 // step phase — daemon select, rule execution, guard re-evaluation and
 // accounting without sharding; select, per-shard execute, merge, per-shard
 // boundary exchange and accounting when WithShards asked for more than one
-// shard (even if the ⌈n/64⌉ cap leaves one). Timing never feeds back
-// into the execution, so profiled runs stay bit-identical to unprofiled
-// ones, and without a profiler (the default) the loop pays one nil check
-// per step and allocates nothing. The profiler belongs to a single run; read
-// it with Profile after the run returns.
+// shard (even if the ⌈n/64⌉ cap leaves one). All guard evaluation of an
+// unmemoized FirstEnabledRule run falls in guard re-evaluation (or boundary
+// exchange); execute evaluates guards only under RandomEnabledRule, and asks
+// the memo when one is attached. Timing never feeds back into the
+// execution, so profiled runs stay bit-identical to unprofiled ones, and
+// without a profiler (the default) the loop pays one nil check per step and
+// allocates nothing. The profiler belongs to a single run; read it with
+// Profile after the run returns.
 func WithProfiler(p *obs.PhaseProfiler) Option {
 	return func(o *Options) { o.profiler = p }
 }
@@ -251,13 +254,6 @@ func newResult(n int) Result {
 		StabilizationSteps:              -1,
 		StabilizationMovesPerProcessMax: -1,
 	}
-}
-
-// recordMove accounts one rule execution by process u.
-func (r *Result) recordMove(u int, rule string) {
-	r.Moves++
-	r.MovesPerProcess[u]++
-	r.MovesPerRule[rule]++
 }
 
 // markLegitimate records the costs incurred up to the first legitimate
@@ -352,11 +348,15 @@ func (e *Engine) Run(start *Configuration, opts ...Option) Result {
 // maintained as a bitset and, after a step, only the activated processes and
 // their neighbours are re-evaluated — rule guards read closed neighbourhoods
 // only (the locally shared memory model), so enabledness cannot change
-// anywhere else. The configuration is double-buffered instead of cloned per
-// step, and the neutralization-based round accounting runs on reusable
-// bitsets. The test-only RunReference keeps the straightforward
-// implementation as the oracle; the differential tests compare the two bit
-// for bit.
+// anywhere else. Each guard is evaluated once per step: re-evaluation keeps
+// every process's first enabled rule next to its enabled bit, and under
+// FirstEnabledRule the next step executes that rule without evaluating
+// guards again (RandomEnabledRule, which needs every enabled rule, evaluates
+// the selected processes' guards when it executes them). The configuration
+// is double-buffered instead of cloned per step, and the
+// neutralization-based round accounting runs on reusable bitsets. The
+// test-only RunReference keeps the straightforward implementation as the
+// oracle; the differential tests compare the two bit for bit.
 func (e *Engine) RunE(start *Configuration, opts ...Option) (Result, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -410,9 +410,13 @@ type engineRun struct {
 	openEvents []openEvent
 
 	// enabledBits is the authoritative enabled set; enabledList is its
-	// sorted materialisation handed to daemons.
+	// sorted materialisation handed to daemons. firstRule[u] is the index of
+	// u's first enabled rule (-1 when u is disabled), written next to u's
+	// enabled bit on the unmemoized path and read by the apply phase under
+	// FirstEnabledRule.
 	enabledBits bitset
 	enabledList []int
+	firstRule   []int32
 	// Round accounting (neutralization-based): pending holds the processes
 	// enabled at the start of the current round that have neither moved nor
 	// been neutralized yet; wasEnabled snapshots the enabled set before a
@@ -424,11 +428,13 @@ type engineRun struct {
 	// The step's sorted selection is a prefix of selBuf; the chosen rule
 	// index of selected[i] lands in ruleBuf[i] and its name in ruleNames[i].
 	// Each shard works on its contiguous block of both. dedup is the
-	// selection sanitizer's scratch (selection is sequential).
+	// selection sanitizer's scratch (selection is sequential). ruleMoves
+	// counts moves per rule index; run folds it into Result.MovesPerRule.
 	selBuf, ruleBuf []int
 	selected        []int
 	ruleNames       []string
 	dedup           bitset
+	ruleMoves       []int
 
 	// Phase profiling: on sampled steps the loop records the wall time of
 	// each phase. The clock reads sit between phases, never inside them, and
@@ -460,12 +466,14 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 		res:         newResult(n),
 		enabledBits: newBitset(n),
 		enabledList: make([]int, 0, n),
+		firstRule:   make([]int32, n),
 		pending:     newBitset(n),
 		wasEnabled:  newBitset(n),
 		selBuf:      make([]int, n),
 		ruleBuf:     make([]int, n),
 		ruleNames:   make([]string, 0, n),
 		dedup:       newBitset(n),
+		ruleMoves:   make([]int, len(ev.Rules())),
 		prof:        o.profiler,
 		sharded:     o.shards > 1,
 	}
@@ -513,6 +521,11 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 	}
 	res.Terminated = len(r.enabledList) == 0
 	res.Final = NewConfiguration(r.cur.states)
+	for ri, m := range r.ruleMoves {
+		if m > 0 {
+			res.MovesPerRule[r.rules[ri].Name] += m
+		}
+	}
 	res.finish()
 	if r.memo != nil {
 		res.Memo = r.memo.Stats()
@@ -679,9 +692,12 @@ func (r *engineRun) selectShards() {
 
 // applyShard is the apply phase of one shard: it copies the shard's segment
 // of the double buffer and executes the chosen rule of each of its selected
-// processes, all reading cur (composite atomicity). Move accounting is left
-// to the sequential merge — Result's counters and the MovesPerRule map are
-// not safe for concurrent writes.
+// processes, all reading cur (composite atomicity). Every selected process
+// is enabled (the selection is sanitized against the enabled set), so it has
+// a rule. Under FirstEnabledRule without a memo that rule is the one the
+// last evaluation of u's guards cached in firstRule. Move accounting is left
+// to the sequential merge — Result's counters are not safe for concurrent
+// writes.
 func (r *engineRun) applyShard(sh *engineShard) {
 	t := r.shardStart()
 	cur, next := r.cur, r.next.states
@@ -690,15 +706,16 @@ func (r *engineRun) applyShard(sh *engineShard) {
 	for i, u := range sh.selected {
 		v := r.e.net.View(cur, u)
 		var ri int
-		if r.memo != nil {
+		switch {
+		case r.memo != nil:
 			ri = chooseRuleFromMask(r.memo.Mask(cur, u), &r.o)
-		} else {
-			ri = chooseRule(r.rules, v, &r.o, sh.ruleScratch)
+		case r.o.ruleChoice == FirstEnabledRule:
+			ri = int(r.firstRule[u])
+		default:
+			ri = chooseRandomRule(r.rules, v, r.o.rng, sh.ruleScratch)
 		}
 		ruleIdxs[i] = ri
-		if ri >= 0 {
-			next[u] = r.rules[ri].Action(v)
-		}
+		next[u] = r.rules[ri].Action(v)
 	}
 	// Mark the closed neighbourhoods whose guards must be re-evaluated. The
 	// marks go to the shard-private bitset: a boundary process has
@@ -720,14 +737,11 @@ func (r *engineRun) merge() {
 	r.ruleNames = r.ruleNames[:0]
 	for i, u := range r.selected {
 		ri := r.ruleBuf[i]
-		if ri < 0 {
-			// Defensive: the daemon selected a non-enabled process; skip.
-			r.ruleNames = append(r.ruleNames, "")
-			continue
-		}
 		r.ruleNames = append(r.ruleNames, r.rules[ri].Name)
-		r.res.recordMove(u, r.rules[ri].Name)
+		r.ruleMoves[ri]++
+		r.res.MovesPerProcess[u]++
 	}
+	r.res.Moves += len(r.selected)
 	r.wasEnabled.copyFrom(r.enabledBits)
 
 	r.cur, r.next = r.next, r.cur
@@ -741,7 +755,7 @@ func (r *engineRun) merge() {
 }
 
 // seedShard evaluates every process of the shard's range, writing only the
-// shard's own enabledBits words.
+// shard's own enabledBits words and firstRule entries.
 func (r *engineRun) seedShard(sh *engineShard) {
 	for u := sh.lo; u < sh.hi; u++ {
 		if r.enabledAt(u) {
@@ -756,7 +770,7 @@ func (r *engineRun) seedShard(sh *engineShard) {
 // it OR-merges every shard's touched marks for its own word range — the
 // only point where a shard observes its neighbours' writes — and
 // re-evaluates the marked processes of its range, updating exclusively its
-// own enabledBits words.
+// own enabledBits words and firstRule entries.
 func (r *engineRun) reevaluateShard(sh *engineShard) {
 	t := r.shardStart()
 	for wi := sh.wordLo; wi < sh.wordHi; wi++ {
@@ -778,11 +792,16 @@ func (r *engineRun) reevaluateShard(sh *engineShard) {
 	r.shardEnd(sh, t)
 }
 
+// enabledAt evaluates u's guards in cur. Without a memo it also caches u's
+// first enabled rule for the apply phase. The memoized path caches nothing
+// here: its apply phase asks memo.Mask, whose hit counts the run reports.
 func (r *engineRun) enabledAt(u int) bool {
 	if r.memo != nil {
 		return r.memo.Enabled(r.cur, u)
 	}
-	return r.ev.Enabled(r.cur, u)
+	ri := r.ev.FirstEnabledRule(r.cur, u)
+	r.firstRule[u] = int32(ri)
+	return ri >= 0
 }
 
 // account closes the step: round accounting, hooks, legitimacy and
@@ -901,35 +920,26 @@ func (r *engineRun) shardEnd(sh *engineShard, t time.Time) {
 	}
 }
 
-// chooseRule returns the index of the rule process v executes, or -1 when no
-// rule is enabled. scratch is a reusable buffer for the RandomEnabledRule
-// policy; it must have capacity for all rule indices.
-func chooseRule(rules []Rule, v View, o *Options, scratch []int) int {
+// chooseRandomRule returns the index of a uniformly random rule enabled at
+// process v, drawing once from rng; v must have an enabled rule. scratch is
+// a reusable buffer with capacity for all rule indices. Options.validate
+// rejects a nil rng for RandomEnabledRule, so rng is always set.
+func chooseRandomRule(rules []Rule, v View, rng *rand.Rand, scratch []int) int {
 	enabled := scratch[:0]
 	for i, r := range rules {
 		if r.Guard(v) {
-			if o.ruleChoice == FirstEnabledRule {
-				return i
-			}
 			enabled = append(enabled, i)
 		}
 	}
-	if len(enabled) == 0 {
-		return -1
-	}
-	// Options.validate rejects a nil rng for RandomEnabledRule, so o.rng is
-	// always set here.
-	return enabled[o.rng.Intn(len(enabled))]
+	return enabled[rng.Intn(len(enabled))]
 }
 
-// chooseRuleFromMask is chooseRule over a memoized enabled-rule bitmask. It
-// consumes the rng identically (one Intn over the same count, selecting set
-// bits in ascending index order), so memoized and direct runs stay
-// bit-identical under both policies.
+// chooseRuleFromMask picks a rule from a memoized non-zero enabled-rule
+// bitmask. Under RandomEnabledRule it consumes the rng like chooseRandomRule
+// (one Intn over the same count, selecting set bits in ascending index
+// order), so memoized and direct runs stay bit-identical under both
+// policies.
 func chooseRuleFromMask(mask uint64, o *Options) int {
-	if mask == 0 {
-		return -1
-	}
 	if o.ruleChoice == FirstEnabledRule {
 		return bits.TrailingZeros64(mask)
 	}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"sdr/internal/alliance"
@@ -16,10 +17,11 @@ import (
 // The differential tests assert that the incremental engine (Run) produces
 // bit-identical Results to the retained reference engine (RunReference) for
 // fixed seeds, across every standard daemon and the paper's instantiations:
-// the SDR rules through U∘SDR, FGA∘SDR and B∘SDR, plus standalone FGA and
-// the BPV baseline. Both engines consume daemon randomness through the same
-// sorted enabled sets, so any divergence in enabled-set maintenance, round
-// accounting or rule choice shows up as a Result mismatch.
+// the SDR rules through U∘SDR, FGA∘SDR and B∘SDR, plus standalone FGA, the
+// BPV baseline and a small algorithm with overlapping rules. Both engines
+// consume daemon randomness through the same sorted enabled sets, so any
+// divergence in enabled-set maintenance, round accounting or rule choice
+// shows up as a Result mismatch.
 
 // assertResultsIdentical compares every field of the two Results (and the
 // final configurations by value).
@@ -162,7 +164,69 @@ func diffWorkloads(seed int64) []diffWorkload {
 			},
 		})
 	}
+	// Overlapping rules from random levels: whenever a neighbour is two
+	// levels up, both rules are enabled, so the rule-choice policy decides.
+	{
+		g := graph.RandomConnected(10, 0.3, rng)
+		net := sim.NewNetwork(g)
+		states := make([]sim.State, g.N())
+		for u := range states {
+			states[u] = levelState(rng.Intn(levelTop + 1))
+		}
+		ws = append(ws, diffWorkload{
+			name:  "levels",
+			net:   net,
+			alg:   levels{},
+			start: sim.NewConfiguration(states),
+			opts:  []sim.Option{sim.WithMaxSteps(50_000)},
+		})
+	}
 	return ws
+}
+
+// levelState is the state of the levels algorithm.
+type levelState int
+
+func (s levelState) Clone() sim.State { return s }
+func (s levelState) Equal(o sim.State) bool {
+	t, ok := o.(levelState)
+	return ok && t == s
+}
+func (s levelState) String() string { return strconv.Itoa(int(s)) }
+
+const levelTop = 4
+
+// levels is a silent algorithm whose rules overlap: a process below
+// levelTop steps up one level, and a process with a neighbour at least two
+// levels up may instead catch up to its highest neighbour. Every move raises
+// a level, so every execution terminates with all processes at levelTop.
+type levels struct{}
+
+func (levels) Name() string { return "levels" }
+
+func (levels) Rules() []sim.Rule {
+	return []sim.Rule{
+		{
+			Name:   "step",
+			Guard:  func(v sim.View) bool { return v.Self().(levelState) < levelTop },
+			Action: func(v sim.View) sim.State { return v.Self().(levelState) + 1 },
+		},
+		{
+			Name:   "catch-up",
+			Guard:  func(v sim.View) bool { return highestNeighbor(v) > v.Self().(levelState)+1 },
+			Action: func(v sim.View) sim.State { return highestNeighbor(v) },
+		},
+	}
+}
+
+func (levels) InitialState(int, *sim.Network) sim.State { return levelState(0) }
+
+func highestNeighbor(v sim.View) levelState {
+	best := levelState(0)
+	for i := 0; i < v.Degree(); i++ {
+		best = max(best, v.Neighbor(i).(levelState))
+	}
+	return best
 }
 
 // TestEngineMatchesReference is the golden parity sweep: every standard

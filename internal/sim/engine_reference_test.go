@@ -89,7 +89,9 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 			}
 			next.SetState(u, rules[ri].Action(v))
 			ruleNames = append(ruleNames, rules[ri].Name)
-			res.recordMove(u, rules[ri].Name)
+			res.Moves++
+			res.MovesPerProcess[u]++
+			res.MovesPerRule[rules[ri].Name]++
 		}
 
 		enabledBefore := enabled

@@ -33,13 +33,20 @@ func (e *Evaluator) Rules() []Rule { return e.rules }
 
 // Enabled reports whether process u has at least one enabled rule in c.
 func (e *Evaluator) Enabled(c *Configuration, u int) bool {
+	return e.FirstEnabledRule(c, u) >= 0
+}
+
+// FirstEnabledRule returns the index of the first rule enabled at process u
+// in c, in declaration order, or -1 when none is. Guards after the first
+// enabled one are not evaluated.
+func (e *Evaluator) FirstEnabledRule(c *Configuration, u int) int {
 	v := e.net.View(c, u)
 	for i := range e.rules {
 		if e.rules[i].Guard(v) {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // AppendEnabledRules appends the indices of the rules enabled at process u

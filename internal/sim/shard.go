@@ -28,11 +28,14 @@ import (
 //
 // Shard boundaries are aligned to multiples of 64 so that every bitset word
 // belongs to exactly one shard: a shard writes only words in its own range
-// during re-evaluation, making the phase race-free without atomics. Writes
-// to the touched set, whose closed neighbourhoods cross shard boundaries,
-// go to a per-shard full-length bitset instead; the per-word OR-merge of
-// those bitsets between the apply and re-evaluation phases is the only
-// boundary exchange of a step.
+// during re-evaluation, making the phase race-free without atomics. The
+// per-process rule cache (engineRun.firstRule) follows the same rule: a
+// shard writes the entries of its own range next to their enabled bits, and
+// its apply phase reads only those entries. Writes to the touched set, whose
+// closed neighbourhoods cross shard boundaries, go to a per-shard
+// full-length bitset instead; the per-word OR-merge of those bitsets between
+// the apply and re-evaluation phases is the only boundary exchange of a
+// step.
 
 // WithShards sets the number of shards of the run (default 1: one shard on
 // the calling goroutine). With k > 1 guard evaluation and rule execution run
@@ -63,7 +66,7 @@ type engineShard struct {
 	selected []int
 	off      int
 
-	// ruleScratch is chooseRule's reusable buffer.
+	// ruleScratch is chooseRandomRule's reusable buffer.
 	ruleScratch []int
 }
 
