@@ -1,19 +1,18 @@
 // Command sdrd serves the simulation stack as a long-running HTTP+JSON
-// service (internal/server): clients submit scenario specs, sweep grids or
-// full campaign specs as jobs, follow their campaign JSONL record streams
-// live, and read queue/dedup/memoization statistics. Identical submissions
-// are deduplicated by content hash — concurrent duplicates attach to the
-// in-flight job, repeats of completed jobs are answered from a bounded
-// result cache without re-running anything.
+// service (internal/server): clients submit sweep grids or full campaign
+// specs as jobs and follow their campaign JSONL record streams live.
+// Identical submissions are deduplicated by content hash — concurrent
+// duplicates attach to the in-flight job, repeats of completed jobs are
+// answered from a bounded result cache without re-running anything.
 //
 // The record stream a job serves is byte-identical to the CAMPAIGN_<id>.jsonl
 // file an offline `sdrbench -campaign` run writes for the same spec and seed.
 //
 // Observability: GET /metrics exposes the shared obs registry (queue depth,
-// job/dedup/backpressure counters, request and job latency histograms,
-// records/sec, memo hit rate) in Prometheus text format, request and
-// job-lifecycle events go to structured stderr logs, and -pprof additionally
-// mounts GET /debug/pprof/* for runtime profiles.
+// job/dedup/backpressure counters, worker pool size and drain state, request
+// and job latency histograms, records/sec, memo hit rate) in Prometheus text
+// format, request and job-lifecycle events go to structured stderr logs, and
+// -pprof additionally mounts GET /debug/pprof/* for runtime profiles.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: it stops accepting
 // submissions, interrupts in-flight campaigns at their next record boundary

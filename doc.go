@@ -57,7 +57,7 @@
 //     Prometheus /metrics exposition, and graceful record-boundary drain.
 //
 // The executables cmd/sdrsim and cmd/sdrbench, the long-running service
-// daemon cmd/sdrd (with its load generator cmd/sdrload), and the runnable
+// daemon cmd/sdrd, and the runnable
 // examples under examples/ are the entry points; all of them construct their
 // runs through internal/scenario Specs, so `sdrsim -list` shows every
 // combination they can run (`-list -json` for the machine-readable dump the

@@ -195,6 +195,11 @@ func (s Spec) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("campaign: negative shards")
 	}
+	for _, n := range s.Sizes {
+		if n < 1 {
+			return fmt.Errorf("campaign: size %d below 1", n)
+		}
+	}
 	if s.CITarget < 0 {
 		return fmt.Errorf("campaign: negative ci_target")
 	}

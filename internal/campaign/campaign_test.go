@@ -510,6 +510,7 @@ func TestSpecValidate(t *testing.T) {
 		"negative ci target":          func(s *Spec) { s.CITarget = -0.5 },
 		"phase metric sans profiling": func(s *Spec) { s.Metric = "phase_step_ns" },
 		"negative profile steps":      func(s *Spec) { s.ProfileSteps = -1 },
+		"size below one":              func(s *Spec) { s.Sizes = []int{6, 0} },
 	}
 	for name, mutate := range cases {
 		s := testSpec()

@@ -2,8 +2,8 @@
 // core (counters, gauges, fixed-bucket histograms with atomic hot paths and
 // Prometheus text-format exposition) and a sampled engine phase profiler.
 // The sim engine, the sdrd job manager, and the HTTP layer all record into
-// the same primitives, so /v1/stats, /metrics, and the sdrsim -profile-steps block
-// report from one source instead of parallel ad-hoc instruments.
+// the same primitives, so /metrics and the sdrsim -profile-steps block report
+// from one source instead of parallel ad-hoc instruments.
 package obs
 
 import (
@@ -93,62 +93,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the bucket containing the target rank, the same estimate Prometheus'
-// histogram_quantile computes. Samples in the +Inf bucket clamp to the
-// highest finite bound. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) {
-				// +Inf bucket: no finite upper edge to interpolate toward.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExponentialBuckets returns count upper bounds starting at start and
 // multiplying by factor: start, start·factor, …
 func ExponentialBuckets(start, factor float64, count int) []float64 {
@@ -160,19 +104,6 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 	for i := range bs {
 		bs[i] = v
 		v *= factor
-	}
-	return bs
-}
-
-// LinearBuckets returns count upper bounds starting at start and stepping by
-// width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("obs: LinearBuckets needs width > 0, count >= 1")
-	}
-	bs := make([]float64, count)
-	for i := range bs {
-		bs[i] = start + float64(i)*width
 	}
 	return bs
 }

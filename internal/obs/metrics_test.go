@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -57,7 +56,7 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("x_total", "X.")
 }
 
-func TestHistogramObserveAndQuantile(t *testing.T) {
+func TestHistogramObserve(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4, 8})
 	for _, v := range []float64{0.5, 1, 1.5, 3, 3, 5, 7, 9, 100} {
 		h.Observe(v)
@@ -76,27 +75,14 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got, want)
 		}
 	}
-	// The median rank (4.5 of 9) falls in the le=4 bucket (cumulative 3→5):
-	// interpolating 1.5/2 through (2,4] gives 3.5. A quantile deep in the
-	// +Inf bucket clamps to the highest finite bound.
-	if got := h.Quantile(0.5); got != 3.5 {
-		t.Errorf("q50 = %v, want 3.5", got)
-	}
-	if got := h.Quantile(1); got != 8 {
-		t.Errorf("q100 = %v, want 8 (clamped to highest finite bound)", got)
-	}
-	if got := h.Quantile(0); got < 0 || got > 1 {
-		t.Errorf("q0 = %v, want within first occupied bucket [0,1]", got)
-	}
 }
 
-// TestHistogramUnboundedWindow pins the property that replaced the server's
-// fixed 512-sample latency ring: the histogram keeps counting past any
-// window size instead of overwriting old samples, and out-of-range values
-// are retained in the +Inf bucket rather than dropped.
+// TestHistogramUnboundedWindow pins that the histogram keeps counting past
+// any window size instead of overwriting old samples, and that out-of-range
+// values are retained in the +Inf bucket rather than dropped.
 func TestHistogramUnboundedWindow(t *testing.T) {
 	h := newHistogram([]float64{1, 10, 100})
-	const n = 2048 // 4× the old latencyWindow
+	const n = 2048
 	for i := 0; i < n; i++ {
 		h.Observe(5)
 	}
@@ -107,12 +93,8 @@ func TestHistogramUnboundedWindow(t *testing.T) {
 	if got := h.buckets[len(h.bounds)].Load(); got != 1 {
 		t.Fatalf("+Inf bucket = %d, want 1", got)
 	}
-	if got := h.Quantile(0.5); got <= 1 || got > 10 {
-		t.Fatalf("q50 = %v, want in (1,10]", got)
-	}
-	// The overflow sample keeps the estimate finite.
-	if got := h.Quantile(0.9999); math.IsInf(got, 1) || got > 100 {
-		t.Fatalf("q99.99 = %v, want clamped to 100", got)
+	if got := h.buckets[1].Load(); got != n {
+		t.Fatalf("le=10 bucket = %d, want %d", got, n)
 	}
 }
 
@@ -183,10 +165,6 @@ func TestBucketHelpers(t *testing.T) {
 	exp := ExponentialBuckets(1, 2, 4)
 	if want := []float64{1, 2, 4, 8}; !equalF(exp, want) {
 		t.Errorf("ExponentialBuckets = %v, want %v", exp, want)
-	}
-	lin := LinearBuckets(0, 5, 3)
-	if want := []float64{0, 5, 10}; !equalF(lin, want) {
-		t.Errorf("LinearBuckets = %v, want %v", lin, want)
 	}
 }
 

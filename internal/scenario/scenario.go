@@ -148,7 +148,17 @@ type Run struct {
 // Spec.Seed: the topology and the fault injection consume one seeded RNG in
 // that order, and the daemon gets its own RNG seeded with the same value, so
 // equal Specs resolve to identical runs.
-func (s Spec) Resolve() (*Run, error) {
+//
+// The graph and algorithm constructors panic on sizes and params outside
+// their domain (a ring with n < 3, a unison period K < 2, a BFS root outside
+// the network). A Spec is request input, so Resolve is the one boundary that
+// turns those panics into errors carrying the constructor's message.
+func (s Spec) Resolve() (run *Run, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			run, err = nil, fmt.Errorf("scenario: %v", r)
+		}
+	}()
 	s = s.withDefaults()
 	entry, err := AlgorithmByName(s.Algorithm)
 	if err != nil {

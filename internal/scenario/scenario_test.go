@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -84,6 +85,43 @@ func TestResolveUnsatisfiableSpec(t *testing.T) {
 	sp := Spec{Algorithm: "2-tuple-domination", Topology: "path", N: 6, Daemon: "synchronous", Seed: 1}
 	if _, err := sp.Resolve(); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("got %v, want ErrUnsatisfiable", err)
+	}
+}
+
+// resolveNoPanic resolves sp and, when that succeeds, executes a few steps,
+// failing the test if either panics: a malformed request must surface as
+// an error at the resolve boundary, never as a crash of the caller.
+func resolveNoPanic(t *testing.T, sp Spec) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%+v panicked: %v", sp, r)
+		}
+	}()
+	run, err := sp.Resolve()
+	if err != nil {
+		return
+	}
+	run.Execute()
+}
+
+// TestResolveNeverPanics drives Resolve with sizes and params the graph and
+// algorithm constructors reject: every registered topology at n ∈ {-1, 0, 1,
+// 2}, and out-of-range unison, BFS-tree and random-topology params.
+func TestResolveNeverPanics(t *testing.T) {
+	for _, topo := range Topologies() {
+		for _, n := range []int{-1, 0, 1, 2} {
+			resolveNoPanic(t, Spec{Algorithm: "unison", Topology: topo, N: n, Daemon: "synchronous", Seed: 1, MaxSteps: 100})
+		}
+	}
+	for i, sp := range []Spec{
+		{Algorithm: "unison", Topology: "ring", N: 6, Params: Params{K: 1}},
+		{Algorithm: "bfstree", Topology: "ring", N: 6, Params: Params{Root: 100}},
+		{Algorithm: "bfstree", Topology: "ring", N: 6, Params: Params{Root: -1}},
+		{Algorithm: "unison", Topology: "random", N: 6, Params: Params{EdgeProb: 5}},
+	} {
+		sp.Daemon, sp.Seed, sp.MaxSteps = "synchronous", 1, 100
+		t.Run(fmt.Sprint(i), func(t *testing.T) { resolveNoPanic(t, sp) })
 	}
 }
 

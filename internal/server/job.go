@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -13,31 +14,13 @@ import (
 	"sdr/internal/scenario"
 )
 
-// A submitted job is a model plus an experiment frame: every request kind —
-// a single scenario spec, a sweep grid, or a full campaign — normalizes into
-// one campaign.Spec, so the service has exactly one execution path (the
-// campaign stream core) and exactly one output format (the campaign JSONL
-// stream). Seeds and churn schedules are part of the request, which is what
-// makes the content hash of the normalized spec a sound dedup key: equal
-// hashes mean equal streams, byte for byte.
-
-// SpecRequest is the job-request form of a single scenario.Spec: one
-// seeded execution of one algorithm × topology × daemon × fault point.
-type SpecRequest struct {
-	Algorithm string `json:"algorithm"`
-	Topology  string `json:"topology"`
-	N         int    `json:"n"`
-	Daemon    string `json:"daemon"`
-	Fault     string `json:"fault,omitempty"`
-	Churn     string `json:"churn,omitempty"`
-	Seed      int64  `json:"seed"`
-	MaxSteps  int    `json:"max_steps,omitempty"`
-	// Shards is the engine shard count of the run (see sim.WithShards);
-	// omitted or 1 means the sequential engine, so existing requests keep
-	// their byte encoding and dedup hashes.
-	Shards int             `json:"shards,omitempty"`
-	Params scenario.Params `json:"params,omitzero"`
-}
+// A submitted job is a model plus an experiment frame: both request forms —
+// a sweep grid (a single run is a one-cell sweep) or a full campaign —
+// normalize into one campaign.Spec, so the service has exactly one execution
+// path (the campaign stream core) and exactly one output format (the
+// campaign JSONL stream). Seeds and churn schedules are part of the request,
+// which is what makes the content hash of the normalized spec a sound dedup
+// key: equal hashes mean equal streams, byte for byte.
 
 // SweepRequest is the job-request form of a scenario.Sweep: a cross-product
 // grid with a fixed number of seeded trials per cell.
@@ -58,59 +41,24 @@ type SweepRequest struct {
 	Params scenario.Params `json:"params,omitzero"`
 }
 
-// JobRequest is the body of POST /v1/jobs: exactly one of Spec, Sweep or
-// Campaign. Kind is optional and, when set, must name the populated field.
+// JobRequest is the body of POST /v1/jobs: exactly one of Sweep or Campaign.
 type JobRequest struct {
-	Kind     string         `json:"kind,omitempty"`
-	Spec     *SpecRequest   `json:"spec,omitempty"`
 	Sweep    *SweepRequest  `json:"sweep,omitempty"`
 	Campaign *campaign.Spec `json:"campaign,omitempty"`
 }
 
 // Normalize maps the request onto the one campaign.Spec the job executes
-// and validates it against the scenario registries. Spec and sweep requests
-// get a deterministic content-derived ID, so resubmitting the same request
-// always lands on the same job spec (and therefore the same dedup hash).
+// and validates it against the scenario registries. Sweep requests get a
+// deterministic content-derived ID, so resubmitting the same request always
+// lands on the same job spec (and therefore the same dedup hash).
 func (r JobRequest) Normalize() (campaign.Spec, error) {
-	set := 0
-	kind := ""
-	for _, c := range []struct {
-		name string
-		ok   bool
-	}{{"spec", r.Spec != nil}, {"sweep", r.Sweep != nil}, {"campaign", r.Campaign != nil}} {
-		if c.ok {
-			set++
-			kind = c.name
-		}
-	}
-	if set != 1 {
-		return campaign.Spec{}, fmt.Errorf("exactly one of spec, sweep or campaign must be set (got %d)", set)
-	}
-	if r.Kind != "" && r.Kind != kind {
-		return campaign.Spec{}, fmt.Errorf("kind %q does not match the populated field %q", r.Kind, kind)
-	}
 	var cs campaign.Spec
-	switch kind {
-	case "spec":
-		s := *r.Spec
-		cs = campaign.Spec{
-			Algorithms: []string{s.Algorithm},
-			Topologies: []string{s.Topology},
-			Sizes:      []int{s.N},
-			Daemons:    []string{s.Daemon},
-			Seed:       s.Seed,
-			MaxSteps:   s.MaxSteps,
-			Shards:     s.Shards,
-			Params:     s.Params,
-			MinTrials:  1,
-		}
-		if s.Fault != "" {
-			cs.Faults = []string{s.Fault}
-		}
-		if s.Churn != "" {
-			cs.Churns = []string{s.Churn}
-		}
-	case "sweep":
+	switch {
+	case (r.Sweep == nil) == (r.Campaign == nil):
+		return campaign.Spec{}, errors.New("exactly one of sweep or campaign must be set")
+	case r.Campaign != nil:
+		cs = *r.Campaign
+	default:
 		s := *r.Sweep
 		trials := s.Trials
 		if trials <= 0 {
@@ -130,10 +78,6 @@ func (r JobRequest) Normalize() (campaign.Spec, error) {
 			Params:     s.Params,
 			MinTrials:  trials,
 		}
-	case "campaign":
-		cs = *r.Campaign
-	}
-	if kind != "campaign" {
 		cs.ID = deriveID(cs)
 	}
 	if err := cs.Validate(); err != nil {
@@ -142,7 +86,7 @@ func (r JobRequest) Normalize() (campaign.Spec, error) {
 	return cs, nil
 }
 
-// deriveID names a spec/sweep job from its content: the hash of the spec
+// deriveID names a sweep job from its content: the hash of the spec
 // with a blank ID, so the name never feeds back into itself.
 func deriveID(cs campaign.Spec) string {
 	cs.ID = ""

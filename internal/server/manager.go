@@ -31,8 +31,7 @@ type Config struct {
 	ResultCache int
 	// Registry receives the manager's metric families (job counters, queue
 	// gauges, the job-duration histogram, the records counter); nil creates
-	// a private registry. The HTTP layer serves it at GET /metrics, and
-	// GET /v1/stats reads the same instruments.
+	// a private registry. The HTTP layer serves it at GET /metrics.
 	Registry *obs.Registry
 	// Logger receives structured job-lifecycle logs (submit, dedup hit,
 	// finish — each carrying the job's id and content hash); nil disables
@@ -77,8 +76,8 @@ var ErrDraining = errors.New("server: draining, not accepting jobs")
 // served from a bounded LRU of result streams — and graceful drain that
 // stops every in-flight campaign at a record boundary.
 //
-// All throughput counters live in the shared obs.Registry, so GET /v1/stats
-// and GET /metrics report from one source.
+// Every counter and gauge lives in the shared obs.Registry that GET /metrics
+// exposes.
 type Manager struct {
 	cfg      Config
 	logger   *slog.Logger
@@ -141,6 +140,15 @@ func NewManager(cfg Config) *Manager {
 	m.recordsTotal = reg.Counter("sdrd_campaign_records_total", "Campaign record lines produced by all jobs (headers included).")
 	m.running = reg.Gauge("sdrd_jobs_running", "Jobs currently executing.")
 	m.jobDuration = reg.Histogram("sdrd_job_duration_ms", "Run duration of finished jobs in milliseconds.", jobDurationBuckets)
+	reg.GaugeFunc("sdrd_workers", "Job worker pool size.", func() float64 { return float64(cfg.Workers) })
+	reg.GaugeFunc("sdrd_draining", "1 once the manager has started draining, else 0.", func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.draining {
+			return 1
+		}
+		return 0
+	})
 	reg.GaugeFunc("sdrd_queue_depth", "Accepted-but-not-started jobs.", func() float64 { return float64(len(m.queue)) })
 	reg.GaugeFunc("sdrd_queue_capacity", "Job queue capacity.", func() float64 { return float64(cfg.QueueDepth) })
 	reg.GaugeFunc("sdrd_result_cache_jobs", "Finished jobs retained in the result LRU.", func() float64 {
@@ -380,77 +388,4 @@ func shortHash(hash string) string {
 		return hash[:12]
 	}
 	return hash
-}
-
-// LatencySummary summarises the job run duration histogram. The percentiles
-// are bucket-interpolated estimates (obs.Histogram.Quantile) over every
-// finished job — unlike the fixed 512-sample ring this replaces, the window
-// never wraps, so the count keeps growing and no sample is overwritten.
-type LatencySummary struct {
-	Count  int     `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
-
-// Stats is the GET /v1/stats snapshot. Every counter is read from the same
-// obs.Registry instruments GET /metrics exposes.
-type Stats struct {
-	Workers       int  `json:"workers"`
-	Draining      bool `json:"draining,omitempty"`
-	QueueDepth    int  `json:"queue_depth"`
-	QueueCapacity int  `json:"queue_capacity"`
-	// JobsAccepted counts newly created jobs (deduplicated submissions do
-	// not create jobs and are counted under the dedup fields).
-	JobsAccepted    int `json:"jobs_accepted"`
-	JobsRunning     int `json:"jobs_running"`
-	JobsDone        int `json:"jobs_done"`
-	JobsFailed      int `json:"jobs_failed"`
-	JobsInterrupted int `json:"jobs_interrupted"`
-	// DedupHits = DedupHitsInFlight (attached to a queued/running job) +
-	// DedupHitsCached (served from the completed-job LRU).
-	DedupHits         int `json:"dedup_hits"`
-	DedupHitsInFlight int `json:"dedup_hits_in_flight"`
-	DedupHitsCached   int `json:"dedup_hits_cached"`
-	CachedJobs        int `json:"cached_jobs"`
-	// MemoHitRateMean averages the memo_hit_rate metric over every completed
-	// cell that recorded it (see internal/sim memoization).
-	MemoHitRateMean float64 `json:"memo_hit_rate_mean"`
-	// JobLatency summarises run durations of finished jobs.
-	JobLatency LatencySummary `json:"job_latency"`
-}
-
-// Stats snapshots the manager counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	s := Stats{
-		Workers:           m.cfg.Workers,
-		Draining:          m.draining,
-		QueueDepth:        len(m.queue),
-		QueueCapacity:     m.cfg.QueueDepth,
-		CachedJobs:        m.lru.Len(),
-		JobsAccepted:      int(m.accepted.Value()),
-		JobsRunning:       int(m.running.Value()),
-		JobsDone:          int(m.done.Value()),
-		JobsFailed:        int(m.failed.Value()),
-		JobsInterrupted:   int(m.interrupted.Value()),
-		DedupHitsInFlight: int(m.dedupInFlight.Value()),
-		DedupHitsCached:   int(m.dedupCached.Value()),
-	}
-	s.DedupHits = s.DedupHitsInFlight + s.DedupHitsCached
-	if m.memoRateN > 0 {
-		s.MemoHitRateMean = m.memoRateSum / float64(m.memoRateN)
-	}
-	m.mu.Unlock()
-	if n := m.jobDuration.Count(); n > 0 {
-		s.JobLatency = LatencySummary{
-			Count:  int(n),
-			MeanMS: m.jobDuration.Mean(),
-			P50MS:  m.jobDuration.Quantile(0.50),
-			P95MS:  m.jobDuration.Quantile(0.95),
-			P99MS:  m.jobDuration.Quantile(0.99),
-		}
-	}
-	return s
 }

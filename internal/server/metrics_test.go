@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -10,9 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"sdr/internal/campaign"
 )
 
 func scrapeMetrics(t *testing.T, url string) (string, string) {
@@ -52,17 +48,17 @@ func metricValue(t *testing.T, out, series string) float64 {
 // TestMetricsEndpoint is the /metrics e2e test: run a job through the full
 // HTTP path, trigger a cached dedup hit, and require the exposition to be
 // well-formed Prometheus text carrying the job, queue, dedup, record and
-// request-latency series — the same numbers /v1/stats reports.
+// request-latency series, and the pool-size and drain gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Parallel: 1})
 
-	resp, sr, _ := postJob(t, ts, specBody(t, 42))
+	resp, sr, _ := postJob(t, ts, sweepBody(t, 42))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 	job, _ := m.Get(sr.ID)
 	awaitState(t, job, StateDone)
-	if resp, sr2, _ := postJob(t, ts, specBody(t, 42)); resp.StatusCode != http.StatusOK || !sr2.Deduped {
+	if resp, sr2, _ := postJob(t, ts, sweepBody(t, 42)); resp.StatusCode != http.StatusOK || !sr2.Deduped {
 		t.Fatalf("resubmit: status %d deduped %v, want cached dedup hit", resp.StatusCode, sr2.Deduped)
 	}
 
@@ -133,44 +129,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("requests{200} = %v, want 1", got)
 	}
 
-	// One source of truth: /v1/stats must agree with the scrape.
-	s := m.Stats()
-	if float64(s.JobsDone) != metricValue(t, out, `sdrd_jobs_finished_total{state="done"}`) {
-		t.Errorf("stats JobsDone %d disagrees with /metrics", s.JobsDone)
+	if got := metricValue(t, out, "sdrd_memo_hit_rate_mean"); got <= 0 {
+		t.Errorf("memo_hit_rate_mean = %v, want > 0 (memoization is on by default)", got)
 	}
-	if float64(s.DedupHitsCached) != metricValue(t, out, `sdrd_dedup_hits_total{kind="cached"}`) {
-		t.Errorf("stats DedupHitsCached %d disagrees with /metrics", s.DedupHitsCached)
+	if got := metricValue(t, out, "sdrd_workers"); got != 1 {
+		t.Errorf("workers = %v, want 1", got)
 	}
-}
-
-// TestLatencySummaryOutlivesOldRing feeds more finished jobs through
-// finalize than the replaced 512-sample ring could hold: the histogram-backed
-// summary must keep counting (no wraparound) and still produce ordered,
-// in-range percentile estimates.
-func TestLatencySummaryOutlivesOldRing(t *testing.T) {
-	m := NewManager(Config{Workers: 1, QueueDepth: 1})
-	defer m.Drain()
-	const n = 600 // > the old latencyWindow of 512
-	for i := 1; i <= n; i++ {
-		job := newJob(fmt.Sprintf("t%06d", i), fmt.Sprintf("hash%d", i), specForTest(t, int64(i)), time.Now(), nil)
-		job.log.finish()
-		m.finalize(job, StateDone, nil, time.Duration(i)*time.Millisecond)
-	}
-	s := m.Stats()
-	if s.JobLatency.Count != n {
-		t.Fatalf("latency count = %d, want %d (histogram must not wrap)", s.JobLatency.Count, n)
-	}
-	l := s.JobLatency
-	if l.MeanMS <= 0 || l.P50MS <= 0 {
-		t.Fatalf("degenerate summary: %+v", l)
-	}
-	if !(l.P50MS <= l.P95MS && l.P95MS <= l.P99MS) {
-		t.Errorf("percentiles out of order: %+v", l)
-	}
-	// Durations were 1..600ms uniform; the bucketed median estimate must
-	// land near 300ms (within the covering power-of-two bucket).
-	if l.P50MS < 128 || l.P50MS > 512 {
-		t.Errorf("p50 = %vms, want within (128, 512] for uniform 1..600ms", l.P50MS)
+	if got := metricValue(t, out, "sdrd_draining"); got != 0 {
+		t.Errorf("draining = %v, want 0", got)
 	}
 }
 
@@ -198,10 +164,10 @@ func TestStructuredLifecycleLogs(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Parallel: 1, Logger: logger})
 
-	_, sr, _ := postJob(t, ts, specBody(t, 99))
+	_, sr, _ := postJob(t, ts, sweepBody(t, 99))
 	job, _ := m.Get(sr.ID)
 	awaitState(t, job, StateDone)
-	postJob(t, ts, specBody(t, 99)) // dedup hit
+	postJob(t, ts, sweepBody(t, 99)) // dedup hit
 	m.Drain()
 
 	out := buf.String()
@@ -214,17 +180,4 @@ func TestStructuredLifecycleLogs(t *testing.T) {
 			t.Errorf("logs missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func specForTest(t *testing.T, seed int64) campaign.Spec {
-	t.Helper()
-	req := JobRequest{Spec: &SpecRequest{
-		Algorithm: "unison", Topology: "ring", N: 6,
-		Daemon: "distributed-random", Fault: "random-all", Seed: seed,
-	}}
-	spec, err := req.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spec
 }

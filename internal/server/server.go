@@ -6,8 +6,7 @@
 //
 //	GET    /v1/registry          registered algorithms/topologies/daemons/faults/churns
 //	GET    /v1/version           environment fingerprint (same helper as campaign baselines)
-//	GET    /v1/stats             queue depth, dedup and memo hit counters, job latency percentiles
-//	POST   /v1/jobs              submit a spec, sweep or campaign job
+//	POST   /v1/jobs              submit a sweep or campaign job
 //	GET    /v1/jobs/{id}         job status
 //	DELETE /v1/jobs/{id}         cancel at the next record boundary
 //	GET    /v1/jobs/{id}/records stream the job's campaign JSONL records (?from= resumes)
@@ -23,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -52,7 +52,6 @@ func New(m *Manager) *Server {
 	s := &Server{m: m, mux: http.NewServeMux(), logger: m.logger}
 	s.handle("GET /v1/registry", s.handleRegistry)
 	s.handle("GET /v1/version", s.handleVersion)
-	s.handle("GET /v1/stats", s.handleStats)
 	s.handle("POST /v1/jobs", s.handleSubmit)
 	s.handle("GET /v1/jobs/{id}", s.handleStatus)
 	s.handle("DELETE /v1/jobs/{id}", s.handleCancel)
@@ -145,12 +144,21 @@ type SubmitResponse struct {
 	RecordsURL string `json:"records_url"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest parses a POST /v1/jobs body; unknown fields are errors.
+func decodeRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		return JobRequest{}, fmt.Errorf("decode request: %w", err)
+	}
+	return req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	job, created, err := s.m.Submit(req)
@@ -253,10 +261,6 @@ func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, campaign.Fingerprint())
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.m.Stats())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

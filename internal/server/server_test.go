@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -60,11 +61,12 @@ func postJob(t *testing.T, ts *httptest.Server, body []byte) (*http.Response, Su
 	return resp, sr, data
 }
 
-func specBody(t *testing.T, seed int64) []byte {
+// sweepBody is a one-cell sweep: one seeded trial of one scenario point.
+func sweepBody(t *testing.T, seed int64) []byte {
 	t.Helper()
-	body, err := json.Marshal(JobRequest{Spec: &SpecRequest{
-		Algorithm: "unison", Topology: "ring", N: 6,
-		Daemon: "distributed-random", Fault: "random-all", Seed: seed,
+	body, err := json.Marshal(JobRequest{Sweep: &SweepRequest{
+		Algorithms: []string{"unison"}, Topologies: []string{"ring"}, Sizes: []int{6},
+		Daemons: []string{"distributed-random"}, Faults: []string{"random-all"}, Seed: seed,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +171,10 @@ func TestRecordStreamByteIdentity(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("served stream diverged from the offline campaign file:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+	// The status record count is the ?from= offset of the stream's end.
+	if lines, records := bytes.Count(got, []byte("\n")), job.Status().Records; lines != records {
+		t.Errorf("status reports %d records, the stream served %d lines", records, lines)
+	}
 
 	// Resuming from a line offset serves exactly the remaining lines.
 	wantLines := bytes.SplitAfter(want, []byte("\n"))
@@ -193,7 +199,7 @@ func TestDedupConcurrentAndCached(t *testing.T) {
 	release := make(chan struct{})
 	blockWorkers(m, started, release)
 
-	body := specBody(t, 1)
+	body := sweepBody(t, 1)
 	resp1, sr1, raw := postJob(t, ts, body)
 	if resp1.StatusCode != http.StatusAccepted || sr1.Deduped {
 		t.Fatalf("first submit: %s deduped=%v: %s", resp1.Status, sr1.Deduped, raw)
@@ -206,8 +212,8 @@ func TestDedupConcurrentAndCached(t *testing.T) {
 		t.Fatalf("in-flight duplicate: %s deduped=%v id=%s (want %s): %s",
 			resp2.Status, sr2.Deduped, sr2.ID, sr1.ID, raw)
 	}
-	if s := m.Stats(); s.DedupHitsInFlight != 1 || s.JobsAccepted != 1 {
-		t.Errorf("stats after in-flight duplicate: %+v", s)
+	if inFlight, accepted := m.dedupInFlight.Value(), m.accepted.Value(); inFlight != 1 || accepted != 1 {
+		t.Errorf("after in-flight duplicate: dedup in-flight %d, accepted %d; want 1, 1", inFlight, accepted)
 	}
 
 	close(release)
@@ -219,9 +225,11 @@ func TestDedupConcurrentAndCached(t *testing.T) {
 		t.Fatalf("cached duplicate: %s deduped=%v id=%s state=%s: %s",
 			resp3.Status, sr3.Deduped, sr3.ID, sr3.State, raw)
 	}
-	s := m.Stats()
-	if s.DedupHits != 2 || s.DedupHitsCached != 1 || s.JobsDone != 1 || s.JobsAccepted != 1 {
-		t.Errorf("final stats: %+v", s)
+	if inFlight, cached := m.dedupInFlight.Value(), m.dedupCached.Value(); inFlight != 1 || cached != 1 {
+		t.Errorf("dedup hits in-flight %d, cached %d; want 1, 1", inFlight, cached)
+	}
+	if done, accepted := m.done.Value(), m.accepted.Value(); done != 1 || accepted != 1 {
+		t.Errorf("jobs done %d, accepted %d; want 1, 1", done, accepted)
 	}
 	if st, _ := m.Get(sr1.ID); st.Status().DedupHits != 2 {
 		t.Errorf("job dedup hit counter = %d, want 2", st.Status().DedupHits)
@@ -234,18 +242,18 @@ func TestBackpressure429WhenQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	blockWorkers(m, started, release)
 
-	respA, _, rawA := postJob(t, ts, specBody(t, 1))
+	respA, _, rawA := postJob(t, ts, sweepBody(t, 1))
 	if respA.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit A: %s: %s", respA.Status, rawA)
 	}
 	jobA := <-started // A occupies the worker, the queue is empty again
 
-	respB, _, rawB := postJob(t, ts, specBody(t, 2))
+	respB, _, rawB := postJob(t, ts, sweepBody(t, 2))
 	if respB.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit B: %s: %s", respB.Status, rawB)
 	}
 
-	respC, _, rawC := postJob(t, ts, specBody(t, 3))
+	respC, _, rawC := postJob(t, ts, sweepBody(t, 3))
 	if respC.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submit C with a full queue: %s (want 429): %s", respC.Status, rawC)
 	}
@@ -321,13 +329,16 @@ func TestDrainStopsAtRecordBoundary(t *testing.T) {
 		t.Errorf("first line should be the campaign header, got %s", lines[0])
 	}
 
-	respPost, _, rawPost := postJob(t, ts, specBody(t, 9))
+	respPost, _, rawPost := postJob(t, ts, sweepBody(t, 9))
 	if respPost.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: %s (want 503): %s", respPost.Status, rawPost)
 	}
-	s := m.Stats()
-	if !s.Draining || s.JobsInterrupted != 1 {
-		t.Errorf("stats after drain: %+v", s)
+	out, _ := scrapeMetrics(t, ts.URL)
+	if got := metricValue(t, out, "sdrd_draining"); got != 1 {
+		t.Errorf("sdrd_draining after drain = %v, want 1", got)
+	}
+	if got := metricValue(t, out, `sdrd_jobs_finished_total{state="interrupted"}`); got != 1 {
+		t.Errorf("interrupted jobs after drain = %v, want 1", got)
 	}
 }
 
@@ -349,12 +360,12 @@ func TestCancelAndNotFound(t *testing.T) {
 		}
 	}
 
-	respA, srA, _ := postJob(t, ts, specBody(t, 1))
+	respA, srA, _ := postJob(t, ts, sweepBody(t, 1))
 	if respA.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit A: %s", respA.Status)
 	}
 	jobA := <-started
-	respB, srB, _ := postJob(t, ts, specBody(t, 2))
+	respB, srB, _ := postJob(t, ts, sweepBody(t, 2))
 	if respB.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit B: %s", respB.Status)
 	}
@@ -397,11 +408,12 @@ func TestSubmitValidation(t *testing.T) {
 		body string
 	}{
 		{"invalid json", "{"},
-		{"no kind populated", "{}"},
-		{"two kinds populated", `{"spec":{"algorithm":"unison","topology":"ring","n":6,"daemon":"synchronous","seed":1},"campaign":{"id":"x","algorithms":["unison"],"topologies":["ring"],"daemons":["synchronous"],"sizes":[6],"seed":1}}`},
-		{"kind mismatch", `{"kind":"sweep","spec":{"algorithm":"unison","topology":"ring","n":6,"daemon":"synchronous","seed":1}}`},
-		{"unknown algorithm", `{"spec":{"algorithm":"no-such-algo","topology":"ring","n":6,"daemon":"synchronous","seed":1}}`},
-		{"unknown field", `{"spec":{"algorithm":"unison","topology":"ring","n":6,"daemon":"synchronous","seed":1},"bogus":true}`},
+		{"no form populated", "{}"},
+		{"both forms populated", `{"sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1},"campaign":{"id":"x","algorithms":["unison"],"topologies":["ring"],"daemons":["synchronous"],"sizes":[6],"seed":1}}`},
+		{"unknown algorithm", `{"sweep":{"algorithms":["no-such-algo"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1}}`},
+		{"unknown field", `{"sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1},"bogus":true}`},
+		{"spec form", `{"spec":{"algorithm":"unison","topology":"ring","n":6,"daemon":"synchronous","seed":1}}`},
+		{"kind discriminator", `{"kind":"sweep","sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1}}`},
 	}
 	for _, tc := range cases {
 		resp, _, raw := postJob(t, ts, []byte(tc.body))
@@ -416,14 +428,14 @@ func TestSubmitValidation(t *testing.T) {
 func TestResultCacheEviction(t *testing.T) {
 	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, ResultCache: 1})
 
-	resp1, sr1, _ := postJob(t, ts, specBody(t, 1))
+	resp1, sr1, _ := postJob(t, ts, sweepBody(t, 1))
 	if resp1.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit 1: %s", resp1.Status)
 	}
 	job1, _ := m.Get(sr1.ID)
 	awaitState(t, job1, StateDone)
 
-	resp2, sr2, _ := postJob(t, ts, specBody(t, 2))
+	resp2, sr2, _ := postJob(t, ts, sweepBody(t, 2))
 	if resp2.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit 2: %s", resp2.Status)
 	}
@@ -443,47 +455,28 @@ func TestResultCacheEviction(t *testing.T) {
 	}
 
 	// An evicted job no longer dedups: resubmitting runs it fresh.
-	resp3, sr3, _ := postJob(t, ts, specBody(t, 1))
+	resp3, sr3, _ := postJob(t, ts, sweepBody(t, 1))
 	if resp3.StatusCode != http.StatusAccepted || sr3.Deduped {
 		t.Errorf("resubmit of evicted spec: %s deduped=%v (want a fresh 202)", resp3.Status, sr3.Deduped)
 	}
-	if s := m.Stats(); s.CachedJobs != 1 {
-		t.Errorf("cached jobs = %d, want 1", s.CachedJobs)
+	out, _ := scrapeMetrics(t, ts.URL)
+	if got := metricValue(t, out, "sdrd_result_cache_jobs"); got != 1 {
+		t.Errorf("cached jobs = %v, want 1", got)
 	}
 }
 
-// TestStatsLatencyAndMemoRates checks that finished jobs feed the latency
-// percentiles and the memoization hit-rate average surfaced by /v1/stats.
-func TestStatsLatencyAndMemoRates(t *testing.T) {
-	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	resp, sr, _ := postJob(t, ts, specBody(t, 1))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %s", resp.Status)
-	}
-	job, _ := m.Get(sr.ID)
-	awaitState(t, job, StateDone)
-
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer statsResp.Body.Close()
-	var s Stats
-	if err := json.NewDecoder(statsResp.Body).Decode(&s); err != nil {
-		t.Fatal(err)
-	}
-	if s.JobLatency.Count != 1 || s.JobLatency.MeanMS <= 0 {
-		t.Errorf("job latency not recorded: %+v", s.JobLatency)
-	}
-	if s.MemoHitRateMean <= 0 {
-		t.Errorf("memo hit rate mean = %v, want > 0 (memoization is on by default)", s.MemoHitRateMean)
-	}
+// sweepRequest is a one-cell synchronous unison sweep on a 6-ring.
+func sweepRequest(seed int64) JobRequest {
+	return JobRequest{Sweep: &SweepRequest{
+		Algorithms: []string{"unison"}, Topologies: []string{"ring"}, Sizes: []int{6},
+		Daemons: []string{"synchronous"}, Seed: seed,
+	}}
 }
 
 // TestDeriveIDIsStable pins the content-derived job naming: equal requests
-// in different kinds map to distinct specs, equal requests to equal IDs.
+// map to equal IDs and hashes, requests that differ in the seed do not.
 func TestDeriveIDIsStable(t *testing.T) {
-	req := JobRequest{Spec: &SpecRequest{Algorithm: "unison", Topology: "ring", N: 6, Daemon: "synchronous", Seed: 3}}
+	req := sweepRequest(3)
 	a, err := req.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -495,8 +488,7 @@ func TestDeriveIDIsStable(t *testing.T) {
 	if a.ID != b.ID || specHash(a) != specHash(b) {
 		t.Errorf("normalization is not stable: %q/%q", a.ID, b.ID)
 	}
-	other := JobRequest{Spec: &SpecRequest{Algorithm: "unison", Topology: "ring", N: 6, Daemon: "synchronous", Seed: 4}}
-	c, err := other.Normalize()
+	c, err := sweepRequest(4).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +508,7 @@ func TestRecordsFollowLiveStream(t *testing.T) {
 	release := make(chan struct{})
 	blockWorkers(m, started, release)
 
-	resp, sr, _ := postJob(t, ts, specBody(t, 1))
+	resp, sr, _ := postJob(t, ts, sweepBody(t, 1))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", resp.Status)
 	}
@@ -554,5 +546,51 @@ func TestRecordsFollowLiveStream(t *testing.T) {
 		if !json.Valid(ln) {
 			t.Fatalf("followed line %d is not valid JSON: %s", i, ln)
 		}
+	}
+}
+
+// TestOutOfDomainRequestsFailCleanly posts bodies whose sizes or params lie
+// outside the graph and algorithm constructors' domain. Each must be refused
+// with a 400 at submit or end as a failed job carrying the constructor's
+// message, and the server must keep answering afterwards.
+func TestOutOfDomainRequestsFailCleanly(t *testing.T) {
+	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Parallel: 1})
+	sweep := func(alg, topo string, size int, params string) string {
+		return fmt.Sprintf(`{"sweep":{"algorithms":[%q],"topologies":[%q],"daemons":["synchronous"],"sizes":[%d],"seed":1%s}}`,
+			alg, topo, size, params)
+	}
+	cases := []struct {
+		name, body, failure string // failure "" means a 400 at submit
+	}{
+		{"spec form of a 2-ring", `{"spec":{"algorithm":"unison","topology":"ring","n":2,"daemon":"synchronous","seed":1}}`, ""},
+		{"2-ring", sweep("unison", "ring", 2, ""), "ring requires n >= 3"},
+		{"zero size sweep", sweep("unison", "path", 0, ""), ""},
+		{"zero size campaign", `{"campaign":{"id":"c0","algorithms":["unison"],"topologies":["ring"],"daemons":["synchronous"],"sizes":[0],"seed":1}}`, ""},
+		{"unison period 1", sweep("unison", "ring", 6, `,"params":{"K":1}`), "period K must be at least 2"},
+		{"bfs root past n", sweep("bfstree", "ring", 6, `,"params":{"Root":100}`), "root 100 out of range"},
+		{"negative bfs root", sweep("bfstree", "ring", 6, `,"params":{"Root":-1}`), "root -1 out of range"},
+		{"edge probability 5", sweep("unison", "random", 6, `,"params":{"EdgeProb":5}`), "edge probability must be in [0,1]"},
+	}
+	for _, tc := range cases {
+		resp, sr, raw := postJob(t, ts, []byte(tc.body))
+		if tc.failure == "" {
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %s (want 400): %s", tc.name, resp.Status, raw)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s: %s (want 202): %s", tc.name, resp.Status, raw)
+			continue
+		}
+		job, _ := m.Get(sr.ID)
+		awaitState(t, job, StateFailed)
+		if msg := job.Status().Error; !strings.Contains(msg, tc.failure) {
+			t.Errorf("%s: job error %q, want it to contain %q", tc.name, msg, tc.failure)
+		}
+	}
+	resp, _, raw := postJob(t, ts, sweepBody(t, 1))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid submit after the out-of-domain bodies: %s: %s", resp.Status, raw)
 	}
 }
