@@ -28,6 +28,11 @@ type gridJob struct{ cell, trial int }
 // pairs always form a prefix of that order — callers detect the cut by
 // marking executed results (see internal/campaign) and can therefore stop at
 // a clean record boundary.
+//
+// A panic in fn reaches the caller as it would without the pool: a worker
+// that recovers one stops the dispatch, and once every worker has returned
+// MapGrid panics again with the first recovered value on the calling
+// goroutine, where the caller can recover it.
 func MapGrid[T any](ctx context.Context, workers, cells, trials int, fn func(cell, trial int) T) [][]T {
 	out := make([][]T, cells)
 	for c := range out {
@@ -48,12 +53,30 @@ func MapGrid[T any](ctx context.Context, workers, cells, trials int, fn func(cel
 		return out
 	}
 	jobs := make(chan gridJob, workers)
-	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var (
+		wg        sync.WaitGroup
+		panicOnce sync.Once
+		panicked  any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() {
+						panicked = r
+						close(stop)
+					})
+				}
+			}()
 			for j := range jobs {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				out[j.cell][j.trial] = fn(j.cell, j.trial)
 			}
 		}()
@@ -65,10 +88,15 @@ dispatch:
 			case jobs <- gridJob{cell: c, trial: tr}:
 			case <-ctx.Done():
 				break dispatch
+			case <-stop:
+				break dispatch
 			}
 		}
 	}
 	close(jobs)
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	return out
 }

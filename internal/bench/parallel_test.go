@@ -115,3 +115,32 @@ func TestParallelTrialsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMapGridWorkerPanic pins the panic contract server jobs recover
+// through: a panic in fn on a pool worker stops the dispatch and reaches the
+// calling goroutine with its original value once the workers have returned.
+func TestMapGridWorkerPanic(t *testing.T) {
+	var calls, running atomic.Int64
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		MapGrid(context.Background(), 2, 50, 4, func(cell, trial int) int {
+			running.Add(1)
+			defer running.Add(-1)
+			calls.Add(1)
+			if cell == 1 && trial == 2 {
+				panic("trial 1/2 failed")
+			}
+			return cell
+		})
+		return nil
+	}()
+	if got != "trial 1/2 failed" {
+		t.Fatalf("recovered %v, want the worker's panic value", got)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d fn calls still running after MapGrid panicked", n)
+	}
+	if n := calls.Load(); n >= 200 {
+		t.Fatalf("%d fn calls: the dispatch did not stop after the panic", n)
+	}
+}

@@ -47,12 +47,26 @@ func WithUncooperativeResets() ComposeOption {
 // algorithm whose local program is the union of the rules of SDR and of the
 // input algorithm I, over the product state. It implements sim.Algorithm.
 type Composed struct {
-	inner Resettable
-	opts  composeOptions
-	rules []sim.Rule
+	inner      Resettable
+	innerRules []InnerRule
+	opts       composeOptions
+	rules      []sim.Rule
 }
 
-var _ sim.Algorithm = (*Composed)(nil)
+var (
+	_ sim.Algorithm   = (*Composed)(nil)
+	_ sim.RuleIndexer = (*Composed)(nil)
+)
+
+// Indices of the four SDR rules in the composed rule set; inner rule i sits
+// at firstInnerRule+i.
+const (
+	ruleRBIndex = iota
+	ruleRFIndex
+	ruleCIndex
+	ruleRIndex
+	firstInnerRule
+)
 
 // Compose builds I ∘ SDR for the given input algorithm.
 func Compose(inner Resettable, opts ...ComposeOption) *Composed {
@@ -63,7 +77,7 @@ func Compose(inner Resettable, opts ...ComposeOption) *Composed {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	c := &Composed{inner: inner, opts: o}
+	c := &Composed{inner: inner, innerRules: inner.InnerRules(), opts: o}
 	c.rules = c.buildRules()
 	return c
 }
@@ -232,7 +246,7 @@ func (c *Composed) buildRules() []sim.Rule {
 	}
 
 	rules := sdrRules
-	for _, ir := range inner.InnerRules() {
+	for _, ir := range c.innerRules {
 		ir := ir // capture
 		rules = append(rules, sim.Rule{
 			Name: InnerRuleName(ir.Name),
@@ -251,6 +265,112 @@ func (c *Composed) buildRules() []sim.Rule {
 		})
 	}
 	return rules
+}
+
+// FirstEnabled implements sim.RuleIndexer: it returns the index of the first
+// rule whose Guard holds at the viewed process, deciding the overlapping
+// predicates of Algorithm 1 in one pass over the closed neighbourhood
+// instead of re-deriving them for every rule. It branches on st_u:
+//
+//   - C: rule_RF and rule_C are disabled. One scan of the neighbours gives
+//     P_RB (rule_RB) and decides P_R1 and P_Clean; rule_R is enabled by
+//     P_R1 or ¬P_ICorrect, and the inner guards run only when P_Clean and
+//     P_ICorrect hold.
+//   - RB, RF and any other status: rule_RB and the inner rules are
+//     disabled and P_Up reduces to P_R2 ≡ ¬P_reset(u), which also falsifies
+//     P_RF and P_C. Otherwise one scan decides P_RF (status RB) or P_C
+//     (status RF).
+func (c *Composed) FirstEnabled(v sim.View) int {
+	self := mustComposed(v.Self())
+	if self.SDR.St != StatusC {
+		if !c.inner.IsReset(v.Process(), v.Network(), self.Inner) {
+			return ruleRIndex
+		}
+		switch self.SDR.St {
+		case StatusRB:
+			if c.feedbackReady(v, self.SDR.D) {
+				return ruleRFIndex
+			}
+		case StatusRF:
+			if c.cleanReady(v, self.SDR.D) {
+				return ruleCIndex
+			}
+		}
+		return -1
+	}
+	anyRF, allC := false, true
+	for i, deg := 0, v.Degree(); i < deg; i++ {
+		switch SDRPart(v.Neighbor(i)).St {
+		case StatusC:
+		case StatusRB:
+			return ruleRBIndex
+		case StatusRF:
+			anyRF, allC = true, false
+		default:
+			allC = false
+		}
+	}
+	if anyRF && !c.inner.IsReset(v.Process(), v.Network(), self.Inner) {
+		return ruleRIndex
+	}
+	// allC (with st_u = C) is P_Clean(u), which the inner guards may ask
+	// the view for again.
+	iv := InnerView{view: v, composed: true, clean: allC}
+	if !c.inner.ICorrect(iv) {
+		return ruleRIndex
+	}
+	if allC {
+		for i := range c.innerRules {
+			if c.innerRules[i].Guard(iv) {
+				return firstInnerRule + i
+			}
+		}
+	}
+	return -1
+}
+
+// feedbackReady is the neighbour part of P_RF(u) for a process at status RB
+// with distance d: ∀v ∈ N(u), (st_v = RB ∧ d_v ≤ d) ∨ (st_v = RF ∧ P_reset(v)).
+func (c *Composed) feedbackReady(v sim.View, d int) bool {
+	net := v.Network()
+	for i, deg := 0, v.Degree(); i < deg; i++ {
+		nb := mustComposed(v.Neighbor(i))
+		switch nb.SDR.St {
+		case StatusRB:
+			if nb.SDR.D > d {
+				return false
+			}
+		case StatusRF:
+			if !c.inner.IsReset(net.Neighbor(v.Process(), i), net, nb.Inner) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// cleanReady is the neighbour part of P_C(u) for a process at status RF
+// with distance d: ∀v ∈ N(u), P_reset(v) ∧ ((st_v = RF ∧ d_v ≥ d) ∨ st_v = C).
+func (c *Composed) cleanReady(v sim.View, d int) bool {
+	net := v.Network()
+	for i, deg := 0, v.Degree(); i < deg; i++ {
+		nb := mustComposed(v.Neighbor(i))
+		switch nb.SDR.St {
+		case StatusRF:
+			if nb.SDR.D < d {
+				return false
+			}
+		case StatusC:
+		default:
+			return false
+		}
+		if !c.inner.IsReset(net.Neighbor(v.Process(), i), net, nb.Inner) {
+			return false
+		}
+	}
+	return true
 }
 
 // minBroadcastNeighborDistance returns the minimum d_v over neighbours v with

@@ -11,6 +11,8 @@ import "sdr/internal/sim"
 type InnerView struct {
 	view     sim.View
 	composed bool
+	// clean records that the caller has already established P_Clean(u).
+	clean bool
 }
 
 // Self returns the inner state of the process.
@@ -45,7 +47,7 @@ func (iv InnerView) Process() int { return iv.view.Process() }
 // Clean is the SDR predicate P_Clean(u): every member of the closed
 // neighbourhood has status C. In standalone runs (no SDR) it is always true.
 func (iv InnerView) Clean() bool {
-	if !iv.composed {
+	if !iv.composed || iv.clean {
 		return true
 	}
 	if SDRPart(iv.view.Self()).St != StatusC {

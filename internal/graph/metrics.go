@@ -55,21 +55,121 @@ func (g *Graph) Eccentricity(u int) int {
 
 // Diameter returns D, the maximum distance between any pair of nodes.
 // It returns -1 when the graph is disconnected and 0 for a single node.
+//
+// It runs iFUB (Crescenzi, Grossi, Habib, Lanzi and Marino, "On computing
+// the diameter of real-world undirected graphs", TCS 2013), which is exact
+// and usually needs a handful of BFS runs instead of one per node. The start
+// node u is the midpoint of a double sweep, whose length is a first lower
+// bound. iFUB then computes the eccentricities of the nodes farthest from u,
+// level by level, until the pairs left inside the remaining levels cannot
+// beat the lower bound. Two bounds decide that: iFUB's own, 2·(level−1),
+// and a two-centre bound, min(d(x,u)+d(u,y), d(x,w)+d(w,y)) for a node w
+// farthest from u, which closes antipodal graphs (even rings and tori,
+// hypercubes) where iFUB alone would visit half of the nodes. Every BFS
+// shares one set of buffers.
 func (g *Graph) Diameter() int {
-	if g.n == 0 {
+	if g.n <= 1 {
 		return 0
 	}
-	diam := 0
-	for u := 0; u < g.n; u++ {
-		ecc := g.Eccentricity(u)
-		if ecc < 0 {
-			return -1
-		}
-		if ecc > diam {
-			diam = ecc
+	dist := make([]int32, g.n)
+	queue := make([]int32, 0, g.n)
+
+	// Double sweep: a is farthest from node 0 and the path from a to a node
+	// b farthest from a gives the lower bound d(a,b); u is its midpoint.
+	queue = g.bfsInto(0, dist, queue)
+	if len(queue) < g.n {
+		return -1
+	}
+	a := int(queue[len(queue)-1])
+	queue = g.bfsInto(a, dist, queue)
+	b := int(queue[len(queue)-1])
+	lb := int(dist[b])
+	u := b
+	for dist[u] > int32(lb/2) {
+		for _, w := range g.row(u) {
+			if dist[w] == dist[u]-1 {
+				u = int(w)
+				break
+			}
 		}
 	}
-	return diam
+
+	// BFS from u: order lists the nodes by level, levelEnd[i] is the end of
+	// level i in order.
+	distU := make([]int32, g.n)
+	order := g.bfsInto(u, distU, make([]int32, 0, g.n))
+	eccU := int(distU[order[len(order)-1]])
+	lb = max(lb, eccU)
+	levelEnd := make([]int, eccU+1)
+	for i, x := range order {
+		levelEnd[distU[x]] = i + 1
+	}
+
+	// far[s] is the largest distance from w, a node farthest from u, over
+	// the nodes of level s.
+	w := int(order[len(order)-1])
+	queue = g.bfsInto(w, dist, queue)
+	far := make([]int, eccU+1)
+	for x, d := range dist {
+		far[distU[x]] = max(far[distU[x]], int(d))
+	}
+	suffix := make([]int, eccU+1)
+
+	for i, ub := eccU, 2*eccU; ub > lb; i-- {
+		// The nodes of the levels above i are done: every pair left lies
+		// within levels 0..i.
+		if !pairBoundExceeds(far, suffix, i, lb) {
+			return lb
+		}
+		bi := 0
+		for _, x := range order[levelEnd[i-1]:levelEnd[i]] {
+			queue = g.bfsInto(int(x), dist, queue)
+			bi = max(bi, int(dist[queue[len(queue)-1]]))
+		}
+		if max(lb, bi) > 2*(i-1) {
+			return max(lb, bi)
+		}
+		lb, ub = max(lb, bi), 2*(i-1)
+	}
+	return lb
+}
+
+// bfsInto runs a BFS from src, writing hop distances into dist (-1 for
+// unreachable nodes) and the visit order into queue, which it returns. The
+// order is sorted by distance, so its last node is a farthest one.
+func (g *Graph) bfsInto(src int, dist []int32, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue = append(queue[:0], int32(src))
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		next := dist[x] + 1
+		for _, y := range g.row(int(x)) {
+			if dist[y] < 0 {
+				dist[y] = next
+				queue = append(queue, y)
+			}
+		}
+	}
+	return queue
+}
+
+// pairBoundExceeds reports whether the two-centre bound allows two nodes of
+// levels 0..top to be more than lb apart: whether some levels s, t ≤ top
+// have s+t > lb and far[s]+far[t] > lb. suffix is scratch of len ≥ top+1.
+func pairBoundExceeds(far, suffix []int, top, lb int) bool {
+	suffix[top] = far[top]
+	for s := top - 1; s >= 0; s-- {
+		suffix[s] = max(far[s], suffix[s+1])
+	}
+	for s := 0; s <= top; s++ {
+		if t := max(lb+1-s, 0); t <= top && far[s]+suffix[t] > lb {
+			return true
+		}
+	}
+	return false
 }
 
 // Radius returns the minimum eccentricity over all nodes, or -1 when the

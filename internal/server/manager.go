@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -101,6 +102,7 @@ type Manager struct {
 	done          *obs.Counter
 	failed        *obs.Counter
 	interrupted   *obs.Counter
+	panicked      *obs.Counter // failed jobs whose campaign panicked
 	rejectedFull  *obs.Counter // backpressured submissions (429)
 	dedupInFlight *obs.Counter
 	dedupCached   *obs.Counter
@@ -134,6 +136,7 @@ func NewManager(cfg Config) *Manager {
 	m.done = reg.Counter("sdrd_jobs_finished_total", "Finished jobs by terminal state.", "state", "done")
 	m.failed = reg.Counter("sdrd_jobs_finished_total", "Finished jobs by terminal state.", "state", "failed")
 	m.interrupted = reg.Counter("sdrd_jobs_finished_total", "Finished jobs by terminal state.", "state", "interrupted")
+	m.panicked = reg.Counter("sdrd_jobs_panicked_total", "Jobs failed by a panic in their campaign (also counted as failed).")
 	m.rejectedFull = reg.Counter("sdrd_jobs_rejected_total", "Submissions rejected by queue backpressure.")
 	m.dedupInFlight = reg.Counter("sdrd_dedup_hits_total", "Submissions answered by an existing job.", "kind", "in_flight")
 	m.dedupCached = reg.Counter("sdrd_dedup_hits_total", "Submissions answered by an existing job.", "kind", "cached")
@@ -299,20 +302,8 @@ func (m *Manager) process(job *Job) {
 		return
 	}
 	m.running.Add(1)
-	m.mu.Lock()
-	hook := m.testJobStart
-	m.mu.Unlock()
-	if hook != nil {
-		hook(job)
-	}
-	if m.logger != nil {
-		m.logger.Info("job started", "job", job.ID, "hash", shortHash(job.Hash))
-	}
 	start := time.Now()
-	res, err := campaign.RunSink(job.Spec, job.log, campaign.Options{
-		Parallel: m.cfg.Parallel,
-		Context:  jctx,
-	})
+	res, err := m.run(jctx, job)
 	elapsed := time.Since(start)
 	job.log.finish()
 	switch {
@@ -332,6 +323,36 @@ func (m *Manager) process(job *Job) {
 		job.finishAs(StateDone, "", violations, time.Now())
 		m.finalize(job, StateDone, res, elapsed)
 	}
+}
+
+// run executes the job's campaign. A panic anywhere in it, on the worker
+// or in a trial of the bench pool (which re-panics here), fails the job
+// instead of the daemon: it is logged with its stack, counted, and
+// returned as the job's error.
+func (m *Manager) run(ctx context.Context, job *Job) (res *campaign.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked.Inc()
+			err = fmt.Errorf("server: job panicked: %v", r)
+			if m.logger != nil {
+				m.logger.Error("job panicked", "job", job.ID, "hash", shortHash(job.Hash),
+					"panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			}
+		}
+	}()
+	m.mu.Lock()
+	hook := m.testJobStart
+	m.mu.Unlock()
+	if hook != nil {
+		hook(job)
+	}
+	if m.logger != nil {
+		m.logger.Info("job started", "job", job.ID, "hash", shortHash(job.Hash))
+	}
+	return campaign.RunSink(job.Spec, job.log, campaign.Options{
+		Parallel: m.cfg.Parallel,
+		Context:  ctx,
+	})
 }
 
 // finalize moves a finished job into the bounded result cache and updates

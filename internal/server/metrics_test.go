@@ -181,3 +181,42 @@ func TestStructuredLifecycleLogs(t *testing.T) {
 		}
 	}
 }
+
+// TestPanickingJobFailsAndServerKeepsServing runs a job whose worker panics
+// (through the start hook) on a one-worker manager: the job must end
+// failed with the panic in its error, the panic must be counted, and the
+// same worker must then run the next submission to done.
+func TestPanickingJobFailsAndServerKeepsServing(t *testing.T) {
+	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Parallel: 2})
+	m.mu.Lock()
+	m.testJobStart = func(*Job) { panic("injected trial failure") }
+	m.mu.Unlock()
+
+	_, sr, _ := postJob(t, ts, sweepBody(t, 7))
+	job, _ := m.Get(sr.ID)
+	awaitState(t, job, StateFailed)
+	if st := job.Status(); !strings.Contains(st.Error, "injected trial failure") {
+		t.Fatalf("failed job error = %q, want the panic value", st.Error)
+	}
+
+	m.mu.Lock()
+	m.testJobStart = nil
+	m.mu.Unlock()
+	resp, sr2, _ := postJob(t, ts, sweepBody(t, 7))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit after panic: status %d, want a fresh job", resp.StatusCode)
+	}
+	next, _ := m.Get(sr2.ID)
+	awaitState(t, next, StateDone)
+
+	out, _ := scrapeMetrics(t, ts.URL)
+	if v := metricValue(t, out, "sdrd_jobs_panicked_total"); v != 1 {
+		t.Errorf("sdrd_jobs_panicked_total = %v, want 1", v)
+	}
+	if v := metricValue(t, out, `sdrd_jobs_finished_total{state="failed"}`); v != 1 {
+		t.Errorf(`sdrd_jobs_finished_total{state="failed"} = %v, want 1`, v)
+	}
+	if v := metricValue(t, out, "sdrd_jobs_running"); v != 0 {
+		t.Errorf("sdrd_jobs_running = %v after both jobs finished, want 0", v)
+	}
+}

@@ -220,17 +220,9 @@ func (d *GreedyAdversarialDaemon) Select(sel Selection) []int {
 	bestScore := -1
 	best := d.best[:0]
 	for _, u := range sel.Enabled {
-		v := sel.Net.View(sel.Config, u)
-		moved := false
-		for _, r := range d.ev.Rules() {
-			if r.Guard(v) {
-				states[u] = r.Action(v)
-				moved = true
-				break
-			}
-		}
 		score := base
-		if moved {
+		if ri := d.ev.FirstEnabledRule(sel.Config, u); ri >= 0 {
+			states[u] = d.ev.Rules()[ri].Action(sel.Net.View(sel.Config, u))
 			// u was enabled before the move by construction.
 			if !d.ev.Enabled(patched, u) {
 				score--

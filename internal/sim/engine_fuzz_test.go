@@ -15,8 +15,11 @@ import (
 // FirstEnabledRule (the only policy sharding admits) a run asked for k
 // shards must equal the one-shard run. The workloads have fewer than 64
 // processes, so the ⌈n/64⌉ cap runs that k-shard request on one shard;
-// TestShardedBitIdentical covers real partitions. The committed corpus
-// under testdata/fuzz covers every workload and daemon under both policies.
+// TestShardedBitIdentical covers real partitions. When the workload's
+// algorithm implements sim.RuleIndexer (the SDR compositions), its
+// FirstEnabled must also equal the first enabled Guard at every process of
+// the start and final configurations. The committed corpus under
+// testdata/fuzz covers every workload and daemon under both policies.
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add(uint32(1), uint8(0), uint8(0), false, uint8(1))
 	f.Add(uint32(2), uint8(1), uint8(2), true, uint8(1))
@@ -40,6 +43,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		inc := sim.NewEngine(w.net, w.alg, df.New(seed)).Run(w.start, opts()...)
 		ref := sim.NewEngine(w.net, w.alg, df.New(seed)).RunReference(w.start, opts()...)
 		assertResultsIdentical(t, label, inc, ref)
+		assertIndexerMatchesGuards(t, label+"/start", w.alg, w.net, w.start)
+		assertIndexerMatchesGuards(t, label+"/final", w.alg, w.net, ref.Final)
 		if random {
 			return
 		}
@@ -50,4 +55,29 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		}
 		assertResultsIdentical(t, fmt.Sprintf("%s/shards=%d", label, k), sharded, inc)
 	})
+}
+
+// assertIndexerMatchesGuards checks, when alg implements sim.RuleIndexer,
+// that FirstEnabled returns the index of the first rule whose Guard holds at
+// every process of c.
+func assertIndexerMatchesGuards(t *testing.T, label string, alg sim.Algorithm, net *sim.Network, c *sim.Configuration) {
+	t.Helper()
+	ix, ok := alg.(sim.RuleIndexer)
+	if !ok {
+		return
+	}
+	rules := alg.Rules()
+	for u := 0; u < net.N(); u++ {
+		v := net.View(c, u)
+		want := -1
+		for i := range rules {
+			if rules[i].Guard(v) {
+				want = i
+				break
+			}
+		}
+		if got := ix.FirstEnabled(v); got != want {
+			t.Fatalf("%s: FirstEnabled(%d) = %d, first enabled guard %d", label, u, got, want)
+		}
+	}
 }

@@ -47,7 +47,8 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 	// enabled at the start of the current round that have neither moved nor
 	// been neutralized yet. roundProgress records whether the current round
 	// saw any step, so that a final partial round is counted.
-	enabled := EnabledSet(e.alg, e.net, cur)
+	rules := e.alg.Rules()
+	enabled := referenceEnabledSet(rules, e.net, cur)
 	pending := make(map[int]bool, len(enabled))
 	for _, u := range enabled {
 		pending[u] = true
@@ -56,7 +57,6 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 
 	recordLegit(false)
 
-	rules := e.alg.Rules()
 	for len(enabled) > 0 {
 		if res.Steps >= o.maxSteps {
 			res.HitStepLimit = true
@@ -97,7 +97,7 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 		enabledBefore := enabled
 		prev := cur
 		cur = next
-		enabled = EnabledSet(e.alg, e.net, cur)
+		enabled = referenceEnabledSet(rules, e.net, cur)
 		roundProgress = true
 
 		// Update the pending set of the current round.
@@ -159,6 +159,24 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 	res.Final = cur
 	res.finish()
 	return res
+}
+
+// referenceEnabledSet is the retained enabled-set scan: it tries every
+// process's guards in order. It evaluates the Guard closures directly rather
+// than through Evaluator, so the oracle shares no code with an algorithm's
+// RuleIndexer.
+func referenceEnabledSet(rules []Rule, net *Network, c *Configuration) []int {
+	var enabled []int
+	for u := 0; u < net.N(); u++ {
+		v := net.View(c, u)
+		for _, r := range rules {
+			if r.Guard(v) {
+				enabled = append(enabled, u)
+				break
+			}
+		}
+	}
+	return enabled
 }
 
 // referenceSanitizeSelection is the retained map-based selection sanitizer:

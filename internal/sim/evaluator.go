@@ -1,16 +1,33 @@
 package sim
 
+// RuleIndexer is optionally implemented by an Algorithm that can find the
+// first enabled rule at a process faster than trying its guards one by one,
+// typically because its guards share sub-predicates. FirstEnabled(v) must
+// return exactly the index of the first rule of Rules() whose Guard holds at
+// v, or -1 when none does: the rule Guards stay the specification and the
+// indexer is only a faster way to evaluate them.
+type RuleIndexer interface {
+	FirstEnabled(v View) int
+}
+
 // Evaluator is the shared guard-evaluation path of the package: it snapshots
 // an algorithm's rule set once and answers enabledness questions against it.
-// The engine's hot loop, the package-level Enabled/EnabledSet/Terminal
-// helpers and the checker's state-space exploration all evaluate guards
-// through it, so callers that ask many enabledness questions about the same
-// algorithm (exhaustive exploration, lookahead daemons, benchmark checkers)
-// fetch the rule slice once instead of per process per call.
+// The engine's hot loop, the greedy daemon's lookahead, the package-level
+// Enabled/EnabledSet/Terminal helpers and the checker's state-space
+// exploration all evaluate guards through it, so callers that ask many
+// enabledness questions about the same algorithm fetch the rule slice once
+// instead of per process per call.
+//
+// FirstEnabledRule, Enabled, AppendEnabled and Terminal go through the
+// algorithm's RuleIndexer when it implements one. AppendEnabledRules always
+// evaluates every Guard, as do the paths that need the full enabled-rule
+// set: RandomEnabledRule's choice, the memo's mask fill and the checker's
+// transition enumeration.
 type Evaluator struct {
-	net   *Network
-	alg   Algorithm
-	rules []Rule
+	net     *Network
+	alg     Algorithm
+	rules   []Rule
+	indexer RuleIndexer
 }
 
 // NewEvaluator builds an evaluator for the algorithm on the network. It
@@ -19,7 +36,8 @@ func NewEvaluator(alg Algorithm, net *Network) *Evaluator {
 	if alg == nil || net == nil {
 		panic("sim: NewEvaluator requires an algorithm and a network")
 	}
-	return &Evaluator{net: net, alg: alg, rules: alg.Rules()}
+	ix, _ := alg.(RuleIndexer)
+	return &Evaluator{net: net, alg: alg, rules: alg.Rules(), indexer: ix}
 }
 
 // Algorithm returns the evaluated algorithm.
@@ -37,10 +55,14 @@ func (e *Evaluator) Enabled(c *Configuration, u int) bool {
 }
 
 // FirstEnabledRule returns the index of the first rule enabled at process u
-// in c, in declaration order, or -1 when none is. Guards after the first
-// enabled one are not evaluated.
+// in c, in declaration order, or -1 when none is. It asks the algorithm's
+// RuleIndexer when there is one; otherwise it evaluates the guards in order
+// and stops at the first enabled one.
 func (e *Evaluator) FirstEnabledRule(c *Configuration, u int) int {
 	v := e.net.View(c, u)
+	if e.indexer != nil {
+		return e.indexer.FirstEnabled(v)
+	}
 	for i := range e.rules {
 		if e.rules[i].Guard(v) {
 			return i

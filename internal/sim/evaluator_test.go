@@ -56,6 +56,38 @@ func TestEvaluatorReusesBuffers(t *testing.T) {
 	}
 }
 
+// lyingIndexer is maxPropagation with a RuleIndexer that answers a fixed
+// rule index, so a test can tell which path answered.
+type lyingIndexer struct {
+	maxPropagation
+	answer int
+}
+
+func (l lyingIndexer) FirstEnabled(View) int { return l.answer }
+
+// TestEvaluatorUsesRuleIndexer pins the indexer wiring: FirstEnabledRule and
+// everything built on it ask the algorithm's RuleIndexer, while
+// AppendEnabledRules keeps evaluating the guards.
+func TestEvaluatorUsesRuleIndexer(t *testing.T) {
+	net, _, c := evaluatorTestSetup(t)
+	guards := NewEvaluator(maxPropagation{}, net)
+	never := NewEvaluator(lyingIndexer{answer: -1}, net)
+	for u := 0; u < net.N(); u++ {
+		if got := never.FirstEnabledRule(c, u); got != -1 {
+			t.Fatalf("FirstEnabledRule(%d) = %d, want the indexer's -1", u, got)
+		}
+		if got, want := never.AppendEnabledRules(nil, c, u), guards.AppendEnabledRules(nil, c, u); !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendEnabledRules(%d) = %v, want the guards' %v", u, got, want)
+		}
+	}
+	if !never.Terminal(c) || len(never.AppendEnabled(nil, c)) != 0 {
+		t.Error("Terminal/AppendEnabled did not go through the indexer")
+	}
+	if guards.Terminal(c) {
+		t.Fatal("test configuration is terminal; pick one with an enabled process")
+	}
+}
+
 // TestKeyInternerEquivalence pins the interner to configuration equality:
 // within one interner, two configurations get equal keys exactly when they
 // assign equal states to every process.

@@ -34,7 +34,8 @@ func (a countingAlg) Rules() []Rule {
 // times in each step's re-evaluation, and the apply phase evaluates none.
 // RandomEnabledRule still evaluates the selected processes' guards when it
 // executes them. Both that run and a memoized one must still match the
-// reference engine.
+// reference engine. ticker implements no RuleIndexer, so every enabledness
+// question reaches its guard.
 func TestGuardEvaluatedOncePerStep(t *testing.T) {
 	const steps = 50
 	net := NewNetwork(graph.Ring(64))
