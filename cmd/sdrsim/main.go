@@ -234,7 +234,7 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 		fmt.Fprintf(out, "reset     : segments=%d, max SDR moves/process=%d (bound %d), alive-root creations=%d\n",
 			observer.Segments(), observer.MaxSDRMoves(), core.MaxSDRMovesPerProcess(run.Net.N()), observer.AliveRootViolations())
 	}
-	for _, line := range run.Report(res).Lines {
+	for _, line := range run.Report(res).Lines() {
 		fmt.Fprintln(out, line)
 	}
 	if prof != nil {

@@ -9,7 +9,8 @@
 //     branch-free Degree/Neighbor iteration, built by a Builder; churn
 //     derives each next topology with Graph.WithEdits;
 //   - internal/sim      — the locally shared memory model with composite
-//     atomicity, daemons, move/round accounting, the shared
+//     atomicity, daemons, move/round accounting, per-process legitimacy
+//     predicates decided over the neighbourhoods each step touched, the shared
 //     neighbourhood→enabled-rules memoization layer (MemoEvaluator,
 //     bit-identical to direct evaluation, with hit-rate telemetry), and the
 //     sharded engine (WithShards: shard-parallel steps over contiguous node

@@ -28,7 +28,7 @@ func TestEndToEndUnisonRecovery(t *testing.T) {
 	daemon := sim.NewDistributedRandomDaemon(rng, 0.5)
 	engine := sim.NewEngine(net, composed, daemon)
 	res := engine.Run(start,
-		sim.WithLegitimate(core.NormalPredicate(u, net)),
+		sim.WithLegitimate(core.NormalPredicate(u)),
 		sim.WithStopWhenLegitimate(),
 	)
 	if !res.LegitimateReached {
@@ -123,7 +123,7 @@ func TestEndToEndThreeInstantiationsShareTheReset(t *testing.T) {
 			daemon := sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(5)), 0.5)
 			res := sim.NewEngine(net, inst.comp, daemon).Run(start,
 				sim.WithMaxSteps(500_000),
-				sim.WithLegitimate(core.NormalPredicate(inst.comp.Inner(), net)),
+				sim.WithLegitimate(core.NormalPredicate(inst.comp.Inner())),
 				sim.WithStepHook(observer.Hook()),
 				sim.WithStopWhenLegitimate(),
 			)

@@ -55,14 +55,15 @@ func CheckInvariant(net *sim.Network, alg sim.Algorithm, daemon sim.Daemon, star
 
 // ConvergenceSample checks convergence from many random starting
 // configurations: for each sampled configuration the algorithm must reach a
-// configuration satisfying legit within maxSteps steps under the daemon
-// built by daemonFactory. It returns an error describing the first failure.
+// configuration where legit holds at every process within maxSteps steps
+// under the daemon built by daemonFactory. It returns an error describing
+// the first failure.
 func ConvergenceSample(
 	net *sim.Network,
 	alg sim.Algorithm,
 	daemonFactory sim.DaemonFactory,
 	buildStart func(rng *rand.Rand) *sim.Configuration,
-	legit sim.Predicate,
+	legit sim.ProcessPredicate,
 	trials, maxSteps int,
 	seed int64,
 ) error {

@@ -173,11 +173,14 @@ func TestConvergenceSample(t *testing.T) {
 		}
 		return sim.NewConfiguration(states)
 	}
-	if err := ConvergenceSample(net, alg, factory, buildStart, allAtCap(3, g.N()), 5, 10_000, 1); err != nil {
+	atCap := func(capValue int) sim.ProcessPredicate {
+		return func(v sim.View) bool { return v.Self().(counterState).V == capValue }
+	}
+	if err := ConvergenceSample(net, alg, factory, buildStart, atCap(3), 5, 10_000, 1); err != nil {
 		t.Errorf("the counter algorithm converges to the all-cap configuration: %v", err)
 	}
 	// An unreachable target must be reported.
-	if err := ConvergenceSample(net, alg, factory, buildStart, allAtCap(9, g.N()), 2, 1_000, 1); err == nil {
+	if err := ConvergenceSample(net, alg, factory, buildStart, atCap(9), 2, 1_000, 1); err == nil {
 		t.Error("an unreachable legitimate set must be reported")
 	}
 }

@@ -39,10 +39,12 @@ func indexerGraphs(rng *rand.Rand) []struct {
 	}
 }
 
-// namedComposition is one registered composition built on a network.
+// namedComposition is one registered composition built on a network, with
+// its registered per-process legitimacy predicate.
 type namedComposition struct {
-	name string
-	comp *core.Composed
+	name  string
+	comp  *core.Composed
+	legit sim.ProcessPredicate
 }
 
 // composedEntries builds every registered composition on net, in registry
@@ -69,7 +71,7 @@ func composedEntries(t *testing.T, g *graph.Graph, net *sim.Network) []namedComp
 		if !ok {
 			t.Fatalf("%s: composed entry built %T", name, asm.Algorithm)
 		}
-		out = append(out, namedComposition{name, comp})
+		out = append(out, namedComposition{name, comp, asm.Legitimate})
 	}
 	return out
 }

@@ -175,24 +175,15 @@ func IsDeadRoot(v sim.View) bool {
 	return true
 }
 
-// Normal reports whether the configuration is a normal configuration
-// (Definition 6 / Corollary 5): P_Clean(u) ∧ P_ICorrect(u) holds at every
-// process. Normal configurations are exactly the terminal configurations of
-// SDR (Theorem 1) and form the legitimate set of the composition.
-func Normal(inner Resettable, net *sim.Network, c *sim.Configuration) bool {
-	for u := 0; u < net.N(); u++ {
-		v := net.View(c, u)
-		if !PClean(v) || !PICorrect(inner, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// NormalPredicate returns Normal as a configuration predicate bound to the
-// inner algorithm and network, suitable for sim.WithLegitimate.
-func NormalPredicate(inner Resettable, net *sim.Network) sim.Predicate {
-	return func(c *sim.Configuration) bool { return Normal(inner, net, c) }
+// NormalPredicate returns the per-process conjunct of normal configurations
+// (Definition 6 / Corollary 5), P_Clean(u) ∧ P_ICorrect(u), bound to the
+// inner algorithm. A configuration is normal when it holds at every process
+// (sim.AllProcesses lifts it); normal configurations are exactly the
+// terminal configurations of SDR (Theorem 1) and form the legitimate set of
+// the composition. sim.WithLegitimate takes it as it is and decides it over
+// the neighbourhoods each step touched.
+func NormalPredicate(inner Resettable) sim.ProcessPredicate {
+	return func(v sim.View) bool { return PClean(v) && PICorrect(inner, v) }
 }
 
 // AliveRoots returns the sorted list of alive roots in the configuration.

@@ -278,19 +278,16 @@ func TestRootsAndNormal(t *testing.T) {
 	}
 
 	// Normal configurations: clean everywhere and I-correct everywhere.
-	if Normal(inner, net, cfg) {
+	if normal(inner, net, cfg) {
 		t.Error("a configuration with broadcasting processes is not normal")
 	}
 	good := composedConfig(t, allClean(3), []int{1, 1, 2})
-	if !Normal(inner, net, good) {
+	if !normal(inner, net, good) {
 		t.Error("an all-C, locally correct configuration is normal")
 	}
 	bad := composedConfig(t, allClean(3), []int{0, 2, 2})
-	if Normal(inner, net, bad) {
+	if normal(inner, net, bad) {
 		t.Error("an I-incorrect configuration is not normal")
-	}
-	if !NormalPredicate(inner, net)(good) || NormalPredicate(inner, net)(bad) {
-		t.Error("NormalPredicate must agree with Normal")
 	}
 }
 
@@ -304,9 +301,9 @@ func TestTerminalIffNormal(t *testing.T) {
 	comp := Compose(inner)
 	net := pathNetwork(t)
 
-	normal := composedConfig(t, allClean(3), []int{1, 1, 1})
+	normalCfg := composedConfig(t, allClean(3), []int{1, 1, 1})
 	for u := 0; u < 3; u++ {
-		for _, ri := range sim.EnabledRules(comp, net, normal, u) {
+		for _, ri := range sim.EnabledRules(comp, net, normalCfg, u) {
 			name := comp.Rules()[ri].Name
 			if IsSDRRule(name) {
 				t.Errorf("SDR rule %s enabled at %d in a normal configuration", name, u)
@@ -333,9 +330,9 @@ func TestTerminalIffNormal(t *testing.T) {
 						}
 					}
 				}
-				if terminalForSDR != Normal(inner, net, cfg) {
+				if terminalForSDR != normal(inner, net, cfg) {
 					t.Fatalf("Theorem 1 violated at %s: terminal-for-SDR=%v, normal=%v",
-						cfg, terminalForSDR, Normal(inner, net, cfg))
+						cfg, terminalForSDR, normal(inner, net, cfg))
 				}
 				checked++
 			}
@@ -344,4 +341,10 @@ func TestTerminalIffNormal(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no configurations checked")
 	}
+}
+
+// normal reports whether c is a normal configuration: NormalPredicate holds
+// at every process.
+func normal(inner Resettable, net *sim.Network, c *sim.Configuration) bool {
+	return sim.AllProcesses(net, NormalPredicate(inner))(c)
 }

@@ -66,7 +66,7 @@ func TestExhaustiveConvergenceOnTinyNetworks(t *testing.T) {
 
 			report, err := checker.Explore(net, comp, starts, checker.ExploreOptions{
 				MaxConfigurations: 400_000,
-				Legitimate:        NormalPredicate(inner, net),
+				Legitimate:        sim.AllProcesses(net, NormalPredicate(inner)),
 			})
 			if err != nil {
 				t.Fatalf("exploration failed: %v", err)
@@ -88,7 +88,7 @@ func TestNormalSetIsClosed(t *testing.T) {
 	comp := Compose(inner)
 	g := graph.Ring(5)
 	net := sim.NewNetwork(g)
-	normal := NormalPredicate(inner, net)
+	normal := sim.AllProcesses(net, NormalPredicate(inner))
 
 	start := sim.InitialConfiguration(comp, net)
 	if !normal(start) {
@@ -165,7 +165,7 @@ func TestConvergenceWithinRoundBound(t *testing.T) {
 			eng := sim.NewEngine(net, comp, df.New(int64(g.N())))
 			res := eng.Run(start,
 				sim.WithMaxSteps(200_000),
-				sim.WithLegitimate(NormalPredicate(inner, net)),
+				sim.WithLegitimate(NormalPredicate(inner)),
 				sim.WithStopWhenLegitimate(),
 			)
 			if !res.LegitimateReached {
@@ -199,7 +199,7 @@ func TestQuickConvergenceFromRandomConfigurations(t *testing.T) {
 		daemon := sim.NewDistributedRandomDaemon(rng, 0.5)
 		res := sim.NewEngine(net, comp, daemon).Run(start,
 			sim.WithMaxSteps(100_000),
-			sim.WithLegitimate(NormalPredicate(inner, net)),
+			sim.WithLegitimate(NormalPredicate(inner)),
 			sim.WithStopWhenLegitimate(),
 		)
 		return res.LegitimateReached && res.StabilizationRounds <= MaxResetRounds(net.N())
@@ -231,7 +231,7 @@ func TestCompositionIsSilentForTerminatingInner(t *testing.T) {
 		if !res.Terminated {
 			t.Fatalf("trial %d: composition did not terminate", trial)
 		}
-		if !Normal(inner, net, res.Final) {
+		if !normal(inner, net, res.Final) {
 			t.Fatalf("trial %d: terminal configuration %s is not normal", trial, res.Final)
 		}
 	}

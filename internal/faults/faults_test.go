@@ -171,7 +171,7 @@ func TestStandardScenariosProduceRecoverableStarts(t *testing.T) {
 			}
 			res := sim.NewEngine(net, comp, sim.NewDistributedRandomDaemon(rng, 0.5)).Run(start,
 				sim.WithMaxSteps(200_000),
-				sim.WithLegitimate(core.NormalPredicate(u, net)),
+				sim.WithLegitimate(core.NormalPredicate(u)),
 				sim.WithStopWhenLegitimate(),
 			)
 			if !res.LegitimateReached {

@@ -19,9 +19,10 @@ type Assembly struct {
 	// Inner is the inner Resettable when Algorithm is a composition I ∘ SDR,
 	// nil otherwise.
 	Inner core.Resettable
-	// Legitimate is the legitimacy predicate used to measure stabilization
-	// (nil when the entry defines none).
-	Legitimate sim.Predicate
+	// Legitimate is the per-process legitimacy predicate used to measure
+	// stabilization: a configuration is legitimate when it holds at every
+	// process (nil when the entry defines none).
+	Legitimate sim.ProcessPredicate
 	// Terminating reports whether executions terminate (silent algorithms).
 	Terminating bool
 }
@@ -39,8 +40,9 @@ type AlgorithmEntry struct {
 	Description string
 	// Build assembles the algorithm on the given network.
 	Build func(g *graph.Graph, net *sim.Network, p Params) (Assembly, error)
-	// Report renders the algorithm-specific outcome of a finished run
-	// (optional; nil means "no output check").
+	// Report decides the algorithm-specific outcome of a finished run
+	// (optional; nil means "no output check"). It formats nothing;
+	// Report.Lines formats the outcome on demand from what it computed.
 	Report func(r *Run, res sim.Result) Report
 }
 
@@ -83,7 +85,7 @@ func allianceSpecByName(name string) (alliance.Spec, error) {
 }
 
 // buildAllianceComposed assembles FGA ∘ SDR for the given spec.
-func buildAllianceComposed(spec alliance.Spec, g *graph.Graph, net *sim.Network) (Assembly, error) {
+func buildAllianceComposed(spec alliance.Spec, g *graph.Graph) (Assembly, error) {
 	if err := spec.Validate(g); err != nil {
 		return Assembly{}, fmt.Errorf("%w: %v", ErrUnsatisfiable, err)
 	}
@@ -91,7 +93,7 @@ func buildAllianceComposed(spec alliance.Spec, g *graph.Graph, net *sim.Network)
 	return Assembly{
 		Algorithm:   core.Compose(fga),
 		Inner:       fga,
-		Legitimate:  core.NormalPredicate(fga, net),
+		Legitimate:  core.NormalPredicate(fga),
 		Terminating: true,
 	}, nil
 }
@@ -104,7 +106,7 @@ func buildAllianceStandalone(spec alliance.Spec, g *graph.Graph) (Assembly, erro
 	return Assembly{Algorithm: core.NewStandalone(alliance.NewFGA(spec)), Terminating: true}, nil
 }
 
-// allianceReport renders the alliance outcome: the member set and whether it
+// allianceReport decides the alliance outcome: the member set and whether it
 // is a 1-minimal (f,g)-alliance.
 func allianceReport(spec alliance.Spec) func(r *Run, res sim.Result) Report {
 	return func(r *Run, res sim.Result) Report {
@@ -112,13 +114,26 @@ func allianceReport(spec alliance.Spec) func(r *Run, res sim.Result) Report {
 		isAlliance := alliance.IsAlliance(r.Net.Graph(), spec, members)
 		minimal := alliance.Is1Minimal(r.Net.Graph(), spec, members)
 		return Report{
-			Lines: []string{
-				fmt.Sprintf("alliance  : %v (size %d)", members, len(members)),
-				fmt.Sprintf("valid     : alliance=%v, 1-minimal=%v", isAlliance, minimal),
-			},
 			OK: res.Terminated && isAlliance && minimal,
+			render: func() []string {
+				return []string{
+					fmt.Sprintf("alliance  : %v (size %d)", members, len(members)),
+					fmt.Sprintf("valid     : alliance=%v, 1-minimal=%v", isAlliance, minimal),
+				}
+			},
 		}
 	}
+}
+
+// paramsAllianceReport serves the entries whose spec Params.AllianceSpec
+// names; an unknown name fails (Build already rejects it, so resolved runs
+// never get here).
+func paramsAllianceReport(r *Run, res sim.Result) Report {
+	spec, err := allianceSpecByName(r.Spec.Params.AllianceSpec)
+	if err != nil {
+		return Report{}
+	}
+	return allianceReport(spec)(r, res)
 }
 
 func init() {
@@ -132,7 +147,7 @@ func init() {
 			return Assembly{
 				Algorithm:  core.Compose(u),
 				Inner:      u,
-				Legitimate: core.NormalPredicate(u, net),
+				Legitimate: core.NormalPredicate(u),
 			}, nil
 		},
 		Report: unisonReport,
@@ -156,7 +171,7 @@ func init() {
 			return Assembly{
 				Algorithm:  core.Compose(u, core.WithUncooperativeResets()),
 				Inner:      u,
-				Legitimate: core.NormalPredicate(u, net),
+				Legitimate: core.NormalPredicate(u),
 			}, nil
 		},
 		Report: unisonReport,
@@ -167,7 +182,7 @@ func init() {
 		Description: "Boulinier-Petit-Villain self-stabilizing unison, the Section 5.3 baseline; K and α derived from the topology",
 		Build: func(g *graph.Graph, net *sim.Network, p Params) (Assembly, error) {
 			b := unison.NewBPVFor(g)
-			return Assembly{Algorithm: b, Legitimate: b.LegitimatePredicate(net)}, nil
+			return Assembly{Algorithm: b, Legitimate: b.LegitimatePredicate()}, nil
 		},
 		Report: func(r *Run, res sim.Result) Report {
 			return Report{OK: res.LegitimateReached}
@@ -183,7 +198,7 @@ func init() {
 			return Assembly{
 				Algorithm:   core.Compose(bfs),
 				Inner:       bfs,
-				Legitimate:  core.NormalPredicate(bfs, net),
+				Legitimate:  core.NormalPredicate(bfs),
 				Terminating: true,
 			}, nil
 		},
@@ -208,15 +223,9 @@ func init() {
 			if err != nil {
 				return Assembly{}, err
 			}
-			return buildAllianceComposed(spec, g, net)
+			return buildAllianceComposed(spec, g)
 		},
-		Report: func(r *Run, res sim.Result) Report {
-			spec, err := allianceSpecByName(r.Spec.Params.AllianceSpec)
-			if err != nil {
-				return Report{}
-			}
-			return allianceReport(spec)(r, res)
-		},
+		Report: paramsAllianceReport,
 	})
 	RegisterAlgorithm(AlgorithmEntry{
 		Name:        "alliance-standalone",
@@ -229,13 +238,7 @@ func init() {
 			}
 			return buildAllianceStandalone(spec, g)
 		},
-		Report: func(r *Run, res sim.Result) Report {
-			spec, err := allianceSpecByName(r.Spec.Params.AllianceSpec)
-			if err != nil {
-				return Report{}
-			}
-			return allianceReport(spec)(r, res)
-		},
+		Report: paramsAllianceReport,
 	})
 	// The six Section 6.1 special cases, each as composed and standalone
 	// entries, so that sweeps can name them directly.
@@ -247,7 +250,7 @@ func init() {
 			Composed:    true,
 			Description: fmt.Sprintf("FGA ∘ SDR computing a 1-minimal %s (Section 6.1)", spec.Name),
 			Build: func(g *graph.Graph, net *sim.Network, p Params) (Assembly, error) {
-				return buildAllianceComposed(spec, g, net)
+				return buildAllianceComposed(spec, g)
 			},
 			Report: allianceReport(spec),
 		})
@@ -263,26 +266,29 @@ func init() {
 	}
 }
 
-// unisonReport renders the unison outcome: the final clock configuration.
+// unisonReport decides the unison outcome; its lines show the final clock
+// configuration.
 func unisonReport(r *Run, res sim.Result) Report {
 	ok := true
 	if r.Legitimate != nil {
 		ok = res.LegitimateReached
 	}
 	return Report{
-		Lines: []string{fmt.Sprintf("final     : %s", res.Final)},
-		OK:    ok,
+		render: func() []string { return []string{fmt.Sprintf("final     : %s", res.Final)} },
+		OK:     ok,
 	}
 }
 
-// bfsReport renders the spanning-tree outcome: the distance vector and the
-// exactness of the tree.
+// bfsReport decides the spanning-tree outcome; its lines show the distance
+// vector and the exactness of the tree.
 func bfsReport(r *Run, res sim.Result) Report {
 	err := spantree.VerifyTree(r.Net.Graph(), r.Spec.Params.Root, res.Final)
 	return Report{
-		Lines: []string{
-			fmt.Sprintf("bfs tree  : distances=%v", spantree.Distances(res.Final)),
-			fmt.Sprintf("valid     : %v", err == nil),
+		render: func() []string {
+			return []string{
+				fmt.Sprintf("bfs tree  : distances=%v", spantree.Distances(res.Final)),
+				fmt.Sprintf("valid     : %v", err == nil),
+			}
 		},
 		OK: res.Terminated && err == nil,
 	}

@@ -61,7 +61,8 @@ type Params struct {
 	// MinDegree is the degree floor of the random-regular topology; 0 means 3.
 	MinDegree int
 	// Legs is the number of pendant nodes per spine node of the caterpillar
-	// topology; 0 means 1.
+	// topology; 0 means 1. An explicit value must be below n: every spine
+	// node carries all its legs, so Resolve rejects Legs ≥ n.
 	Legs int
 }
 
@@ -125,9 +126,10 @@ type Run struct {
 	// Inner is the inner Resettable when Alg is a composition I ∘ SDR,
 	// nil otherwise.
 	Inner core.Resettable
-	// Legitimate is the legitimacy predicate used to measure stabilization,
-	// nil when the entry defines none.
-	Legitimate sim.Predicate
+	// Legitimate is the per-process legitimacy predicate used to measure
+	// stabilization (a configuration is legitimate when it holds at every
+	// process), nil when the entry defines none.
+	Legitimate sim.ProcessPredicate
 	// Terminating reports whether executions of Alg terminate (silent
 	// algorithms); non-terminating runs stop at the first legitimate
 	// configuration instead.
@@ -271,10 +273,9 @@ func (r *Run) Observer() *core.Observer {
 	return o
 }
 
-// Report renders the algorithm-specific outcome of a finished run: the
-// computed output (alliance members, tree distances, clock values), the
-// correctness verdict of the entry's checker, and whether the run met its
-// goal (termination or stabilization).
+// Report decides the algorithm-specific outcome of a finished run: whether
+// the computed output satisfies the entry's checker and the run met its goal
+// (termination or stabilization). It formats nothing; Report.Lines does.
 func (r *Run) Report(res sim.Result) Report {
 	if r.Entry.Report == nil {
 		return Report{OK: true}
@@ -284,9 +285,19 @@ func (r *Run) Report(res sim.Result) Report {
 
 // Report is the algorithm-specific outcome of a run.
 type Report struct {
-	// Lines are rendered outcome lines for human-readable output.
-	Lines []string
 	// OK is the correctness verdict: the output satisfies the algorithm's
 	// specification (and the run stabilized/terminated as required).
 	OK bool
+	// render formats the outcome from the values the check computed; nil
+	// renders nothing.
+	render func() []string
+}
+
+// Lines formats the outcome for human-readable output: the computed output
+// (alliance members, tree distances, clock values) and its validity.
+func (rep Report) Lines() []string {
+	if rep.render == nil {
+		return nil
+	}
+	return rep.render()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sdr/internal/obs"
@@ -45,7 +46,7 @@ func TestResolveEveryAlgorithm(t *testing.T) {
 				t.Errorf("%s/%s: execution made no progress", name, fault)
 			}
 			// The report must render without panicking even on truncated runs.
-			_ = run.Report(res)
+			_ = run.Report(res).Lines()
 		}
 	}
 }
@@ -122,6 +123,30 @@ func TestResolveNeverPanics(t *testing.T) {
 	} {
 		sp.Daemon, sp.Seed, sp.MaxSteps = "synchronous", 1, 100
 		t.Run(fmt.Sprint(i), func(t *testing.T) { resolveNoPanic(t, sp) })
+	}
+}
+
+// TestResolveRejectsCaterpillarLegsAboveSize checks the caterpillar's size
+// bound: an explicit Params.Legs ≥ n is an error naming the bound instead of
+// a graph of legs+1 nodes or more, while Legs < n and the default (0, one
+// leg per spine node) build a graph of about n nodes.
+func TestResolveRejectsCaterpillarLegsAboveSize(t *testing.T) {
+	sp := Spec{Algorithm: "unison", Topology: "caterpillar", N: 6, Daemon: "synchronous", Seed: 1, MaxSteps: 100}
+	for _, legs := range []int{6, 7, 100_000} {
+		sp.Params.Legs = legs
+		if _, err := sp.Resolve(); err == nil || !strings.Contains(err.Error(), "must be below n") {
+			t.Errorf("Legs = %d, n = 6: got error %v, want the legs bound", legs, err)
+		}
+	}
+	for legs, want := range map[int]int{0: 6, 1: 6, 2: 6, 5: 6} {
+		sp.Params.Legs = legs
+		run, err := sp.Resolve()
+		if err != nil {
+			t.Fatalf("Legs = %d, n = 6: %v", legs, err)
+		}
+		if got := run.Net.N(); got != want {
+			t.Errorf("Legs = %d, n = 6: %d nodes, want %d", legs, got, want)
+		}
 	}
 }
 

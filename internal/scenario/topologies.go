@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 
 	"sdr/internal/graph"
@@ -116,6 +117,12 @@ func init() {
 		Name:        "caterpillar",
 		Description: "caterpillar tree: spine of ⌈n/(legs+1)⌉ nodes with Params.Legs pendant nodes each (default 1 leg)",
 		Build: func(n int, p Params, _ *rand.Rand) *graph.Graph {
+			// Every spine node carries all its legs, so the graph has at
+			// least legs+1 nodes whatever n asks for: an explicit legs ≥ n
+			// would let a small request build an arbitrarily large graph.
+			if p.Legs > 0 && p.Legs >= n {
+				panic(fmt.Sprintf("caterpillar: Params.Legs = %d must be below n = %d", p.Legs, n))
+			}
 			legs := p.Legs
 			if legs <= 0 {
 				legs = 1

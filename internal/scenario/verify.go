@@ -86,14 +86,15 @@ func (r *Run) Verify(opts VerifyOptions) (checker.ExploreReport, error) {
 	if err != nil {
 		return checker.ExploreReport{}, err
 	}
+	legit := sim.AllProcesses(r.Net, r.Legitimate)
 	return checker.Explore(r.Net, r.Alg, starts, checker.ExploreOptions{
 		MaxConfigurations: opts.MaxConfigurations,
 		MaxSelectionSize:  opts.MaxSelectionSize,
-		Legitimate:        r.Legitimate,
+		Legitimate:        legit,
 		// Terminal configurations must themselves be legitimate (for SDR
 		// compositions, terminal ⇔ normal, Theorem 1); checking it as a
 		// per-configuration predicate also covers truncated explorations.
-		TerminalOK: r.Legitimate,
+		TerminalOK: legit,
 		Workers:    opts.Workers,
 		Progress:   opts.Progress,
 	})

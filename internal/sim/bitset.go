@@ -27,6 +27,16 @@ func (b bitset) reset() {
 	}
 }
 
+// fill makes the set hold exactly the indices in [0, n).
+func (b bitset) fill(n int) {
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		b[len(b)-1] = 1<<uint(r) - 1
+	}
+}
+
 // copyFrom makes b an exact copy of o (same capacity required).
 func (b bitset) copyFrom(o bitset) { copy(b, o) }
 

@@ -52,7 +52,7 @@ type StepHook func(StepInfo)
 // as errors, Run panics on them.
 type Options struct {
 	maxSteps           int
-	legitimate         Predicate
+	legitimate         ProcessPredicate
 	hooks              []StepHook
 	ruleChoice         RuleChoicePolicy
 	rng                *rand.Rand
@@ -102,10 +102,18 @@ func WithMaxSteps(maxSteps int) Option {
 }
 
 // WithLegitimate sets the legitimacy predicate used to measure stabilization
-// time: the run records when the predicate first holds (and keeps running
-// until termination or the step bound, since legitimate configurations need
-// not be terminal).
-func WithLegitimate(p Predicate) Option {
+// time: a configuration is legitimate when p holds at every process. The run
+// records when that first happens (and keeps running until termination or
+// the step bound, since legitimate configurations need not be terminal).
+//
+// p reads one closed neighbourhood, like a guard, so a step can only change
+// its verdict at the processes whose closed neighbourhood the step touched.
+// The engine keeps the last verdict of every process and decides legitimacy
+// lazily: a known violator that the step did not touch settles the answer at
+// once, and otherwise only the touched processes are evaluated again, in
+// ascending order, stopping at the first violator. p must therefore be a
+// pure function of the view (states, topology and process index).
+func WithLegitimate(p ProcessPredicate) Option {
 	return func(o *Options) { o.legitimate = p }
 }
 
@@ -401,13 +409,19 @@ type engineRun struct {
 	cur, next *Configuration
 
 	res Result
-	// curLegit is the predicate's verdict on cur, kept current at every
+	// curLegit is the legitimacy verdict on cur, kept current at every
 	// boundary of an injected run: recovery tracking needs the current
-	// verdict, not the sticky first-stabilization one. Static runs keep the
-	// predicate out of the loop once the first legitimate configuration is
-	// recorded.
+	// verdict, not the sticky first-stabilization one. Static runs stop
+	// deciding once the first legitimate configuration is recorded; curLegit
+	// is then stale and nothing reads it.
 	curLegit   bool
 	openEvents []openEvent
+	// Legitimacy is decided per process (see WithLegitimate); both bitsets
+	// are nil without a predicate. bad holds the processes whose last
+	// evaluation violated the predicate, dirty the processes whose closed
+	// neighbourhood changed since their last evaluation. A process outside
+	// dirty still has the verdict bad records for it.
+	bad, dirty bitset
 
 	// enabledBits is the authoritative enabled set; enabledList is its
 	// sorted materialisation handed to daemons. firstRule[u] is the index of
@@ -477,6 +491,9 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 		prof:        o.profiler,
 		sharded:     o.shards > 1,
 	}
+	if o.legitimate != nil {
+		r.bad, r.dirty = newBitset(n), newBitset(n)
+	}
 	if o.memo != nil {
 		r.memo = NewMemoEvaluator(ev, o.memo)
 		if r.memo != nil && o.memoReadOnly {
@@ -536,11 +553,14 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 
 // reseed recomputes the whole enabled set and starts a fresh round at cur:
 // at the start of the run and after every injected event, whose state and
-// topology edits may have changed enabledness anywhere.
+// topology edits may have changed enabledness — and legitimacy — anywhere.
 func (r *engineRun) reseed() {
 	r.parallel((*engineRun).seedShard)
 	r.enabledList = r.enabledBits.appendIndices(r.enabledList[:0])
 	r.pending.copyFrom(r.enabledBits)
+	if r.dirty != nil {
+		r.dirty.fill(r.e.net.N())
+	}
 	r.evalLegit()
 	r.recordLegit(false)
 	r.closeRecovered(false)
@@ -770,13 +790,18 @@ func (r *engineRun) seedShard(sh *engineShard) {
 // it OR-merges every shard's touched marks for its own word range — the
 // only point where a shard observes its neighbours' writes — and
 // re-evaluates the marked processes of its range, updating exclusively its
-// own enabledBits words and firstRule entries.
+// own enabledBits words and firstRule entries. With a legitimacy predicate
+// the merged word also goes into the shard's own dirty words: the touched
+// processes are exactly those whose legitimacy verdict may have changed.
 func (r *engineRun) reevaluateShard(sh *engineShard) {
 	t := r.shardStart()
 	for wi := sh.wordLo; wi < sh.wordHi; wi++ {
 		var word uint64
 		for s := range r.shards {
 			word |= r.shards[s].touched[wi]
+		}
+		if r.dirty != nil {
+			r.dirty[wi] |= word
 		}
 		base := wi << 6
 		for word != 0 {
@@ -840,30 +865,51 @@ func (r *engineRun) account() {
 		if r.curLegit {
 			res.LegitimateSteps++
 		}
+	} else if !res.LegitimateReached {
+		r.evalLegit()
 	}
 	r.recordLegit(r.roundProgress)
 	r.closeRecovered(r.roundProgress)
 }
 
+// evalLegit brings curLegit up to date with cur (a no-op without a
+// predicate, where curLegit stays false).
 func (r *engineRun) evalLegit() {
-	if r.o.legitimate != nil {
-		r.curLegit = r.o.legitimate(r.cur)
+	if r.dirty != nil {
+		r.curLegit = r.legitimate()
 	}
 }
 
-// recordLegit records the first legitimate configuration. Injected runs
-// reuse the boundary's curLegit instead of re-evaluating the predicate.
-func (r *engineRun) recordLegit(partialRound bool) {
-	if r.res.LegitimateReached || r.o.legitimate == nil {
-		return
-	}
-	if r.o.injector != nil {
-		if r.curLegit {
-			r.res.markLegitimate(partialRound)
+// legitimate decides whether the predicate holds at every process of cur. A
+// violator whose closed neighbourhood did not change since it was evaluated
+// is still one, so any bit of bad outside dirty answers no in O(n/64).
+// Otherwise the dirty processes are evaluated in ascending order, each
+// leaving dirty and updating bad, until the first violator; the dirty
+// processes after it keep their marks for a later call.
+func (r *engineRun) legitimate() bool {
+	for wi, w := range r.bad {
+		if w&^r.dirty[wi] != 0 {
+			return false
 		}
-		return
 	}
-	if r.o.legitimate(r.cur) {
+	for wi := range r.dirty {
+		for r.dirty[wi] != 0 {
+			b := bits.TrailingZeros64(r.dirty[wi])
+			r.dirty[wi] &^= 1 << uint(b)
+			u := wi<<6 | b
+			if !r.o.legitimate(r.e.net.View(r.cur, u)) {
+				r.bad.set(u)
+				return false
+			}
+			r.bad.clear(u)
+		}
+	}
+	return true
+}
+
+// recordLegit records the first legitimate configuration from curLegit.
+func (r *engineRun) recordLegit(partialRound bool) {
+	if !r.res.LegitimateReached && r.curLegit {
 		r.res.markLegitimate(partialRound)
 	}
 }

@@ -99,30 +99,43 @@ func BenchmarkEngineGreedyAdversarialReference(b *testing.B) {
 
 // TestSteadyStateAllocationFree pins the allocation-free steady state of the
 // one-shard engine loop: doubling the step budget of a synchronous run must
-// not add a single allocation, with and without a memo attached. Per-step
-// allocations (a closure built per phase, a buffer regrown per step) fail it.
+// not add a single allocation — plain, with a memo attached, and deciding a
+// legitimacy predicate every step, statically (it never holds) and under an
+// injector (it always holds). Per-step allocations (a closure built per
+// phase, a buffer regrown per step) fail it.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector: its instrumentation allocates on the memoized path")
 	}
 	net := NewNetwork(graph.Ring(256))
 	start := InitialConfiguration(ticker{}, net)
+	last := net.N() - 1
 	const k = 200
-	for _, memo := range []bool{false, true} {
+	cases := []struct {
+		name string
+		opts func() []Option
+	}{
+		{"plain", func() []Option { return nil }},
+		{"memo", func() []Option { return []Option{WithMemo(NewMemoShare(1 << 10))} }},
+		{"legit-static", func() []Option {
+			return []Option{WithLegitimate(func(v View) bool { return v.Process() != last })}
+		}},
+		{"legit-injected", func() []Option {
+			return []Option{WithLegitimate(func(View) bool { return true }), WithInjector(quietInjector{})}
+		}},
+	}
+	for _, c := range cases {
 		allocs := func(steps int) float64 {
 			return testing.AllocsPerRun(5, func() {
-				opts := []Option{WithMaxSteps(steps)}
-				if memo {
-					opts = append(opts, WithMemo(NewMemoShare(1<<10)))
-				}
+				opts := append([]Option{WithMaxSteps(steps)}, c.opts()...)
 				res := NewEngine(net, ticker{}, SynchronousDaemon{}).Run(start, opts...)
-				if res.Steps != steps || memo != (res.Memo.Lookups() > 0) {
-					t.Fatalf("memo=%v: ran %d steps (want %d) with %d memo lookups", memo, res.Steps, steps, res.Memo.Lookups())
+				if res.Steps != steps || (c.name == "memo") != (res.Memo.Lookups() > 0) {
+					t.Fatalf("%s: ran %d steps (want %d) with %d memo lookups", c.name, res.Steps, steps, res.Memo.Lookups())
 				}
 			})
 		}
 		if once, twice := allocs(k), allocs(2*k); twice > once {
-			t.Errorf("memo=%v: %d steps allocate %v times, %d steps %v times", memo, k, once, 2*k, twice)
+			t.Errorf("%s: %d steps allocate %v times, %d steps %v times", c.name, k, once, 2*k, twice)
 		}
 	}
 }

@@ -95,7 +95,7 @@ func diffWorkloads(seed int64) []diffWorkload {
 			start: start,
 			opts: []sim.Option{
 				sim.WithMaxSteps(20_000),
-				sim.WithLegitimate(core.NormalPredicate(u, net)),
+				sim.WithLegitimate(core.NormalPredicate(u)),
 				sim.WithStopWhenLegitimate(),
 			},
 		})
@@ -160,7 +160,7 @@ func diffWorkloads(seed int64) []diffWorkload {
 			start: start,
 			opts: []sim.Option{
 				sim.WithMaxSteps(300),
-				sim.WithLegitimate(bpv.LegitimatePredicate(net)),
+				sim.WithLegitimate(bpv.LegitimatePredicate()),
 			},
 		})
 	}

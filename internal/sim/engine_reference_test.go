@@ -2,8 +2,8 @@ package sim
 
 // This file retains the straightforward engine implementation that predates
 // the incremental enabled-set engine: it rescans every process after each
-// step, clones the configuration per step, and keeps the round accounting in
-// maps. It is deliberately kept simple and obviously correct; the
+// step, decides legitimacy over the whole configuration, clones the
+// configuration per step, and keeps the round accounting in maps. It is deliberately kept simple and obviously correct; the
 // differential tests in engine_diff_test.go assert that Run produces
 // bit-identical Results to RunReference across algorithms, daemons and
 // seeds, and the benchmarks in engine_bench_test.go quantify the speedup.
@@ -34,11 +34,17 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 	cur := start.Clone()
 	res := newResult(n)
 
+	// The oracle decides legitimacy by the definition: the per-process
+	// predicate at every process of the whole configuration, every time.
+	var legit Predicate
+	if o.legitimate != nil {
+		legit = AllProcesses(e.net, o.legitimate)
+	}
 	recordLegit := func(partialRound bool) {
-		if res.LegitimateReached || o.legitimate == nil {
+		if res.LegitimateReached || legit == nil {
 			return
 		}
-		if o.legitimate(cur) {
+		if legit(cur) {
 			res.markLegitimate(partialRound)
 		}
 	}

@@ -69,7 +69,7 @@ func TestReStabilizationAccounting(t *testing.T) {
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
 	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(21)))
-	legit := core.NormalPredicate(u, net)
+	legit := core.NormalPredicate(u)
 	opts := func(extra ...sim.Option) []sim.Option {
 		return append([]sim.Option{
 			sim.WithMaxSteps(100_000),
@@ -315,7 +315,7 @@ func TestConcurrentChurnedRunsShareOneGraph(t *testing.T) {
 		}
 		res, err := sim.NewEngine(net, comp, sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(seed)), 0.5)).
 			RunE(start, sim.WithMaxSteps(3_000), sim.WithInjector(inj),
-				sim.WithLegitimate(core.NormalPredicate(comp.Inner(), net)), sim.WithStopWhenLegitimate())
+				sim.WithLegitimate(core.NormalPredicate(comp.Inner())), sim.WithStopWhenLegitimate())
 		if err != nil {
 			t.Error(err)
 		}

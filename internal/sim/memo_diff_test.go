@@ -128,7 +128,7 @@ func TestMemoChurnMatchesPlain(t *testing.T) {
 		}
 		opts := append([]sim.Option{
 			sim.WithMaxSteps(4_000),
-			sim.WithLegitimate(core.NormalPredicate(u, net)),
+			sim.WithLegitimate(core.NormalPredicate(u)),
 			sim.WithInjector(inj),
 		}, extra...)
 		return setup{net: net, alg: comp, start: start, opts: opts}

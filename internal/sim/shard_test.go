@@ -41,7 +41,7 @@ func shardWorkloads(seed int64) []diffWorkload {
 			start: start,
 			opts: []sim.Option{
 				sim.WithMaxSteps(600),
-				sim.WithLegitimate(core.NormalPredicate(u, net)),
+				sim.WithLegitimate(core.NormalPredicate(u)),
 				sim.WithStopWhenLegitimate(),
 			},
 		})
@@ -222,7 +222,7 @@ func TestShardedInjectorCrossShardChurn(t *testing.T) {
 		comp := core.Compose(u)
 		o := []sim.Option{
 			sim.WithMaxSteps(50_000),
-			sim.WithLegitimate(core.NormalPredicate(u, net)),
+			sim.WithLegitimate(core.NormalPredicate(u)),
 			sim.WithStopWhenLegitimate(),
 			sim.WithInjector(makeInjector()),
 			sim.WithShards(shards),

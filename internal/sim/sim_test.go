@@ -274,14 +274,7 @@ func TestRunStepLimit(t *testing.T) {
 func TestRunLegitimateTracking(t *testing.T) {
 	g := graph.Path(5)
 	net := NewNetwork(g)
-	legit := func(c *Configuration) bool {
-		for u := 0; u < c.N(); u++ {
-			if c.State(u).(intState).v != g.N()-1 {
-				return false
-			}
-		}
-		return true
-	}
+	legit := func(v View) bool { return v.Self().(intState).v == g.N()-1 }
 	eng := NewEngine(net, maxPropagation{}, SynchronousDaemon{})
 	res := eng.Run(InitialConfiguration(maxPropagation{}, net), WithLegitimate(legit))
 	if !res.LegitimateReached {
@@ -307,8 +300,8 @@ func TestRunLegitimateTracking(t *testing.T) {
 
 func TestRunStopWhenLegitimate(t *testing.T) {
 	net := NewNetwork(graph.Ring(5))
-	legitAfter := func(c *Configuration) bool {
-		return c.State(0).(intState).v >= 2
+	legitAfter := func(v View) bool {
+		return v.Process() != 0 || v.Self().(intState).v >= 2
 	}
 	eng := NewEngine(net, ticker{}, SynchronousDaemon{})
 	res := eng.Run(InitialConfiguration(ticker{}, net),
@@ -594,7 +587,7 @@ func TestQuickMaxPropagationCorrect(t *testing.T) {
 // conservative upper estimates. Run and RunReference must agree.
 func TestStabilizationRoundsCountsPartialRound(t *testing.T) {
 	net := NewNetwork(graph.Ring(3))
-	legit := func(c *Configuration) bool { return c.State(0).(intState).v >= 1 }
+	legit := func(v View) bool { return v.Process() != 0 || v.Self().(intState).v >= 1 }
 	opts := func() []Option {
 		return []Option{WithLegitimate(legit), WithStopWhenLegitimate(), WithMaxSteps(100)}
 	}

@@ -236,18 +236,18 @@ func (b *BPV) mustReset(v sim.View) bool {
 	return false
 }
 
-// LegitimatePredicate returns the legitimacy predicate of the baseline on the
-// network's current topology: every clock is in the ring and every edge
-// satisfies the unison drift bound.
-func (b *BPV) LegitimatePredicate(net *sim.Network) sim.Predicate {
-	return func(c *sim.Configuration) bool {
-		for u := 0; u < c.N(); u++ {
-			if bpvClock(c.State(u)) < 0 {
-				return false
-			}
+// LegitimatePredicate returns the per-process legitimacy predicate of the
+// baseline: the process's clock is in the ring and within the unison drift
+// bound of every neighbour's clock. It holds at every process exactly when
+// every clock is in the ring and every edge satisfies the drift bound.
+func (b *BPV) LegitimatePredicate() sim.ProcessPredicate {
+	return func(v sim.View) bool {
+		x := bpvClock(v.Self())
+		if x < 0 {
+			return false
 		}
-		for _, e := range net.Graph().Edges() {
-			if CircularDistance(bpvClock(c.State(e[0])), bpvClock(c.State(e[1])), b.k) > 1 {
+		for i := 0; i < v.Degree(); i++ {
+			if CircularDistance(x, bpvClock(v.Neighbor(i)), b.k) > 1 {
 				return false
 			}
 		}

@@ -83,7 +83,7 @@ func TestBPVFromInitBehavesAsUnison(t *testing.T) {
 	g := graph.Ring(6)
 	b := NewBPVFor(g)
 	net := sim.NewNetwork(g)
-	legit := b.LegitimatePredicate(net)
+	legit := sim.AllProcesses(net, b.LegitimatePredicate())
 
 	violations := 0
 	ticks := make([]int, g.N())
@@ -120,7 +120,7 @@ func TestBPVStabilizesFromRandomConfigurations(t *testing.T) {
 	for _, g := range topologies {
 		b := NewBPVFor(g)
 		net := sim.NewNetwork(g)
-		legit := b.LegitimatePredicate(net)
+		legit := b.LegitimatePredicate()
 		for trial := 0; trial < 5; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial * 31)))
 			start := faults.MustRandomConfiguration(b, net, rng)
@@ -139,7 +139,7 @@ func TestBPVStabilizesFromRandomConfigurations(t *testing.T) {
 func TestBPVLegitimatePredicate(t *testing.T) {
 	g := graph.Path(3)
 	b := NewBPV(5, 2)
-	legit := b.LegitimatePredicate(sim.NewNetwork(g))
+	legit := sim.AllProcesses(sim.NewNetwork(g), b.LegitimatePredicate())
 	mk := func(values ...int) *sim.Configuration {
 		states := make([]sim.State, len(values))
 		for i, v := range values {

@@ -37,14 +37,6 @@ func MaxStabilizationMoves(n, d int) int {
 // everywhere, each process moves at most 3D times.
 func MaxStandaloneMovesPerProcess(d int) int { return 3 * d }
 
-// NormalPredicate returns the legitimacy predicate of U ∘ SDR on the given
-// network: the normal configurations of the composition (P_Clean ∧
-// P_ICorrect everywhere), which is exactly the legitimate set used in the
-// paper's self-stabilization proof.
-func NormalPredicate(u *Unison, net *sim.Network) sim.Predicate {
-	return core.NormalPredicate(u, net)
-}
-
 // SafetyPredicate returns the unison safety condition on the given network
 // for composed states: the clocks of every two neighbours are at most one
 // increment apart (circular distance ≤ 1 modulo K).

@@ -38,7 +38,7 @@ func TestSelfStabilizationRoundsAndMoves(t *testing.T) {
 		u := New(DefaultPeriod(n))
 		comp := core.Compose(u)
 		net := sim.NewNetwork(g)
-		normal := core.NormalPredicate(u, net)
+		normal := core.NormalPredicate(u)
 
 		for trial := 0; trial < 4; trial++ {
 			rng := rand.New(rand.NewSource(int64(100*n + trial)))
@@ -78,7 +78,7 @@ func TestSpecificationHoldsAfterStabilization(t *testing.T) {
 	eng := sim.NewEngine(net, comp, daemon)
 
 	res := eng.Run(start,
-		sim.WithLegitimate(core.NormalPredicate(u, net)),
+		sim.WithLegitimate(core.NormalPredicate(u)),
 		sim.WithStopWhenLegitimate(),
 	)
 	if !res.LegitimateReached {
@@ -116,7 +116,7 @@ func TestNormalPredicateClosedForUnison(t *testing.T) {
 	net := sim.NewNetwork(g)
 	start := sim.InitialConfiguration(comp, net)
 	for _, df := range sim.StandardDaemonFactories() {
-		if err := checker.CheckClosure(net, comp, df.New(1), start, NormalPredicate(u, net), 3_000); err != nil {
+		if err := checker.CheckClosure(net, comp, df.New(1), start, sim.AllProcesses(net, core.NormalPredicate(u)), 3_000); err != nil {
 			t.Errorf("normal set not closed under %s: %v", df.Name, err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestExhaustiveUnisonConvergenceTinyRing(t *testing.T) {
 	}
 	report, err := checker.Explore(net, comp, starts, checker.ExploreOptions{
 		MaxConfigurations: 600_000,
-		Legitimate:        NormalPredicate(u, net),
+		Legitimate:        sim.AllProcesses(net, core.NormalPredicate(u)),
 	})
 	if err != nil {
 		t.Fatalf("exploration failed: %v", err)
@@ -172,7 +172,7 @@ func TestUncooperativeVariantStillStabilizes(t *testing.T) {
 	start := faults.MustRandomConfiguration(comp, net, rng)
 	res := sim.NewEngine(net, comp, sim.NewDistributedRandomDaemon(rng, 0.5)).Run(start,
 		sim.WithMaxSteps(500_000),
-		sim.WithLegitimate(core.NormalPredicate(u, net)),
+		sim.WithLegitimate(core.NormalPredicate(u)),
 		sim.WithStopWhenLegitimate(),
 	)
 	if !res.LegitimateReached {

@@ -110,9 +110,16 @@ func clockOf(s sim.State) int {
 	return cs.C
 }
 
-// ok is P_Ok(u, v) ≡ c_v ∈ {(c_u-1)%K, c_u, (c_u+1)%K}.
+// ok is P_Ok(u, v) ≡ c_v ∈ {(c_u-1)%K, c_u, (c_u+1)%K}. Clocks are always
+// in [0, K) — they start and reset at 0, tick modulo K, and every other
+// state (faults, churn, the checker) comes from EnumerateInner or
+// InnerStateAt — so that is a difference c_v - c_u of 0, ±1 or ±(K-1).
 func (u *Unison) ok(cu, cv int) bool {
-	return cv == cu || cv == mod(cu+1, u.k) || cv == mod(cu-1, u.k)
+	switch cv - cu {
+	case 0, 1, -1, u.k - 1, 1 - u.k:
+		return true
+	}
+	return false
 }
 
 // ICorrect implements core.Resettable:

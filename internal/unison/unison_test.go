@@ -283,3 +283,20 @@ func TestBoundsFormulas(t *testing.T) {
 		t.Errorf("MaxStandaloneMovesPerProcess(5) = %d, want 15", MaxStandaloneMovesPerProcess(5))
 	}
 }
+
+// TestOkMatchesModularForm checks P_Ok's difference form against its modular
+// definition for every pair of clocks in [0, K), the only values a clock
+// takes, for periods from 2 up.
+func TestOkMatchesModularForm(t *testing.T) {
+	for k := 2; k <= 7; k++ {
+		u := New(k)
+		for cu := 0; cu < k; cu++ {
+			for cv := 0; cv < k; cv++ {
+				want := cv == cu || cv == mod(cu+1, k) || cv == mod(cu-1, k)
+				if got := u.ok(cu, cv); got != want {
+					t.Fatalf("K=%d: ok(%d, %d) = %v, want %v", k, cu, cv, got, want)
+				}
+			}
+		}
+	}
+}
