@@ -166,7 +166,7 @@ func (i *Injector) randomState(u int, net *sim.Network) sim.State {
 		return i.indexed.StateAt(u, net, i.rng.Intn(i.indexed.StateCount(u, net)))
 	}
 	options := i.enum.EnumerateStates(u, net)
-	return options[i.rng.Intn(len(options))].Clone()
+	return options[i.rng.Intn(len(options))]
 }
 
 // targets picks the processes a targeted event hits: count uniformly random

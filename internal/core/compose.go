@@ -46,6 +46,8 @@ func WithUncooperativeResets() ComposeOption {
 // Composed is the composition I ∘ SDR (Section 2.5): the distributed
 // algorithm whose local program is the union of the rules of SDR and of the
 // input algorithm I, over the product state. It implements sim.Algorithm.
+// Its rule actions return shared boxes from a hash-consing table, so a move
+// to a state the table holds allocates nothing.
 type Composed struct {
 	inner      Resettable
 	innerRules []InnerRule
@@ -143,7 +145,7 @@ func (c *Composed) EnumerateStates(u int, net *sim.Network) []sim.State {
 		}
 		for d := 0; d <= maxD; d++ {
 			for _, in := range inners {
-				out = append(out, ComposedState{SDR: SDRState{St: st, D: d}, Inner: in.Clone()})
+				out = append(out, ComposedState{SDR: SDRState{St: st, D: d}, Inner: in})
 			}
 		}
 	}
@@ -162,13 +164,13 @@ func innerStateCount(inner Resettable, u int, net *sim.Network) int {
 	return 0
 }
 
-// innerStateAt returns the j-th inner state as a fresh value, indexed when
-// the inner algorithm supports it.
+// innerStateAt returns the j-th inner state, indexed when the inner
+// algorithm supports it.
 func innerStateAt(inner Resettable, u int, net *sim.Network, j int) sim.State {
 	if ix, ok := inner.(InnerIndexedEnumerable); ok {
 		return ix.InnerStateAt(u, net, j)
 	}
-	return inner.(InnerEnumerable).EnumerateInner(u, net)[j].Clone()
+	return inner.(InnerEnumerable).EnumerateInner(u, net)[j]
 }
 
 // StateCount implements sim.IndexedEnumerable: the composed space is the
@@ -196,7 +198,9 @@ func (c *Composed) StateAt(u int, net *sim.Network, i int) sim.State {
 	return ComposedState{SDR: sdr, Inner: innerStateAt(c.inner, u, net, j)}
 }
 
-// buildRules assembles the composed rule set.
+// buildRules assembles the composed rule set. Every action returns its
+// state through the box table; inner states are immutable values, so rule_RF
+// and rule_C keep the process's inner state as it is.
 func (c *Composed) buildRules() []sim.Rule {
 	inner := c.inner
 	uncoop := c.opts.uncooperative
@@ -211,7 +215,7 @@ func (c *Composed) buildRules() []sim.Rule {
 				if !uncoop {
 					sdr.D = minBroadcastNeighborDistance(v) + 1
 				}
-				return ComposedState{SDR: sdr, Inner: inner.ResetState(v.Process(), networkOf(v))}
+				return boxes.box(ComposedState{SDR: sdr, Inner: inner.ResetState(v.Process(), networkOf(v))})
 			},
 		},
 		{
@@ -220,7 +224,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			Guard: func(v sim.View) bool { return PRF(inner, v) },
 			Action: func(v sim.View) sim.State {
 				cs := mustComposed(v.Self())
-				return ComposedState{SDR: SDRState{St: StatusRF, D: cs.SDR.D}, Inner: cs.Inner.Clone()}
+				return boxes.box(ComposedState{SDR: SDRState{St: StatusRF, D: cs.SDR.D}, Inner: cs.Inner})
 			},
 		},
 		{
@@ -229,7 +233,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			Guard: func(v sim.View) bool { return PC(inner, v) },
 			Action: func(v sim.View) sim.State {
 				cs := mustComposed(v.Self())
-				return ComposedState{SDR: SDRState{St: StatusC, D: cs.SDR.D}, Inner: cs.Inner.Clone()}
+				return boxes.box(ComposedState{SDR: SDRState{St: StatusC, D: cs.SDR.D}, Inner: cs.Inner})
 			},
 		},
 		{
@@ -237,10 +241,10 @@ func (c *Composed) buildRules() []sim.Rule {
 			Name:  RuleR,
 			Guard: func(v sim.View) bool { return PUp(inner, v) },
 			Action: func(v sim.View) sim.State {
-				return ComposedState{
+				return boxes.box(ComposedState{
 					SDR:   SDRState{St: StatusRB, D: 0},
 					Inner: inner.ResetState(v.Process(), networkOf(v)),
-				}
+				})
 			},
 		},
 	}
@@ -260,7 +264,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			},
 			Action: func(v sim.View) sim.State {
 				cs := mustComposed(v.Self())
-				return ComposedState{SDR: cs.SDR, Inner: ir.Action(NewInnerView(v))}
+				return boxes.box(ComposedState{SDR: cs.SDR, Inner: ir.Action(NewInnerView(v))})
 			},
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"sdr/internal/sim"
 )
@@ -17,10 +18,9 @@ type ComposedState struct {
 
 var _ sim.State = ComposedState{}
 
-// Clone implements sim.State.
-func (s ComposedState) Clone() sim.State {
-	return ComposedState{SDR: s.SDR, Inner: s.Inner.Clone()}
-}
+// Clone implements sim.State. Both parts are immutable values, so the value
+// is its own copy.
+func (s ComposedState) Clone() sim.State { return s }
 
 // Equal implements sim.State.
 func (s ComposedState) Equal(other sim.State) bool {
@@ -57,6 +57,49 @@ func (s ComposedState) Key64() (uint64, bool) {
 	return ik<<18 | zd<<2 | uint64(s.SDR.St-StatusC), true
 }
 
+// boxTableBits sets the size of the box table: 1<<12 slots.
+const boxTableBits = 12
+
+// boxTable hash-conses the states composed rule actions return (Filliâtre &
+// Conchon, "Type-safe modular hash-consing", 2006): after the first reset
+// wave a composition whose product state takes few distinct values hands
+// out boxes an earlier move already built instead of boxing a fresh
+// ComposedState per move. It is direct-mapped and lock-free: a slot holds
+// the last box published to it (always a ComposedState), and concurrent
+// shards read and replace slots atomically. Sharing is exact because states
+// are immutable values and a hit is confirmed by comparing values, never by
+// the hash alone. A miss costs the one box a plain construction costs.
+type boxTable [1 << boxTableBits]atomic.Value
+
+// boxes is the table the rule actions of every composition share. Like a
+// sync.Pool it changes no result, only which equal box a caller gets, so
+// compositions of different inner algorithms (a hit compares Inner's
+// dynamic type too) and concurrent runs may share it, and composing
+// allocates no table.
+var boxes boxTable
+
+// box returns cs as a sim.State: the slot's box when it holds a value equal
+// to cs (the SDR fields, and Inner by dynamic type and value), and otherwise
+// a fresh box, which it publishes to the slot. A state whose Key64 does not
+// fit is boxed without touching the table.
+func (t *boxTable) box(cs ComposedState) sim.State {
+	k, ok := cs.Key64()
+	if !ok {
+		return cs
+	}
+	slot := &t[boxSlot(k)]
+	if held := slot.Load(); held != nil && held.(ComposedState) == cs {
+		return held.(sim.State)
+	}
+	s := sim.State(cs)
+	slot.Store(s)
+	return s
+}
+
+// boxSlot maps a Key64 encoding to its slot by Fibonacci hashing, which
+// spreads the encodings' packed fields over the whole table.
+func boxSlot(k uint64) int { return int((k * 0x9E3779B97F4A7C15) >> (64 - boxTableBits)) }
+
 // mustComposed extracts the composed state or panics with a clear message;
 // it guards against accidentally running composed rules on plain inner
 // states.
@@ -78,8 +121,7 @@ func InnerPart(s sim.State) sim.State { return mustComposed(s).Inner }
 
 // WithSDR returns a copy of composed state s with the SDR part replaced.
 func WithSDR(s sim.State, sdr SDRState) sim.State {
-	cs := mustComposed(s)
-	return ComposedState{SDR: sdr, Inner: cs.Inner.Clone()}
+	return ComposedState{SDR: sdr, Inner: mustComposed(s).Inner}
 }
 
 // WithInner returns a copy of composed state s with the inner part replaced.

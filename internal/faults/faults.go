@@ -64,7 +64,7 @@ func (s sampler) draw(u int, net *sim.Network, rng *rand.Rand) (sim.State, error
 	if len(options) == 0 {
 		return nil, fmt.Errorf("faults: algorithm %s enumerated no states for process %d", s.name, u)
 	}
-	return options[rng.Intn(len(options))].Clone(), nil
+	return options[rng.Intn(len(options))], nil
 }
 
 // RandomConfiguration returns a configuration in which every process state
@@ -192,7 +192,7 @@ func CorruptedInner(inner core.Resettable, net *sim.Network, base *sim.Configura
 			in = ix.InnerStateAt(u, net, rng.Intn(ix.InnerStateCount(u, net)))
 		} else {
 			options := enum.EnumerateInner(u, net)
-			in = options[rng.Intn(len(options))].Clone()
+			in = options[rng.Intn(len(options))]
 		}
 		c.SetState(u, core.WithInner(c.State(u), in))
 	}

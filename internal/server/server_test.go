@@ -406,19 +406,25 @@ func TestSubmitValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
+		msg  string // a part of the 400 body, if non-empty
 	}{
-		{"invalid json", "{"},
-		{"no form populated", "{}"},
-		{"both forms populated", `{"sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1},"campaign":{"id":"x","algorithms":["unison"],"topologies":["ring"],"daemons":["synchronous"],"sizes":[6],"seed":1}}`},
-		{"unknown algorithm", `{"sweep":{"algorithms":["no-such-algo"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1}}`},
-		{"unknown field", `{"sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1},"bogus":true}`},
-		{"spec form", `{"spec":{"algorithm":"unison","topology":"ring","n":6,"daemon":"synchronous","seed":1}}`},
-		{"kind discriminator", `{"kind":"sweep","sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1}}`},
+		{"invalid json", "{", ""},
+		{"no form populated", "{}", ""},
+		{"both forms populated", `{"sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1},"campaign":{"id":"x","algorithms":["unison"],"topologies":["ring"],"daemons":["synchronous"],"sizes":[6],"seed":1}}`, ""},
+		{"unknown algorithm", `{"sweep":{"algorithms":["no-such-algo"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1}}`, ""},
+		{"unknown field", `{"sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1},"bogus":true}`, ""},
+		{"spec form", `{"spec":{"algorithm":"unison","topology":"ring","n":6,"daemon":"synchronous","seed":1}}`, ""},
+		{"kind discriminator", `{"kind":"sweep","sweep":{"algorithms":["unison"],"topologies":["ring"],"sizes":[6],"daemons":["synchronous"],"seed":1}}`, ""},
+		// Params keys are the Go field names (EdgeProb), not snake_case.
+		{"snake_case params key", `{"sweep":{"algorithms":["unison"],"topologies":["random"],"sizes":[6],"daemons":["synchronous"],"seed":1,"params":{"edge_prob":5}}}`, `unknown field \"edge_prob\"`},
 	}
 	for _, tc := range cases {
 		resp, _, raw := postJob(t, ts, []byte(tc.body))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %s (want 400): %s", tc.name, resp.Status, raw)
+		}
+		if !strings.Contains(string(raw), tc.msg) {
+			t.Errorf("%s: 400 body %s does not name %s", tc.name, raw, tc.msg)
 		}
 	}
 }

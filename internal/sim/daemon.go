@@ -14,7 +14,9 @@ import (
 type Daemon interface {
 	// Name identifies the daemon in benchmark tables.
 	Name() string
-	// Select returns a non-empty subset of sel.Enabled.
+	// Select returns a non-empty subset of sel.Enabled. The returned slice
+	// may be the daemon's own buffer: it is valid only until the next
+	// Select, and callers that keep it must copy it.
 	Select(sel Selection) []int
 }
 
@@ -72,6 +74,7 @@ func (d *CentralRandomDaemon) Select(sel Selection) []int {
 type DistributedRandomDaemon struct {
 	rng *rand.Rand
 	p   float64
+	out []int // the selection buffer, reused by every Select
 }
 
 var _ Daemon = (*DistributedRandomDaemon)(nil)
@@ -90,8 +93,11 @@ func (*DistributedRandomDaemon) Name() string { return "distributed-random" }
 
 // Select implements Daemon.
 func (d *DistributedRandomDaemon) Select(sel Selection) []int {
+	if cap(d.out) < len(sel.Enabled) {
+		d.out = make([]int, 0, len(sel.Enabled))
+	}
 	for {
-		var out []int
+		out := d.out[:0]
 		for _, u := range sel.Enabled {
 			if d.rng.Float64() < d.p {
 				out = append(out, u)

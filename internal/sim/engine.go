@@ -506,10 +506,9 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 	if r.prof != nil {
 		r.shardDur = make([]time.Duration, len(r.shards))
 	}
-	curStates := make([]State, n)
-	for u := range curStates {
-		curStates[u] = start.State(u).Clone()
-	}
+	// States are immutable values, so the run's buffers share the start's
+	// boxes; the engine only ever replaces its own slice entries.
+	curStates := slices.Clone(start.states)
 	r.bufs = [2]Configuration{{states: curStates}, {states: make([]State, n)}}
 	r.cur, r.next = &r.bufs[0], &r.bufs[1]
 

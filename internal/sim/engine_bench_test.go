@@ -98,11 +98,12 @@ func BenchmarkEngineGreedyAdversarialReference(b *testing.B) {
 }
 
 // TestSteadyStateAllocationFree pins the allocation-free steady state of the
-// one-shard engine loop: doubling the step budget of a synchronous run must
-// not add a single allocation — plain, with a memo attached, and deciding a
-// legitimacy predicate every step, statically (it never holds) and under an
-// injector (it always holds). Per-step allocations (a closure built per
-// phase, a buffer regrown per step) fail it.
+// one-shard engine loop: doubling the step budget of a run must not add a
+// single allocation — synchronous plain, with a memo attached, and deciding
+// a legitimacy predicate every step, statically (it never holds) and under
+// an injector (it always holds), and under the distributed-random daemon.
+// Per-step allocations (a closure built per phase, a buffer regrown per
+// step, a selection built per step) fail it.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector: its instrumentation allocates on the memoized path")
@@ -111,24 +112,29 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	start := InitialConfiguration(ticker{}, net)
 	last := net.N() - 1
 	const k = 200
+	synchronous := func() Daemon { return SynchronousDaemon{} }
 	cases := []struct {
-		name string
-		opts func() []Option
+		name   string
+		daemon func() Daemon
+		opts   func() []Option
 	}{
-		{"plain", func() []Option { return nil }},
-		{"memo", func() []Option { return []Option{WithMemo(NewMemoShare(1 << 10))} }},
-		{"legit-static", func() []Option {
+		{"plain", synchronous, func() []Option { return nil }},
+		{"memo", synchronous, func() []Option { return []Option{WithMemo(NewMemoShare(1 << 10))} }},
+		{"legit-static", synchronous, func() []Option {
 			return []Option{WithLegitimate(func(v View) bool { return v.Process() != last })}
 		}},
-		{"legit-injected", func() []Option {
+		{"legit-injected", synchronous, func() []Option {
 			return []Option{WithLegitimate(func(View) bool { return true }), WithInjector(quietInjector{})}
 		}},
+		{"distributed-random", func() Daemon {
+			return NewDistributedRandomDaemon(rand.New(rand.NewSource(1)), 0.5)
+		}, func() []Option { return nil }},
 	}
 	for _, c := range cases {
 		allocs := func(steps int) float64 {
 			return testing.AllocsPerRun(5, func() {
 				opts := append([]Option{WithMaxSteps(steps)}, c.opts()...)
-				res := NewEngine(net, ticker{}, SynchronousDaemon{}).Run(start, opts...)
+				res := NewEngine(net, ticker{}, c.daemon()).Run(start, opts...)
 				if res.Steps != steps || (c.name == "memo") != (res.Memo.Lookups() > 0) {
 					t.Fatalf("%s: ran %d steps (want %d) with %d memo lookups", c.name, res.Steps, steps, res.Memo.Lookups())
 				}

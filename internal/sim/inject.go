@@ -138,7 +138,7 @@ func (e *Engine) applyInjection(injn *Injection, curStates []State) error {
 		}
 	}
 	for _, sc := range injn.SetStates {
-		curStates[sc.Process] = sc.State.Clone()
+		curStates[sc.Process] = sc.State
 	}
 	e.net.g = next
 	return nil

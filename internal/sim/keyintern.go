@@ -62,6 +62,9 @@ func AppendStateKey(dst []byte, s State) []byte {
 // fronts the shared interner with an evaluator-local map keyed by these
 // encodings, turning the per-move re-interning of a state into one unlocked
 // integer-map probe instead of a rendering plus a locked string-map lookup.
+// The composition I ∘ SDR hashes the same encoding to share the boxes its
+// rule actions return, and confirms a match with ==, so a KeyedState must be
+// a comparable type whose == is value equality.
 type KeyedState interface {
 	Key64() (uint64, bool)
 }

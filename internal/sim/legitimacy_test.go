@@ -243,3 +243,21 @@ func BenchmarkEngineLegitimacyChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineComposedSynchronous measures the composed apply path: U∘SDR
+// on a 64×64 torus under the synchronous daemon on two shards, 32 steps from
+// a random-all start, so that every step moves most processes through the
+// composition's box table. It needs core, hence the external test package.
+func BenchmarkEngineComposedSynchronous(b *testing.B) {
+	g := graph.Torus(64, 64)
+	net := sim.NewNetwork(g)
+	comp := core.Compose(unison.New(unison.DefaultPeriod(g.N())))
+	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(1)))
+	eng := sim.NewEngine(net, comp, sim.SynchronousDaemon{})
+	b.ReportAllocs()
+	for b.Loop() {
+		if res := eng.Run(start, sim.WithMaxSteps(32), sim.WithShards(2)); res.Steps != 32 {
+			b.Fatalf("ran %d steps, want 32", res.Steps)
+		}
+	}
+}

@@ -317,15 +317,48 @@ func TestRunStopWhenLegitimate(t *testing.T) {
 	}
 }
 
+// TestRunStartConfigurationNotModified pins that the engine's buffers share
+// the start configuration's boxes, never its slice: neither moves, nor
+// sharded moves, nor an injected state replacement reach the start.
 func TestRunStartConfigurationNotModified(t *testing.T) {
-	net := NewNetwork(graph.Path(4))
+	net := NewNetwork(graph.Path(200))
 	start := InitialConfiguration(maxPropagation{}, net)
 	want := start.Clone()
-	NewEngine(net, maxPropagation{}, SynchronousDaemon{}).Run(start)
-	if !start.Equal(want) {
-		t.Error("Run modified the starting configuration")
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"sharded", []Option{WithShards(3)}},
+		{"injected", []Option{WithInjector(&resetOnce{})}},
+	} {
+		res := NewEngine(net, maxPropagation{}, SynchronousDaemon{}).Run(start, c.opts...)
+		if res.Moves == 0 || (c.name == "injected") != (len(res.Events) == 1) {
+			t.Fatalf("%s: %d moves, %d events", c.name, res.Moves, len(res.Events))
+		}
+		if !start.Equal(want) {
+			t.Fatalf("%s: Run modified the starting configuration", c.name)
+		}
 	}
 }
+
+// resetOnce sets every process to -u at the first boundary, so that the
+// run propagates the value 0 from process 0.
+type resetOnce struct{ fired bool }
+
+func (r *resetOnce) Inject(p InjectionPoint) *Injection {
+	if r.fired {
+		return nil
+	}
+	r.fired = true
+	injn := &Injection{Label: "reset"}
+	for u := 0; u < p.Config.N(); u++ {
+		injn.SetStates = append(injn.SetStates, StateChange{Process: u, State: intState{v: -u}})
+	}
+	return injn
+}
+
+func (r *resetOnce) Done() bool { return r.fired }
 
 func TestRunPanicsOnMismatchedConfiguration(t *testing.T) {
 	net := NewNetwork(graph.Path(4))

@@ -14,14 +14,20 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // State is the local state of a single process: the values of all its
-// locally shared variables. Implementations must be value-like — Clone must
-// return an independent copy and Equal must compare by value.
+// locally shared variables. Implementations must be value-like: Equal must
+// compare by value. States are immutable values: nothing modifies a state
+// once it is built, so configurations may share one box. The engine's
+// buffers share the boxes of the start configuration and with Result.Final,
+// injections install their states as they are, and composed rule actions
+// hand the same box to every process that moves to an equal state.
 type State interface {
-	// Clone returns a deep copy of the state.
+	// Clone returns a copy of the state. States are immutable, so an
+	// implementation may return the value itself.
 	Clone() State
 	// Equal reports whether the other state has the same variable values.
 	Equal(other State) bool
@@ -51,13 +57,11 @@ func (c *Configuration) State(u int) State { return c.states[u] }
 // SetState replaces the state of process u.
 func (c *Configuration) SetState(u int, s State) { c.states[u] = s }
 
-// Clone returns a deep copy of the configuration (all states cloned).
+// Clone returns a copy of the configuration. It shares the immutable states
+// and copies only the slice, so SetState on either leaves the other as it
+// was.
 func (c *Configuration) Clone() *Configuration {
-	states := make([]State, len(c.states))
-	for i, s := range c.states {
-		states[i] = s.Clone()
-	}
-	return &Configuration{states: states}
+	return &Configuration{states: slices.Clone(c.states)}
 }
 
 // Equal reports whether both configurations assign equal states to every
