@@ -13,6 +13,17 @@ import (
 	"sdr/internal/unison"
 )
 
+// randomStart draws a configuration uniformly from an enumerable algorithm's
+// state space.
+func randomStart(t *testing.T, alg sim.Algorithm, net *sim.Network, rng *rand.Rand) *sim.Configuration {
+	t.Helper()
+	c, err := faults.RandomConfiguration(alg, net, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestEndToEndUnisonRecovery is the README quickstart as a test: U ∘ SDR on a
 // ring recovers from a fully corrupted configuration within the paper's
 // bounds and then satisfies the unison specification.
@@ -24,7 +35,7 @@ func TestEndToEndUnisonRecovery(t *testing.T) {
 	composed := core.Compose(u)
 	rng := rand.New(rand.NewSource(2024))
 
-	start := faults.MustRandomConfiguration(composed, net, rng)
+	start := randomStart(t, composed, net, rng)
 	daemon := sim.NewDistributedRandomDaemon(rng, 0.5)
 	engine := sim.NewEngine(net, composed, daemon)
 	res := engine.Run(start,
@@ -84,7 +95,10 @@ func TestEndToEndAllianceRecovery(t *testing.T) {
 		t.Fatal("the converged alliance is not 1-minimal")
 	}
 
-	corrupted := faults.MustCorruptFraction(composed, net, res.Final, 0.5, rng)
+	corrupted, err := faults.CorruptFraction(composed, net, res.Final, 0.5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res2 := engine.Run(corrupted)
 	if !res2.Terminated {
 		t.Fatal("FGA ∘ SDR did not recover after the fault")
@@ -117,7 +131,7 @@ func TestEndToEndThreeInstantiationsShareTheReset(t *testing.T) {
 	for _, inst := range instantiations {
 		inst := inst
 		t.Run(inst.name, func(t *testing.T) {
-			start := faults.MustRandomConfiguration(inst.comp, net, rng)
+			start := randomStart(t, inst.comp, net, rng)
 			observer := core.NewObserver(inst.comp.Inner(), net)
 			observer.Prime(start)
 			daemon := sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(5)), 0.5)

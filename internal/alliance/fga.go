@@ -320,36 +320,16 @@ func (a *FGA) InnerRules() []core.InnerRule {
 	}
 }
 
-// EnumerateInner implements core.InnerEnumerable: every combination of
+// InnerStateCount implements core.InnerEnumerable: every combination of
 // col ∈ {false, true}, scr ∈ {-1, 0, 1}, canQ ∈ {false, true} and
-// ptr ∈ {⊥} ∪ {identifiers of N[u]}.
-func (a *FGA) EnumerateInner(u int, net *sim.Network) []sim.State {
-	pointers := []int{NoPointer, net.ID(u)}
-	for i, deg := 0, net.Degree(u); i < deg; i++ {
-		pointers = append(pointers, net.ID(net.Neighbor(u, i)))
-	}
-	var out []sim.State
-	for _, col := range []bool{false, true} {
-		for _, scr := range []int{-1, 0, 1} {
-			for _, canQ := range []bool{false, true} {
-				for _, ptr := range pointers {
-					out = append(out, FGAState{Col: col, Scr: scr, CanQ: canQ, Ptr: ptr})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// InnerStateCount implements core.InnerIndexedEnumerable: 2 colours × 3
-// scores × 2 quit flags × (⊥ + the closed neighbourhood) pointers.
+// ptr ∈ {⊥} ∪ {identifiers of N[u]}, that is 12·(deg(u)+2) states.
 func (a *FGA) InnerStateCount(u int, net *sim.Network) int {
 	return 12 * (net.Degree(u) + 2)
 }
 
-// InnerStateAt implements core.InnerIndexedEnumerable, reproducing
-// EnumerateInner's order: col outermost, then scr, then canQ, the pointer
-// (⊥, own id, neighbours in local-label order) innermost.
+// InnerStateAt implements core.InnerEnumerable: col outermost, then scr,
+// then canQ, the pointer (⊥, own id, neighbours in local-label order)
+// innermost.
 func (a *FGA) InnerStateAt(u int, net *sim.Network, i int) sim.State {
 	span := net.Degree(u) + 2
 	rest, pi := i/span, i%span

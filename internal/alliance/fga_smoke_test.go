@@ -52,11 +52,9 @@ func TestFGAComposedSmoke(t *testing.T) {
 	eng := sim.NewEngine(net, composed, daemon)
 
 	// Random composed configuration over the full state space.
-	enum := composed
 	states := make([]sim.State, net.N())
 	for u := range states {
-		options := enum.EnumerateStates(u, net)
-		states[u] = options[rng.Intn(len(options))].Clone()
+		states[u] = composed.StateAt(u, net, rng.Intn(composed.StateCount(u, net)))
 	}
 	start := sim.NewConfiguration(states)
 

@@ -27,9 +27,6 @@ type FGAState struct {
 
 var _ sim.State = FGAState{}
 
-// Clone implements sim.State.
-func (s FGAState) Clone() sim.State { return s }
-
 // Equal implements sim.State.
 func (s FGAState) Equal(other sim.State) bool {
 	o, ok := other.(FGAState)

@@ -14,7 +14,6 @@ import (
 // converges to the all-cap configuration when the cap is reachable.
 type counterState struct{ V int }
 
-func (s counterState) Clone() sim.State { return s }
 func (s counterState) Equal(o sim.State) bool {
 	os, ok := o.(counterState)
 	return ok && os == s
@@ -33,12 +32,9 @@ func (a counterAlg) Name() string { return "counter" }
 func (a counterAlg) InitialState(int, *sim.Network) sim.State {
 	return counterState{V: 0}
 }
-func (a counterAlg) EnumerateStates(int, *sim.Network) []sim.State {
-	out := make([]sim.State, 0, a.cap+1)
-	for v := 0; v <= a.cap; v++ {
-		out = append(out, counterState{V: v})
-	}
-	return out
+func (a counterAlg) StateCount(int, *sim.Network) int { return a.cap + 1 }
+func (a counterAlg) StateAt(_ int, _ *sim.Network, i int) sim.State {
+	return counterState{V: i}
 }
 func (a counterAlg) Rules() []sim.Rule {
 	return []sim.Rule{{
@@ -66,8 +62,9 @@ type flipFlopAlg struct{}
 
 func (flipFlopAlg) Name() string                             { return "flipflop" }
 func (flipFlopAlg) InitialState(int, *sim.Network) sim.State { return counterState{V: 0} }
-func (flipFlopAlg) EnumerateStates(int, *sim.Network) []sim.State {
-	return []sim.State{counterState{V: 0}, counterState{V: 1}}
+func (flipFlopAlg) StateCount(int, *sim.Network) int         { return 2 }
+func (flipFlopAlg) StateAt(_ int, _ *sim.Network, i int) sim.State {
+	return counterState{V: i}
 }
 func (flipFlopAlg) Rules() []sim.Rule {
 	return []sim.Rule{{

@@ -228,14 +228,7 @@ func (s Schedule) times(rng *rand.Rand) []int {
 func (s Schedule) requirements(alg sim.Algorithm, inner core.Resettable, net *sim.Network) error {
 	for _, k := range s.EventKinds {
 		if k.needsEnumerable() {
-			ok := false
-			switch e := alg.(type) {
-			case sim.IndexedEnumerable:
-				ok = e.StateCount(0, net) > 0
-			case sim.Enumerable:
-				ok = len(e.EnumerateStates(0, net)) > 0
-			}
-			if !ok {
+			if e, ok := alg.(sim.Enumerable); !ok || e.StateCount(0, net) == 0 {
 				return fmt.Errorf("churn: event %q requires algorithm %s to enumerate its states", k, alg.Name())
 			}
 		}

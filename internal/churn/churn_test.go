@@ -12,7 +12,6 @@ import (
 // intState is a minimal enumerable test state.
 type intState int
 
-func (s intState) Clone() sim.State           { return s }
 func (s intState) Equal(other sim.State) bool { o, ok := other.(intState); return ok && s == o }
 func (s intState) String() string             { return "x" }
 
@@ -28,9 +27,8 @@ func (fakeAlg) Rules() []sim.Rule {
 	}}
 }
 func (fakeAlg) InitialState(u int, net *sim.Network) sim.State { return intState(0) }
-func (fakeAlg) EnumerateStates(u int, net *sim.Network) []sim.State {
-	return []sim.State{intState(0), intState(1), intState(2)}
-}
+func (fakeAlg) StateCount(int, *sim.Network) int               { return 3 }
+func (fakeAlg) StateAt(_ int, _ *sim.Network, i int) sim.State { return intState(i) }
 
 // bareAlg is fakeAlg without state enumeration (no embedding: promoted
 // methods would make it sim.Enumerable again).

@@ -21,12 +21,11 @@ import (
 // changes an event's fire step but not the rng draw order, so the event
 // contents stay deterministic.
 type Injector struct {
-	sched   Schedule
-	alg     sim.Algorithm
-	enum    sim.Enumerable        // nil when the algorithm does not enumerate
-	indexed sim.IndexedEnumerable // nil when the fast path is unavailable
-	inner   core.Resettable
-	rng     *rand.Rand
+	sched Schedule
+	alg   sim.Algorithm
+	enum  sim.Enumerable // nil when the algorithm does not enumerate
+	inner core.Resettable
+	rng   *rand.Rand
 
 	times []int
 	kinds []Kind
@@ -58,12 +57,7 @@ func NewInjector(sched Schedule, alg sim.Algorithm, inner core.Resettable, net *
 		times: sched.times(rng),
 		kinds: make([]Kind, sched.Events),
 	}
-	if enum, ok := alg.(sim.Enumerable); ok {
-		inj.enum = enum
-	}
-	if ix, ok := alg.(sim.IndexedEnumerable); ok {
-		inj.indexed = ix
-	}
+	inj.enum, _ = alg.(sim.Enumerable)
 	for i := range inj.kinds {
 		inj.kinds[i] = sched.EventKinds[i%len(sched.EventKinds)]
 	}
@@ -157,16 +151,10 @@ func (i *Injector) build(kind Kind, p sim.InjectionPoint) *sim.Injection {
 }
 
 // randomState draws a uniform state for process u from the enumerated state
-// space. NewInjector validated enumerability for the kinds that call this.
-// The indexed fast path consumes the rng identically to the enumerating one
-// (one Intn over the same count), so event contents do not depend on which
-// path runs.
+// space: one Intn over StateCount. NewInjector validated enumerability for
+// the kinds that call this.
 func (i *Injector) randomState(u int, net *sim.Network) sim.State {
-	if i.indexed != nil {
-		return i.indexed.StateAt(u, net, i.rng.Intn(i.indexed.StateCount(u, net)))
-	}
-	options := i.enum.EnumerateStates(u, net)
-	return options[i.rng.Intn(len(options))]
+	return i.enum.StateAt(u, net, i.rng.Intn(i.enum.StateCount(u, net)))
 }
 
 // targets picks the processes a targeted event hits: count uniformly random

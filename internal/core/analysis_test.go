@@ -98,13 +98,13 @@ func TestObserverOnExecution(t *testing.T) {
 	comp := Compose(inner)
 	g := graph.Ring(6)
 	net := sim.NewNetwork(g)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	rng := rand.New(rand.NewSource(11))
 
 	for trial := 0; trial < 30; trial++ {
 		cfgStates := make([]sim.State, net.N())
 		for u := range cfgStates {
-			cfgStates[u] = states[rng.Intn(len(states))].Clone()
+			cfgStates[u] = states[rng.Intn(len(states))]
 		}
 		start := sim.NewConfiguration(cfgStates)
 

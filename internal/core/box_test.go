@@ -14,12 +14,10 @@ type (
 	keyedB int
 )
 
-func (s keyedA) Clone() sim.State       { return s }
 func (s keyedA) Equal(o sim.State) bool { return o == sim.State(s) }
 func (s keyedA) String() string         { return "a" + itoa(int(s)) }
 func (s keyedA) Key64() (uint64, bool)  { return uint64(s), s >= 0 }
 
-func (s keyedB) Clone() sim.State       { return s }
 func (s keyedB) Equal(o sim.State) bool { return o == sim.State(s) }
 func (s keyedB) String() string         { return "b" + itoa(int(s)) }
 func (s keyedB) Key64() (uint64, bool)  { return uint64(s), s >= 0 }

@@ -25,13 +25,13 @@ func perProcessClosure(t *testing.T, name string, pred func(Resettable, sim.View
 	comp := Compose(inner)
 	g := graph.RandomConnected(7, 0.4, rand.New(rand.NewSource(41)))
 	net := sim.NewNetwork(g)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	rng := rand.New(rand.NewSource(42))
 
 	for trial := 0; trial < 20; trial++ {
 		cfgStates := make([]sim.State, net.N())
 		for u := range cfgStates {
-			cfgStates[u] = states[rng.Intn(len(states))].Clone()
+			cfgStates[u] = states[rng.Intn(len(states))]
 		}
 		start := sim.NewConfiguration(cfgStates)
 
@@ -100,7 +100,7 @@ func TestAttractorChainP1ToP4(t *testing.T) {
 	comp := Compose(inner)
 	g := graph.Ring(6)
 	net := sim.NewNetwork(g)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	rng := rand.New(rand.NewSource(77))
 
 	predP1 := func(c *sim.Configuration) bool {
@@ -154,7 +154,7 @@ func TestAttractorChainP1ToP4(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		cfgStates := make([]sim.State, net.N())
 		for u := range cfgStates {
-			cfgStates[u] = states[rng.Intn(len(states))].Clone()
+			cfgStates[u] = states[rng.Intn(len(states))]
 		}
 		start := sim.NewConfiguration(cfgStates)
 

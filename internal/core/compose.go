@@ -51,12 +51,14 @@ func WithUncooperativeResets() ComposeOption {
 type Composed struct {
 	inner      Resettable
 	innerRules []InnerRule
+	enum       InnerEnumerable // nil when the inner algorithm does not enumerate
 	opts       composeOptions
 	rules      []sim.Rule
 }
 
 var (
 	_ sim.Algorithm   = (*Composed)(nil)
+	_ sim.Enumerable  = (*Composed)(nil)
 	_ sim.RuleIndexer = (*Composed)(nil)
 )
 
@@ -79,7 +81,8 @@ func Compose(inner Resettable, opts ...ComposeOption) *Composed {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	c := &Composed{inner: inner, innerRules: inner.InnerRules(), opts: o}
+	enum, _ := inner.(InnerEnumerable)
+	c := &Composed{inner: inner, innerRules: inner.InnerRules(), enum: enum, opts: o}
 	c.rules = c.buildRules()
 	return c
 }
@@ -124,67 +127,23 @@ func (c *Composed) InitialState(u int, net *sim.Network) sim.State {
 	return ComposedState{SDR: CleanSDRState(), Inner: c.inner.InitialInner(u, net)}
 }
 
-// EnumerateStates implements sim.Enumerable when the inner algorithm
-// implements InnerEnumerable. Distance values are enumerated in [0, n]
-// (larger values behave identically for reachability purposes on the small
-// networks used in exhaustive checks).
-func (c *Composed) EnumerateStates(u int, net *sim.Network) []sim.State {
-	enum, ok := c.inner.(InnerEnumerable)
-	if !ok {
-		return nil
-	}
-	inners := enum.EnumerateInner(u, net)
-	statuses := []Status{StatusC, StatusRB, StatusRF}
-	var out []sim.State
-	for _, st := range statuses {
-		maxD := net.N()
-		if st == StatusC {
-			// The distance is meaningless at status C; enumerate a single
-			// value to keep the space small.
-			maxD = 0
-		}
-		for d := 0; d <= maxD; d++ {
-			for _, in := range inners {
-				out = append(out, ComposedState{SDR: SDRState{St: st, D: d}, Inner: in})
-			}
-		}
-	}
-	return out
-}
-
-// innerStateCount returns the size of the inner enumeration without
-// materializing it when the inner algorithm indexes its space.
-func innerStateCount(inner Resettable, u int, net *sim.Network) int {
-	if ix, ok := inner.(InnerIndexedEnumerable); ok {
-		return ix.InnerStateCount(u, net)
-	}
-	if enum, ok := inner.(InnerEnumerable); ok {
-		return len(enum.EnumerateInner(u, net))
-	}
-	return 0
-}
-
-// innerStateAt returns the j-th inner state, indexed when the inner
-// algorithm supports it.
-func innerStateAt(inner Resettable, u int, net *sim.Network, j int) sim.State {
-	if ix, ok := inner.(InnerIndexedEnumerable); ok {
-		return ix.InnerStateAt(u, net, j)
-	}
-	return inner.(InnerEnumerable).EnumerateInner(u, net)[j]
-}
-
-// StateCount implements sim.IndexedEnumerable: the composed space is the
-// product of the SDR block — one (C, 0) slot plus statuses RB and RF with
-// distances in [0, n] each — and the inner enumeration.
+// StateCount implements sim.Enumerable: the composed space is the product of
+// the SDR block — one (C, 0) slot plus statuses RB and RF with distances in
+// [0, n] each — and the inner space, or empty when the inner algorithm does
+// not enumerate. Larger distances behave like n for reachability on the
+// small networks of exhaustive checks, and the distance is meaningless at
+// status C.
 func (c *Composed) StateCount(u int, net *sim.Network) int {
-	return (2*(net.N()+1) + 1) * innerStateCount(c.inner, u, net)
+	if c.enum == nil {
+		return 0
+	}
+	return (2*(net.N()+1) + 1) * c.enum.InnerStateCount(u, net)
 }
 
-// StateAt implements sim.IndexedEnumerable, reproducing EnumerateStates'
-// order — statuses C, RB, RF outermost, distances next, inner states
-// innermost — without materializing the product.
+// StateAt implements sim.Enumerable: statuses C, RB, RF outermost,
+// distances next, inner states innermost.
 func (c *Composed) StateAt(u int, net *sim.Network, i int) sim.State {
-	k := innerStateCount(c.inner, u, net)
+	k := c.enum.InnerStateCount(u, net)
 	block, j := i/k, i%k
 	sdr := SDRState{St: StatusC, D: 0}
 	switch n := net.N(); {
@@ -195,7 +154,7 @@ func (c *Composed) StateAt(u int, net *sim.Network, i int) sim.State {
 	default:
 		sdr = SDRState{St: StatusRF, D: block - n - 2}
 	}
-	return ComposedState{SDR: sdr, Inner: innerStateAt(c.inner, u, net, j)}
+	return ComposedState{SDR: sdr, Inner: c.enum.InnerStateAt(u, net, j)}
 }
 
 // buildRules assembles the composed rule set. Every action returns its
@@ -406,17 +365,22 @@ func networkOf(v sim.View) *sim.Network { return v.Network() }
 // vacuously true without SDR.
 type Standalone struct {
 	inner Resettable
+	enum  InnerEnumerable // nil when the inner algorithm does not enumerate
 	rules []sim.Rule
 }
 
-var _ sim.Algorithm = (*Standalone)(nil)
+var (
+	_ sim.Algorithm  = (*Standalone)(nil)
+	_ sim.Enumerable = (*Standalone)(nil)
+)
 
 // NewStandalone wraps inner as a standalone algorithm.
 func NewStandalone(inner Resettable) *Standalone {
 	if inner == nil {
 		panic("core: NewStandalone requires a non-nil inner algorithm")
 	}
-	s := &Standalone{inner: inner}
+	enum, _ := inner.(InnerEnumerable)
+	s := &Standalone{inner: inner, enum: enum}
 	for _, ir := range inner.InnerRules() {
 		ir := ir
 		s.rules = append(s.rules, sim.Rule{
@@ -451,21 +415,16 @@ func (s *Standalone) InitialState(u int, net *sim.Network) sim.State {
 	return s.inner.InitialInner(u, net)
 }
 
-// EnumerateStates implements sim.Enumerable when the inner algorithm does.
-func (s *Standalone) EnumerateStates(u int, net *sim.Network) []sim.State {
-	if enum, ok := s.inner.(InnerEnumerable); ok {
-		return enum.EnumerateInner(u, net)
-	}
-	return nil
-}
-
-// StateCount implements sim.IndexedEnumerable when the inner algorithm
-// enumerates.
+// StateCount implements sim.Enumerable: the inner space, or empty when the
+// inner algorithm does not enumerate.
 func (s *Standalone) StateCount(u int, net *sim.Network) int {
-	return innerStateCount(s.inner, u, net)
+	if s.enum == nil {
+		return 0
+	}
+	return s.enum.InnerStateCount(u, net)
 }
 
-// StateAt implements sim.IndexedEnumerable.
+// StateAt implements sim.Enumerable.
 func (s *Standalone) StateAt(u int, net *sim.Network, i int) sim.State {
-	return innerStateAt(s.inner, u, net, i)
+	return s.enum.InnerStateAt(u, net, i)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestComposedEnumerateStates(t *testing.T) {
 	inner := newTestInner(2)
 	comp := Compose(inner)
 	net := pathNetwork(t)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	// 3 inner values × (1 C state + 2 statuses × (n+1) distances).
 	want := 3 * (1 + 2*(net.N()+1))
 	if len(states) != want {
@@ -90,26 +91,37 @@ func TestComposedEnumerateStates(t *testing.T) {
 	}
 }
 
-// TestIndexedEnumerationMatchesEnumeration pins the sim.IndexedEnumerable
-// contract the fault injectors rely on for bit-identical sampling: for both
-// the composition and the standalone wrapper, StateCount equals the
-// enumeration's length and StateAt(i) equals its i-th entry, at every
-// process and index.
-func TestIndexedEnumerationMatchesEnumeration(t *testing.T) {
+// TestComposedStateAtOrder pins the order of the composed and standalone
+// state spaces, which seeded corruptions draw through: statuses C, RB, RF
+// outermost (C with the single distance 0), distances next, inner states
+// innermost, at every process.
+func TestComposedStateAtOrder(t *testing.T) {
 	inner := newTestInner(2)
+	comp, standalone := Compose(inner), NewStandalone(inner)
 	net := pathNetwork(t)
-	for _, alg := range []sim.IndexedEnumerable{Compose(inner), NewStandalone(inner)} {
-		enum := alg.(sim.Enumerable)
-		for u := 0; u < net.N(); u++ {
-			states := enum.EnumerateStates(u, net)
-			if got := alg.StateCount(u, net); got != len(states) {
-				t.Fatalf("%T: StateCount(%d) = %d, want %d", alg, u, got, len(states))
+	n, k := net.N(), 3
+	for u := 0; u < n; u++ {
+		var want []sim.State
+		sdrs := []SDRState{CleanSDRState()}
+		for _, st := range []Status{StatusRB, StatusRF} {
+			for d := 0; d <= n; d++ {
+				sdrs = append(sdrs, SDRState{St: st, D: d})
 			}
-			for i, want := range states {
-				if got := alg.StateAt(u, net, i); got.String() != want.String() {
-					t.Fatalf("%T: StateAt(%d, %d) = %s, want %s", alg, u, i, got, want)
-				}
+		}
+		for _, sdr := range sdrs {
+			for v := 0; v < k; v++ {
+				want = append(want, ComposedState{SDR: sdr, Inner: testInnerState{V: v}})
 			}
+		}
+		if got := sim.StateSpace(comp, u, net); !slices.EqualFunc(got, want, sim.State.Equal) {
+			t.Fatalf("composed space of process %d = %v, want %v", u, got, want)
+		}
+		want = want[:0]
+		for v := 0; v < k; v++ {
+			want = append(want, testInnerState{V: v})
+		}
+		if got := sim.StateSpace(standalone, u, net); !slices.EqualFunc(got, want, sim.State.Equal) {
+			t.Fatalf("standalone space of process %d = %v, want %v", u, got, want)
 		}
 	}
 }
@@ -121,13 +133,13 @@ func TestMutualExclusionOfRules(t *testing.T) {
 	inner := newTestInner(2)
 	comp := Compose(inner)
 	net := pathNetwork(t)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 3000; trial++ {
 		cfg := sim.NewConfiguration([]sim.State{
-			states[rng.Intn(len(states))].Clone(),
-			states[rng.Intn(len(states))].Clone(),
-			states[rng.Intn(len(states))].Clone(),
+			states[rng.Intn(len(states))],
+			states[rng.Intn(len(states))],
+			states[rng.Intn(len(states))],
 		})
 		for u := 0; u < net.N(); u++ {
 			if enabled := sim.EnabledRules(comp, net, cfg, u); len(enabled) > 1 {
@@ -255,7 +267,7 @@ func TestStandaloneBehaviour(t *testing.T) {
 		t.Error("Inner() must return the wrapped algorithm")
 	}
 	net := pathNetwork(t)
-	if got := len(standalone.EnumerateStates(0, net)); got != 3 {
+	if got := len(sim.StateSpace(standalone, 0, net)); got != 3 {
 		t.Errorf("standalone enumerates %d states, want 3", got)
 	}
 

@@ -200,7 +200,6 @@ func TestFirstEnabledHandMade(t *testing.T) {
 // value is 0.
 type testInnerState int
 
-func (s testInnerState) Clone() sim.State       { return s }
 func (s testInnerState) Equal(o sim.State) bool { return o == sim.State(s) }
 func (s testInnerState) String() string         { return fmt.Sprint(int(s)) }
 

@@ -47,8 +47,8 @@ func globalBPV(b *unison.BPV, net *sim.Network, c *sim.Configuration) bool {
 func corruptOne(alg sim.Algorithm, net *sim.Network, c *sim.Configuration, rng *rand.Rand) *sim.Configuration {
 	out := c.Clone()
 	u := rng.Intn(net.N())
-	states := alg.(sim.Enumerable).EnumerateStates(u, net)
-	out.SetState(u, states[rng.Intn(len(states))].Clone())
+	enum := alg.(sim.Enumerable)
+	out.SetState(u, enum.StateAt(u, net, rng.Intn(enum.StateCount(u, net))))
 	return out
 }
 

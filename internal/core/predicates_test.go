@@ -313,7 +313,7 @@ func TestTerminalIffNormal(t *testing.T) {
 
 	// Enumerate a slice of the composed state space and check the
 	// characterisation on every sampled configuration.
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	if len(states) == 0 {
 		t.Fatal("composed algorithm should enumerate states")
 	}
@@ -321,7 +321,7 @@ func TestTerminalIffNormal(t *testing.T) {
 	for i := 0; i < len(states); i += 7 {
 		for j := 0; j < len(states); j += 11 {
 			for k := 0; k < len(states); k += 13 {
-				cfg := sim.NewConfiguration([]sim.State{states[i].Clone(), states[j].Clone(), states[k].Clone()})
+				cfg := sim.NewConfiguration([]sim.State{states[i], states[j], states[k]})
 				terminalForSDR := true
 				for u := 0; u < 3; u++ {
 					for _, ri := range sim.EnabledRules(comp, net, cfg, u) {

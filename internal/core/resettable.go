@@ -154,25 +154,13 @@ type Resettable interface {
 }
 
 // InnerEnumerable is optionally implemented by inner algorithms whose local
-// state space can be enumerated, enabling exhaustive verification of the
-// composition on small networks.
+// state space can be enumerated. The compositions build their own
+// sim.Enumerable space from it, so fault injection and exhaustive
+// verification reach the composition on small networks.
 type InnerEnumerable interface {
-	// EnumerateInner returns every possible inner state of process u.
-	EnumerateInner(u int, net *sim.Network) []sim.State
-}
-
-// InnerIndexedEnumerable is the indexed twin of InnerEnumerable, with the
-// same positional-equality contract as sim.IndexedEnumerable:
-// InnerStateCount(u, net) == len(EnumerateInner(u, net)) and
-// InnerStateAt(u, net, i) equals EnumerateInner(u, net)[i], returned as a
-// fresh value the caller may own. The composition wrappers forward it so
-// that fault sampling over a composed product space costs O(1) per draw
-// instead of materializing the enumeration.
-type InnerIndexedEnumerable interface {
-	InnerEnumerable
 	// InnerStateCount returns the size of process u's inner state space.
 	InnerStateCount(u int, net *sim.Network) int
-	// InnerStateAt returns the i-th inner state of the enumeration order,
-	// for 0 ≤ i < InnerStateCount(u, net).
+	// InnerStateAt returns the i-th inner state of process u, for
+	// 0 ≤ i < InnerStateCount(u, net).
 	InnerStateAt(u int, net *sim.Network, i int) sim.State
 }

@@ -18,10 +18,6 @@ type ComposedState struct {
 
 var _ sim.State = ComposedState{}
 
-// Clone implements sim.State. Both parts are immutable values, so the value
-// is its own copy.
-func (s ComposedState) Clone() sim.State { return s }
-
 // Equal implements sim.State.
 func (s ComposedState) Equal(other sim.State) bool {
 	o, ok := other.(ComposedState)

@@ -17,7 +17,6 @@ type testInner struct{ limit int }
 
 type testInnerState struct{ V int }
 
-func (s testInnerState) Clone() sim.State { return s }
 func (s testInnerState) Equal(o sim.State) bool {
 	os, ok := o.(testInnerState)
 	return ok && os == s
@@ -44,12 +43,9 @@ func (a *testInner) ResetState(int, *sim.Network) sim.State   { return testInner
 func (a *testInner) IsReset(_ int, _ *sim.Network, inner sim.State) bool {
 	return inner.(testInnerState).V == 0
 }
-func (a *testInner) EnumerateInner(int, *sim.Network) []sim.State {
-	out := make([]sim.State, 0, a.limit+1)
-	for v := 0; v <= a.limit; v++ {
-		out = append(out, testInnerState{V: v})
-	}
-	return out
+func (a *testInner) InnerStateCount(int, *sim.Network) int { return a.limit + 1 }
+func (a *testInner) InnerStateAt(_ int, _ *sim.Network, i int) sim.State {
+	return testInnerState{V: i}
 }
 
 func (a *testInner) ICorrect(v InnerView) bool {
@@ -132,11 +128,10 @@ func TestSDRStateEqual(t *testing.T) {
 	}
 }
 
-func TestComposedStateCloneAndEqual(t *testing.T) {
+func TestComposedStateEqual(t *testing.T) {
 	s := ComposedState{SDR: SDRState{St: StatusRB, D: 2}, Inner: testInnerState{V: 3}}
-	c := s.Clone()
-	if !s.Equal(c) {
-		t.Error("clone must equal the original")
+	if !s.Equal(ComposedState{SDR: SDRState{St: StatusRB, D: 2}, Inner: testInnerState{V: 3}}) {
+		t.Error("states with equal parts must be equal")
 	}
 	other := ComposedState{SDR: SDRState{St: StatusRB, D: 2}, Inner: testInnerState{V: 4}}
 	if s.Equal(other) {

@@ -49,7 +49,7 @@ func TestExhaustiveConvergenceOnTinyNetworks(t *testing.T) {
 			// points.
 			perProcess := make([][]sim.State, net.N())
 			for u := 0; u < net.N(); u++ {
-				perProcess[u] = comp.EnumerateStates(u, net)
+				perProcess[u] = sim.StateSpace(comp, u, net)
 			}
 			var starts []*sim.Configuration
 			var build func(u int, acc []sim.State)
@@ -59,7 +59,7 @@ func TestExhaustiveConvergenceOnTinyNetworks(t *testing.T) {
 					return
 				}
 				for _, s := range perProcess[u] {
-					build(u+1, append(append([]sim.State(nil), acc...), s.Clone()))
+					build(u+1, append(append([]sim.State(nil), acc...), s))
 				}
 			}
 			build(0, nil)
@@ -108,13 +108,13 @@ func TestNoAliveRootCreationInvariant(t *testing.T) {
 	comp := Compose(inner)
 	g := graph.RandomConnected(7, 0.35, rand.New(rand.NewSource(17)))
 	net := sim.NewNetwork(g)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	rng := rand.New(rand.NewSource(23))
 
 	for trial := 0; trial < 25; trial++ {
 		cfgStates := make([]sim.State, net.N())
 		for u := range cfgStates {
-			cfgStates[u] = states[rng.Intn(len(states))].Clone()
+			cfgStates[u] = states[rng.Intn(len(states))]
 		}
 		start := sim.NewConfiguration(cfgStates)
 		prev := aliveRootSet(inner, net, start)
@@ -151,7 +151,7 @@ func TestConvergenceWithinRoundBound(t *testing.T) {
 	for _, g := range topologies {
 		comp := Compose(inner)
 		net := sim.NewNetwork(g)
-		states := comp.EnumerateStates(0, net)
+		states := sim.StateSpace(comp, 0, net)
 		rng := rand.New(rand.NewSource(int64(g.N())))
 		for _, df := range sim.StandardDaemonFactories() {
 			if df.Name == "greedy-adversarial" && g.N() > 8 {
@@ -159,7 +159,7 @@ func TestConvergenceWithinRoundBound(t *testing.T) {
 			}
 			cfgStates := make([]sim.State, net.N())
 			for u := range cfgStates {
-				cfgStates[u] = states[rng.Intn(len(states))].Clone()
+				cfgStates[u] = states[rng.Intn(len(states))]
 			}
 			start := sim.NewConfiguration(cfgStates)
 			eng := sim.NewEngine(net, comp, df.New(int64(g.N())))
@@ -187,13 +187,13 @@ func TestQuickConvergenceFromRandomConfigurations(t *testing.T) {
 	comp := Compose(inner)
 	g := graph.Ring(6)
 	net := sim.NewNetwork(g)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfgStates := make([]sim.State, net.N())
 		for u := range cfgStates {
-			cfgStates[u] = states[rng.Intn(len(states))].Clone()
+			cfgStates[u] = states[rng.Intn(len(states))]
 		}
 		start := sim.NewConfiguration(cfgStates)
 		daemon := sim.NewDistributedRandomDaemon(rng, 0.5)
@@ -218,13 +218,13 @@ func TestCompositionIsSilentForTerminatingInner(t *testing.T) {
 	comp := Compose(inner)
 	g := graph.Path(6)
 	net := sim.NewNetwork(g)
-	states := comp.EnumerateStates(0, net)
+	states := sim.StateSpace(comp, 0, net)
 	rng := rand.New(rand.NewSource(31))
 
 	for trial := 0; trial < 20; trial++ {
 		cfgStates := make([]sim.State, net.N())
 		for u := range cfgStates {
-			cfgStates[u] = states[rng.Intn(len(states))].Clone()
+			cfgStates[u] = states[rng.Intn(len(states))]
 		}
 		daemon := sim.NewCentralRandomDaemon(rand.New(rand.NewSource(int64(trial))))
 		res := sim.NewEngine(net, comp, daemon).Run(sim.NewConfiguration(cfgStates), sim.WithMaxSteps(100_000))

@@ -20,51 +20,34 @@ import (
 	"sdr/internal/sim"
 )
 
-// sampler draws uniform states from an algorithm's enumerated space. It
-// prefers the indexed fast path (sim.IndexedEnumerable) so that the
-// product-shaped composed space is never materialized per draw; both paths
-// consume the shared rng identically — one Intn over the same count — so a
-// seeded corruption is bit-identical whichever path runs.
+// sampler draws uniform states from an algorithm's enumerated space: one
+// Intn over StateCount and one StateAt per draw, so the product-shaped
+// composed space is never materialized.
 type sampler struct {
-	name    string
-	enum    sim.Enumerable
-	indexed sim.IndexedEnumerable // non-nil when the fast path is available
+	name string
+	enum sim.Enumerable
 }
 
 // newSampler builds a sampler, or an error when the algorithm does not
-// (usefully) enumerate: wrappers may implement sim.Enumerable yet report an
-// empty space for non-enumerable inners, so the space of process 0 is probed
-// too.
+// (usefully) enumerate: the compositions implement sim.Enumerable yet report
+// an empty space for non-enumerable inners, so the space of process 0 is
+// probed too.
 func newSampler(alg sim.Algorithm, net *sim.Network) (sampler, error) {
-	err := fmt.Errorf("faults: algorithm %s does not enumerate its states", alg.Name())
-	if ix, ok := alg.(sim.IndexedEnumerable); ok {
-		if ix.StateCount(0, net) == 0 {
-			return sampler{}, err
-		}
-		return sampler{name: alg.Name(), indexed: ix}, nil
-	}
 	enum, ok := alg.(sim.Enumerable)
-	if !ok || len(enum.EnumerateStates(0, net)) == 0 {
-		return sampler{}, err
+	if !ok || enum.StateCount(0, net) == 0 {
+		return sampler{}, fmt.Errorf("faults: algorithm %s does not enumerate its states", alg.Name())
 	}
 	return sampler{name: alg.Name(), enum: enum}, nil
 }
 
-// draw returns a freshly owned state of process u drawn uniformly from its
-// enumerated space.
+// draw returns a state of process u drawn uniformly from its enumerated
+// space.
 func (s sampler) draw(u int, net *sim.Network, rng *rand.Rand) (sim.State, error) {
-	if s.indexed != nil {
-		n := s.indexed.StateCount(u, net)
-		if n == 0 {
-			return nil, fmt.Errorf("faults: algorithm %s enumerated no states for process %d", s.name, u)
-		}
-		return s.indexed.StateAt(u, net, rng.Intn(n)), nil
-	}
-	options := s.enum.EnumerateStates(u, net)
-	if len(options) == 0 {
+	n := s.enum.StateCount(u, net)
+	if n == 0 {
 		return nil, fmt.Errorf("faults: algorithm %s enumerated no states for process %d", s.name, u)
 	}
-	return options[rng.Intn(len(options))], nil
+	return s.enum.StateAt(u, net, rng.Intn(n)), nil
 }
 
 // RandomConfiguration returns a configuration in which every process state
@@ -83,16 +66,6 @@ func RandomConfiguration(alg sim.Algorithm, net *sim.Network, rng *rand.Rand) (*
 		}
 	}
 	return sim.NewConfiguration(states), nil
-}
-
-// MustRandomConfiguration is RandomConfiguration for algorithms known to be
-// enumerable; it panics on error.
-func MustRandomConfiguration(alg sim.Algorithm, net *sim.Network, rng *rand.Rand) *sim.Configuration {
-	c, err := RandomConfiguration(alg, net, rng)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // CorruptFraction returns a copy of base in which each process state is
@@ -124,16 +97,6 @@ func CorruptFraction(alg sim.Algorithm, net *sim.Network, base *sim.Configuratio
 	return c, nil
 }
 
-// MustCorruptFraction is CorruptFraction for algorithms known to be
-// enumerable; it panics on error.
-func MustCorruptFraction(alg sim.Algorithm, net *sim.Network, base *sim.Configuration, fraction float64, rng *rand.Rand) *sim.Configuration {
-	c, err := CorruptFraction(alg, net, base, fraction, rng)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // CorruptProcesses returns a copy of base in which exactly the listed
 // processes get uniformly random states. It returns an error when the
 // algorithm does not enumerate its states.
@@ -153,16 +116,6 @@ func CorruptProcesses(alg sim.Algorithm, net *sim.Network, base *sim.Configurati
 	return c, nil
 }
 
-// MustCorruptProcesses is CorruptProcesses for algorithms known to be
-// enumerable; it panics on error.
-func MustCorruptProcesses(alg sim.Algorithm, net *sim.Network, base *sim.Configuration, processes []int, rng *rand.Rand) *sim.Configuration {
-	c, err := CorruptProcesses(alg, net, base, processes, rng)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // CorruptedInner returns a copy of base (a configuration of a composition
 // I ∘ SDR) in which the inner states of a random subset of processes are
 // corrupted while the SDR variables are left clean. This models the typical
@@ -170,14 +123,8 @@ func MustCorruptProcesses(alg sim.Algorithm, net *sim.Network, base *sim.Configu
 // state is inconsistent but no reset is running yet. It returns an error
 // when the inner algorithm does not enumerate its states.
 func CorruptedInner(inner core.Resettable, net *sim.Network, base *sim.Configuration, fraction float64, rng *rand.Rand) (*sim.Configuration, error) {
-	ix, indexed := inner.(core.InnerIndexedEnumerable)
 	enum, ok := inner.(core.InnerEnumerable)
-	if indexed {
-		ok = ix.InnerStateCount(0, net) > 0
-	} else if ok {
-		ok = len(enum.EnumerateInner(0, net)) > 0
-	}
-	if !ok {
+	if !ok || enum.InnerStateCount(0, net) == 0 {
 		return nil, fmt.Errorf("faults: inner algorithm %s does not enumerate its states", inner.Name())
 	}
 	c := base.Clone()
@@ -185,28 +132,10 @@ func CorruptedInner(inner core.Resettable, net *sim.Network, base *sim.Configura
 		if rng.Float64() >= fraction {
 			continue
 		}
-		// Both paths consume the rng identically: one Intn over the same
-		// count.
-		var in sim.State
-		if indexed {
-			in = ix.InnerStateAt(u, net, rng.Intn(ix.InnerStateCount(u, net)))
-		} else {
-			options := enum.EnumerateInner(u, net)
-			in = options[rng.Intn(len(options))]
-		}
+		in := enum.InnerStateAt(u, net, rng.Intn(enum.InnerStateCount(u, net)))
 		c.SetState(u, core.WithInner(c.State(u), in))
 	}
 	return c, nil
-}
-
-// MustCorruptedInner is CorruptedInner for inner algorithms known to be
-// enumerable; it panics on error.
-func MustCorruptedInner(inner core.Resettable, net *sim.Network, base *sim.Configuration, fraction float64, rng *rand.Rand) *sim.Configuration {
-	c, err := CorruptedInner(inner, net, base, fraction, rng)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // FakeResetWave returns a copy of base (a configuration of I ∘ SDR) in which

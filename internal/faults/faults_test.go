@@ -57,15 +57,9 @@ func TestRandomConfigurationRequiresEnumerable(t *testing.T) {
 	if _, err := CorruptProcesses(nonEnumerable{}, net, base, []int{0}, rng); err == nil {
 		t.Error("CorruptProcesses must fail for non-enumerable algorithms")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRandomConfiguration must panic for non-enumerable algorithms")
-		}
-	}()
-	MustRandomConfiguration(nonEnumerable{}, net, rng)
 }
 
-// nonEnumerable is an algorithm without EnumerateStates.
+// nonEnumerable is an algorithm without a state space.
 type nonEnumerable struct{}
 
 func (nonEnumerable) Name() string                             { return "opaque" }
@@ -78,17 +72,25 @@ func TestCorruptFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 
 	// Fraction 0: nothing changes.
-	same := MustCorruptFraction(comp, net, base, 0, rng)
+	same, err := CorruptFraction(comp, net, base, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !same.Equal(base) {
 		t.Error("fraction 0 must leave the configuration unchanged")
 	}
 	// The base configuration itself must never be mutated.
-	MustCorruptFraction(comp, net, base, 1, rng)
+	if _, err := CorruptFraction(comp, net, base, 1, rng); err != nil {
+		t.Fatal(err)
+	}
 	if !base.Equal(sim.InitialConfiguration(comp, net)) {
 		t.Error("CorruptFraction must not modify the base configuration")
 	}
 	// Out-of-range fractions are clamped rather than rejected.
-	clamped := MustCorruptFraction(comp, net, base, 7.5, rng)
+	clamped, err := CorruptFraction(comp, net, base, 7.5, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if clamped.N() != base.N() {
 		t.Error("clamped corruption must keep the configuration size")
 	}
@@ -98,7 +100,10 @@ func TestCorruptProcesses(t *testing.T) {
 	net, _, comp := testSetup(t)
 	base := sim.InitialConfiguration(comp, net)
 	rng := rand.New(rand.NewSource(3))
-	corrupted := MustCorruptProcesses(comp, net, base, []int{2, 5}, rng)
+	corrupted, err := CorruptProcesses(comp, net, base, []int{2, 5}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for u := 0; u < net.N(); u++ {
 		changed := !corrupted.State(u).Equal(base.State(u))
 		if changed && u != 2 && u != 5 {
@@ -111,7 +116,10 @@ func TestCorruptedInnerKeepsSDRClean(t *testing.T) {
 	net, u, comp := testSetup(t)
 	base := sim.InitialConfiguration(comp, net)
 	rng := rand.New(rand.NewSource(4))
-	cfg := MustCorruptedInner(u, net, base, 1.0, rng)
+	cfg, err := CorruptedInner(u, net, base, 1.0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for p := 0; p < net.N(); p++ {
 		cs := cfg.State(p).(core.ComposedState)
 		if cs.SDR.St != core.StatusC {

@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sdr/internal/alliance"
+	"sdr/internal/core"
 	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
@@ -156,4 +159,58 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 		}
 	}()
 	RegisterDaemon(DaemonEntry{Name: "synchronous", New: func(int64) sim.Daemon { return sim.SynchronousDaemon{} }})
+}
+
+// TestRegisteredStateSpaces checks the state space of every enumerable
+// registered algorithm on a ring and a star, at every process: StateAt over
+// [0, StateCount) yields pairwise-distinct states, the space holds the
+// pre-defined initial state, and a composition's space holds the reset inner
+// state under statuses C, RB and RF at distance 0, the states a reset wave
+// rooted at the process passes through. Seeded corruptions draw uniformly
+// through this space, so a duplicate would bias them and a missing reset
+// state would leave the reset machinery's own states out of the fault model.
+func TestRegisteredStateSpaces(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Ring(5), graph.Star(5)} {
+		net := sim.NewNetwork(g)
+		for _, name := range Algorithms() {
+			entry, err := AlgorithmByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asm, err := entry.Build(g, net, Params{})
+			if errors.Is(err, ErrUnsatisfiable) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			enum, ok := asm.Algorithm.(sim.Enumerable)
+			if !ok || enum.StateCount(0, net) == 0 {
+				t.Errorf("%s does not enumerate its states", name)
+				continue
+			}
+			for u := 0; u < net.N(); u++ {
+				space := sim.StateSpace(enum, u, net)
+				for i, s := range space {
+					for j := i + 1; j < len(space); j++ {
+						if s.Equal(space[j]) {
+							t.Fatalf("%s on n=%d: process %d enumerates %s at %d and %d", name, g.N(), u, s, i, j)
+						}
+					}
+				}
+				want := []sim.State{asm.Algorithm.InitialState(u, net)}
+				if asm.Inner != nil {
+					reset := asm.Inner.ResetState(u, net)
+					for _, st := range []core.Status{core.StatusC, core.StatusRB, core.StatusRF} {
+						want = append(want, core.ComposedState{SDR: core.SDRState{St: st}, Inner: reset})
+					}
+				}
+				for _, w := range want {
+					if !slices.ContainsFunc(space, w.Equal) {
+						t.Errorf("%s on n=%d: process %d's space lacks %s", name, g.N(), u, w)
+					}
+				}
+			}
+		}
+	}
 }

@@ -177,31 +177,28 @@ type Algorithm interface {
 }
 
 // Enumerable is implemented by algorithms whose per-process state space can
-// be enumerated, enabling exhaustive verification on small networks.
+// be enumerated: the fault and churn injectors draw uniform states from it,
+// and exhaustive verification walks it on small networks. The space is
+// addressed by position, so a uniform draw is one Intn over StateCount and
+// one StateAt, whatever the shape of the space.
 type Enumerable interface {
-	// EnumerateStates returns every possible local state of process u,
-	// bounded as documented by the implementation (e.g. distances capped at
-	// n so that the space is finite).
-	EnumerateStates(u int, net *Network) []State
+	// StateCount returns the size of process u's state space, bounded as
+	// documented by the implementation (e.g. distances capped at n so that
+	// the space is finite); 0 when the algorithm has no enumerable space.
+	StateCount(u int, net *Network) int
+	// StateAt returns the i-th state of process u's space, for
+	// 0 ≤ i < StateCount(u, net). The order is part of the contract: seeded
+	// corruptions draw through it.
+	StateAt(u int, net *Network, i int) State
 }
 
-// IndexedEnumerable is optionally implemented alongside Enumerable by
-// algorithms that can address their state space by position without
-// materializing it. The contract is positional equality with the
-// enumeration: StateCount(u, net) == len(EnumerateStates(u, net)) and
-// StateAt(u, net, i) equals EnumerateStates(u, net)[i] for every i in
-// [0, StateCount). The fault injectors prefer this interface to draw uniform
-// states in O(1) picks instead of rebuilding the (often product-shaped)
-// space for every draw; positional equality is what keeps seeded
-// configurations bit-identical whichever path runs.
-type IndexedEnumerable interface {
-	Enumerable
-	// StateCount returns the size of process u's enumerated state space.
-	StateCount(u int, net *Network) int
-	// StateAt returns the i-th state of the enumeration order, for
-	// 0 ≤ i < StateCount(u, net). The value is freshly allocated: the
-	// caller owns it and may install it in a configuration directly.
-	StateAt(u int, net *Network, i int) State
+// StateSpace returns process u's whole state space in StateAt order.
+func StateSpace(e Enumerable, u int, net *Network) []State {
+	out := make([]State, e.StateCount(u, net))
+	for i := range out {
+		out[i] = e.StateAt(u, net, i)
+	}
+	return out
 }
 
 // InitialConfiguration builds γ_init for the algorithm on the network.

@@ -51,6 +51,7 @@ func (SynchronousDaemon) Select(sel Selection) []int { return sel.Enabled }
 // at random. It models the central (sequential) daemon.
 type CentralRandomDaemon struct {
 	rng *rand.Rand
+	out [1]int // the selection buffer, reused by every Select
 }
 
 var _ Daemon = (*CentralRandomDaemon)(nil)
@@ -65,7 +66,8 @@ func (*CentralRandomDaemon) Name() string { return "central-random" }
 
 // Select implements Daemon.
 func (d *CentralRandomDaemon) Select(sel Selection) []int {
-	return []int{sel.Enabled[d.rng.Intn(len(sel.Enabled))]}
+	d.out[0] = sel.Enabled[d.rng.Intn(len(sel.Enabled))]
+	return d.out[:]
 }
 
 // DistributedRandomDaemon activates each enabled process independently with
@@ -159,6 +161,7 @@ func (d *LocallyCentralDaemon) Select(sel Selection) []int {
 // activated.
 type RoundRobinDaemon struct {
 	next int
+	out  [1]int // the selection buffer, reused by every Select
 }
 
 var _ Daemon = (*RoundRobinDaemon)(nil)
@@ -179,7 +182,8 @@ func (d *RoundRobinDaemon) Select(sel Selection) []int {
 	}
 	u := sel.Enabled[i]
 	d.next = (u + 1) % sel.Net.N()
-	return []int{u}
+	d.out[0] = u
+	return d.out[:]
 }
 
 // GreedyAdversarialDaemon activates the single enabled process whose
@@ -189,9 +193,11 @@ func (d *RoundRobinDaemon) Select(sel Selection) []int {
 // moves; it is used to probe worst-case move complexity.
 type GreedyAdversarialDaemon struct {
 	rng     *rand.Rand
+	patched Configuration // the lookahead configuration over scratch
 	scratch []State
 	best    []int
 	ev      *Evaluator
+	out     [1]int // the selection buffer, reused by every Select
 }
 
 var _ Daemon = (*GreedyAdversarialDaemon)(nil)
@@ -221,7 +227,8 @@ func (d *GreedyAdversarialDaemon) Select(sel Selection) []int {
 	for u := 0; u < n; u++ {
 		states[u] = sel.Config.State(u)
 	}
-	patched := &Configuration{states: states}
+	d.patched.states = states
+	patched := &d.patched
 	base := len(sel.Enabled)
 	bestScore := -1
 	best := d.best[:0]
@@ -254,7 +261,8 @@ func (d *GreedyAdversarialDaemon) Select(sel Selection) []int {
 		}
 	}
 	d.best = best
-	return []int{best[d.rng.Intn(len(best))]}
+	d.out[0] = best[d.rng.Intn(len(best))]
+	return d.out[:]
 }
 
 // applySingleMove returns the configuration obtained by letting only u move
@@ -286,8 +294,10 @@ func copyStates(c *Configuration) []State {
 // when it is the sole enabled process. It exercises the unfairness the
 // distributed unfair daemon permits.
 type StarvingDaemon struct {
-	victim int
-	rng    *rand.Rand
+	victim     int
+	rng        *rand.Rand
+	candidates []int  // reused by every Select
+	out        [1]int // the selection buffer, reused by every Select
 }
 
 var _ Daemon = (*StarvingDaemon)(nil)
@@ -302,16 +312,18 @@ func (d *StarvingDaemon) Name() string { return fmt.Sprintf("starving(%d)", d.vi
 
 // Select implements Daemon.
 func (d *StarvingDaemon) Select(sel Selection) []int {
-	var candidates []int
+	candidates := d.candidates[:0]
 	for _, u := range sel.Enabled {
 		if u != d.victim {
 			candidates = append(candidates, u)
 		}
 	}
-	if len(candidates) == 0 {
-		return []int{d.victim}
+	d.candidates = candidates
+	d.out[0] = d.victim
+	if len(candidates) > 0 {
+		d.out[0] = candidates[d.rng.Intn(len(candidates))]
 	}
-	return []int{candidates[d.rng.Intn(len(candidates))]}
+	return d.out[:]
 }
 
 // DaemonFactory builds a fresh daemon from a seed; benchmark sweeps use it to

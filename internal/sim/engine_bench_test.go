@@ -101,7 +101,8 @@ func BenchmarkEngineGreedyAdversarialReference(b *testing.B) {
 // one-shard engine loop: doubling the step budget of a run must not add a
 // single allocation — synchronous plain, with a memo attached, and deciding
 // a legitimacy predicate every step, statically (it never holds) and under
-// an injector (it always holds), and under the distributed-random daemon.
+// an injector (it always holds), and under every standard daemon but the
+// locally-central one (its random permutation is drawn afresh per step).
 // Per-step allocations (a closure built per phase, a buffer regrown per
 // step, a selection built per step) fail it.
 func TestSteadyStateAllocationFree(t *testing.T) {
@@ -128,6 +129,16 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		}},
 		{"distributed-random", func() Daemon {
 			return NewDistributedRandomDaemon(rand.New(rand.NewSource(1)), 0.5)
+		}, func() []Option { return nil }},
+		{"central-random", func() Daemon {
+			return NewCentralRandomDaemon(rand.New(rand.NewSource(1)))
+		}, func() []Option { return nil }},
+		{"round-robin", func() Daemon { return NewRoundRobinDaemon() }, func() []Option { return nil }},
+		{"greedy-adversarial", func() Daemon {
+			return NewGreedyAdversarialDaemon(rand.New(rand.NewSource(1)))
+		}, func() []Option { return nil }},
+		{"starving", func() Daemon {
+			return NewStarvingDaemon(0, rand.New(rand.NewSource(1)))
 		}, func() []Option { return nil }},
 	}
 	for _, c := range cases {

@@ -74,10 +74,21 @@ type diffWorkload struct {
 	opts  []sim.Option
 }
 
+// randomStart draws a configuration uniformly from an enumerable algorithm's
+// state space.
+func randomStart(tb testing.TB, alg sim.Algorithm, net *sim.Network, rng *rand.Rand) *sim.Configuration {
+	tb.Helper()
+	c, err := faults.RandomConfiguration(alg, net, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // diffWorkloads builds the instantiation sweep for one seed. Step bounds are
 // small enough to keep the sweep fast but large enough that most runs
 // terminate (both outcomes are compared either way).
-func diffWorkloads(seed int64) []diffWorkload {
+func diffWorkloads(tb testing.TB, seed int64) []diffWorkload {
 	rng := rand.New(rand.NewSource(seed))
 	var ws []diffWorkload
 
@@ -87,7 +98,7 @@ func diffWorkloads(seed int64) []diffWorkload {
 		net := sim.NewNetwork(g)
 		u := unison.New(unison.DefaultPeriod(g.N()))
 		comp := core.Compose(u)
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(tb, comp, net, rng)
 		ws = append(ws, diffWorkload{
 			name:  "unison∘SDR",
 			net:   net,
@@ -106,7 +117,7 @@ func diffWorkloads(seed int64) []diffWorkload {
 		g := graph.RandomConnected(9, 0.5, rng)
 		net := sim.NewNetwork(g)
 		comp := alliance.NewSelfStabilizing(alliance.DominatingSet())
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(tb, comp, net, rng)
 		ws = append(ws, diffWorkload{
 			name:  "FGA∘SDR",
 			net:   net,
@@ -121,7 +132,7 @@ func diffWorkloads(seed int64) []diffWorkload {
 		g := graph.Grid(3, 3)
 		net := sim.NewNetwork(g)
 		comp := spantree.NewSelfStabilizing(g, int(seed)%g.N())
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(tb, comp, net, rng)
 		ws = append(ws, diffWorkload{
 			name:  "B∘SDR",
 			net:   net,
@@ -152,7 +163,7 @@ func diffWorkloads(seed int64) []diffWorkload {
 		g := graph.Ring(8)
 		net := sim.NewNetwork(g)
 		bpv := unison.NewBPVFor(g)
-		start := faults.MustRandomConfiguration(bpv, net, rng)
+		start := randomStart(tb, bpv, net, rng)
 		ws = append(ws, diffWorkload{
 			name:  "BPV",
 			net:   net,
@@ -187,7 +198,6 @@ func diffWorkloads(seed int64) []diffWorkload {
 // levelState is the state of the levels algorithm.
 type levelState int
 
-func (s levelState) Clone() sim.State { return s }
 func (s levelState) Equal(o sim.State) bool {
 	t, ok := o.(levelState)
 	return ok && t == s
@@ -238,7 +248,7 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		for _, df := range sim.StandardDaemonFactories() {
-			for _, w := range diffWorkloads(seed) {
+			for _, w := range diffWorkloads(t, seed) {
 				// Fresh daemons from the same factory seed: daemons are
 				// stateful, so each engine needs its own instance.
 				inc := sim.NewEngine(w.net, w.alg, df.New(seed)).Run(w.start, w.opts...)
@@ -256,7 +266,7 @@ func TestEngineMatchesReferenceRandomRuleChoice(t *testing.T) {
 	net := sim.NewNetwork(g)
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
-	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(8)))
+	start := randomStart(t, comp, net, rand.New(rand.NewSource(8)))
 	for _, df := range sim.StandardDaemonFactories() {
 		optsFor := func(seed int64) []sim.Option {
 			return []sim.Option{
@@ -292,7 +302,7 @@ func TestEngineHooksMatchReference(t *testing.T) {
 	g := graph.RandomConnected(8, 0.4, rand.New(rand.NewSource(17)))
 	net := sim.NewNetwork(g)
 	comp := alliance.NewSelfStabilizing(alliance.DominatingSet())
-	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(18)))
+	start := randomStart(t, comp, net, rand.New(rand.NewSource(18)))
 	for _, df := range sim.StandardDaemonFactories() {
 		var incSteps, refSteps []step
 		sim.NewEngine(net, comp, df.New(4)).Run(start,

@@ -27,7 +27,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	factories := sim.StandardDaemonFactories()
 	f.Fuzz(func(t *testing.T, seed32 uint32, workload, daemon uint8, random bool, shards uint8) {
 		seed := int64(seed32)
-		ws := diffWorkloads(seed)
+		ws := diffWorkloads(t, seed)
 		w := ws[int(workload)%len(ws)]
 		df := factories[int(daemon)%len(factories)]
 		k := 1 + int(shards)%3

@@ -10,7 +10,6 @@ import (
 	"sdr/internal/alliance"
 	"sdr/internal/churn"
 	"sdr/internal/core"
-	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
 	"sdr/internal/unison"
@@ -47,7 +46,7 @@ func (s *scriptedInjector) Done() bool { return s.fired }
 // hence to the uninjected Run) across every standard daemon and workload.
 func TestEmptyInjectorMatchesReference(t *testing.T) {
 	for _, df := range sim.StandardDaemonFactories() {
-		for _, w := range diffWorkloads(1) {
+		for _, w := range diffWorkloads(t, 1) {
 			injected := sim.NewEngine(w.net, w.alg, df.New(1)).
 				Run(w.start, append(append([]sim.Option{}, w.opts...), sim.WithInjector(emptyInjector{}))...)
 			ref := sim.NewEngine(w.net, w.alg, df.New(1)).RunReference(w.start, w.opts...)
@@ -68,7 +67,7 @@ func TestReStabilizationAccounting(t *testing.T) {
 	net := sim.NewNetwork(g)
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
-	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(21)))
+	start := randomStart(t, comp, net, rand.New(rand.NewSource(21)))
 	legit := core.NormalPredicate(u)
 	opts := func(extra ...sim.Option) []sim.Option {
 		return append([]sim.Option{
@@ -85,14 +84,13 @@ func TestReStabilizationAccounting(t *testing.T) {
 
 	// Perturb well after the first stabilization: corrupt three processes
 	// with the last state of their enumerated spaces.
-	enum := comp
 	inj := &scriptedInjector{
 		at: static.StabilizationSteps + 25,
 		build: func(p sim.InjectionPoint) *sim.Injection {
 			injn := &sim.Injection{Label: "scripted-corrupt"}
 			for _, proc := range []int{1, 4, 6} {
-				options := enum.EnumerateStates(proc, p.Net)
-				injn.SetStates = append(injn.SetStates, sim.StateChange{Process: proc, State: options[len(options)-1]})
+				last := comp.StateAt(proc, p.Net, comp.StateCount(proc, p.Net)-1)
+				injn.SetStates = append(injn.SetStates, sim.StateChange{Process: proc, State: last})
 			}
 			return injn
 		},
@@ -151,7 +149,7 @@ func TestTopologyInjectionMatchesFreshRun(t *testing.T) {
 	net := sim.NewNetwork(g)
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
-	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(31)))
+	start := randomStart(t, comp, net, rand.New(rand.NewSource(31)))
 
 	const eventAt, maxSteps = 40, 400
 	var snapshot *sim.Configuration
@@ -210,7 +208,6 @@ func TestInjectionFastForwardAtTerminal(t *testing.T) {
 	net := sim.NewNetwork(g)
 	comp := alliance.NewSelfStabilizing(alliance.DominatingSet())
 	start := sim.InitialConfiguration(comp, net)
-	enum := comp
 
 	inj := &scriptedInjector{
 		at: 1 << 30, // far beyond termination: only the fast-forward can fire it
@@ -220,8 +217,8 @@ func TestInjectionFastForwardAtTerminal(t *testing.T) {
 			}
 			injn := &sim.Injection{Label: "post-terminal-corrupt"}
 			for proc := 0; proc < 3; proc++ {
-				options := enum.EnumerateStates(proc, p.Net)
-				injn.SetStates = append(injn.SetStates, sim.StateChange{Process: proc, State: options[len(options)-1]})
+				last := comp.StateAt(proc, p.Net, comp.StateCount(proc, p.Net)-1)
+				injn.SetStates = append(injn.SetStates, sim.StateChange{Process: proc, State: last})
 			}
 			return injn
 		},
@@ -307,7 +304,7 @@ func TestConcurrentChurnedRunsShareOneGraph(t *testing.T) {
 	run := func(seed int64) outcome {
 		net := sim.NewNetwork(g)
 		rng := rand.New(rand.NewSource(seed))
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(t, comp, net, rng)
 		inj, err := churn.NewInjector(sched, comp, comp.Inner(), net, rng)
 		if err != nil {
 			t.Error(err)

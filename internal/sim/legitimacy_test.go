@@ -8,7 +8,6 @@ import (
 
 	"sdr/internal/churn"
 	"sdr/internal/core"
-	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
 	"sdr/internal/unison"
@@ -146,7 +145,7 @@ func TestIncrementalLegitimacyMatchesGlobal(t *testing.T) {
 	checked, recoveries, available := 0, 0, 0
 	for _, seed := range seeds {
 		for _, df := range sim.StandardDaemonFactories() {
-			for _, w := range diffWorkloads(seed) {
+			for _, w := range diffWorkloads(t, seed) {
 				p := legitimacyOf(w)
 				if p == nil {
 					continue
@@ -226,7 +225,7 @@ func BenchmarkEngineLegitimacyChurn(b *testing.B) {
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
 	sched := churn.Schedule{Pattern: churn.Periodic, Events: 4, Every: 150, EventKinds: []churn.Kind{churn.CorruptFraction}}
-	start := faults.MustRandomConfiguration(comp, sim.NewNetwork(g), rand.New(rand.NewSource(1)))
+	start := randomStart(b, comp, sim.NewNetwork(g), rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -252,7 +251,7 @@ func BenchmarkEngineComposedSynchronous(b *testing.B) {
 	g := graph.Torus(64, 64)
 	net := sim.NewNetwork(g)
 	comp := core.Compose(unison.New(unison.DefaultPeriod(g.N())))
-	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(1)))
+	start := randomStart(b, comp, net, rand.New(rand.NewSource(1)))
 	eng := sim.NewEngine(net, comp, sim.SynchronousDaemon{})
 	b.ReportAllocs()
 	for b.Loop() {

@@ -7,7 +7,6 @@ import (
 	"sdr/internal/alliance"
 	"sdr/internal/churn"
 	"sdr/internal/core"
-	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
 	"sdr/internal/spantree"
@@ -31,7 +30,7 @@ func TestMemoMatchesReference(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		for _, df := range sim.StandardDaemonFactories() {
-			for _, w := range diffWorkloads(seed) {
+			for _, w := range diffWorkloads(t, seed) {
 				memoOpts := append(append([]sim.Option(nil), w.opts...),
 					sim.WithMemo(sim.NewMemoShare(0)))
 				inc := sim.NewEngine(w.net, w.alg, df.New(seed)).Run(w.start, memoOpts...)
@@ -50,7 +49,7 @@ func TestMemoMatchesReference(t *testing.T) {
 // the frozen table must still match the reference bit for bit.
 func TestMemoSharedTableMatchesReference(t *testing.T) {
 	for _, df := range sim.StandardDaemonFactories() {
-		for _, w := range diffWorkloads(5) {
+		for _, w := range diffWorkloads(t, 5) {
 			share := sim.NewMemoShare(0)
 			memoOpts := append(append([]sim.Option(nil), w.opts...), sim.WithMemo(share))
 			sim.NewEngine(w.net, w.alg, df.New(5)).Run(w.start, memoOpts...)
@@ -75,7 +74,7 @@ func TestMemoRandomRuleChoiceMatchesReference(t *testing.T) {
 	net := sim.NewNetwork(g)
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
-	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(8)))
+	start := randomStart(t, comp, net, rand.New(rand.NewSource(8)))
 	for _, df := range sim.StandardDaemonFactories() {
 		optsFor := func(extra ...sim.Option) []sim.Option {
 			return append([]sim.Option{
@@ -121,7 +120,7 @@ func TestMemoChurnMatchesPlain(t *testing.T) {
 		net := sim.NewNetwork(g)
 		u := unison.New(unison.DefaultPeriod(g.N()))
 		comp := core.Compose(u)
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(t, comp, net, rng)
 		inj, err := churn.NewInjector(sched, comp, u, net, rand.New(rand.NewSource(99)))
 		if err != nil {
 			t.Fatalf("NewInjector: %v", err)
@@ -204,6 +203,5 @@ func TestAppendStateKeyMatchesString(t *testing.T) {
 // fallbackState has no KeyAppender bypass.
 type fallbackState struct{}
 
-func (fallbackState) Clone() sim.State       { return fallbackState{} }
 func (fallbackState) Equal(o sim.State) bool { _, ok := o.(fallbackState); return ok }
 func (fallbackState) String() string         { return "fallback" }

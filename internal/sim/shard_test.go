@@ -7,7 +7,6 @@ import (
 
 	"sdr/internal/alliance"
 	"sdr/internal/core"
-	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
 	"sdr/internal/spantree"
@@ -22,7 +21,7 @@ import (
 // shardWorkloads builds medium-sized instantiations: large enough that the
 // requested shard counts survive the 64-alignment cap (7 shards need
 // n ≥ 7·64).
-func shardWorkloads(seed int64) []diffWorkload {
+func shardWorkloads(tb testing.TB, seed int64) []diffWorkload {
 	rng := rand.New(rand.NewSource(seed))
 	var ws []diffWorkload
 
@@ -33,7 +32,7 @@ func shardWorkloads(seed int64) []diffWorkload {
 		net := sim.NewNetwork(g)
 		u := unison.New(unison.DefaultPeriod(g.N()))
 		comp := core.Compose(u)
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(tb, comp, net, rng)
 		ws = append(ws, diffWorkload{
 			name:  "unison∘SDR/torus480",
 			net:   net,
@@ -52,7 +51,7 @@ func shardWorkloads(seed int64) []diffWorkload {
 		g := graph.Grid(20, 25)
 		net := sim.NewNetwork(g)
 		comp := spantree.NewSelfStabilizing(g, 7)
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(tb, comp, net, rng)
 		ws = append(ws, diffWorkload{
 			name:  "B∘SDR/grid500",
 			net:   net,
@@ -67,7 +66,7 @@ func shardWorkloads(seed int64) []diffWorkload {
 		g := graph.RandomConnected(300, 0.02, rng)
 		net := sim.NewNetwork(g)
 		comp := alliance.NewSelfStabilizing(alliance.DominatingSet())
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(tb, comp, net, rng)
 		ws = append(ws, diffWorkload{
 			name:  "FGA∘SDR/random300",
 			net:   net,
@@ -87,7 +86,7 @@ func shardWorkloads(seed int64) []diffWorkload {
 // whose per-step lookahead is capped at 100 steps to stay affordable under
 // the race detector.
 func TestShardedBitIdentical(t *testing.T) {
-	for _, w := range shardWorkloads(11) {
+	for _, w := range shardWorkloads(t, 11) {
 		for _, df := range sim.StandardDaemonFactories() {
 			opts := w.opts
 			if df.Name == "greedy-adversarial" {
@@ -134,7 +133,7 @@ func TestShardedHooksMatchSequential(t *testing.T) {
 	net := sim.NewNetwork(g)
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
-	start := faults.MustRandomConfiguration(comp, net, rand.New(rand.NewSource(23)))
+	start := randomStart(t, comp, net, rand.New(rand.NewSource(23)))
 
 	compare := func(name string, shSteps, seqSteps []step) {
 		t.Helper()
@@ -208,7 +207,7 @@ func TestShardedInjectorCrossShardChurn(t *testing.T) {
 		}
 	}
 
-	start := faults.MustRandomConfiguration(
+	start := randomStart(t,
 		core.Compose(unison.New(unison.DefaultPeriod(128))),
 		sim.NewNetwork(graph.Ring(128)),
 		rand.New(rand.NewSource(41)))

@@ -12,7 +12,6 @@ import (
 // intState is a trivial one-variable state used by the test algorithms.
 type intState struct{ v int }
 
-func (s intState) Clone() State { return intState{v: s.v} }
 func (s intState) Equal(other State) bool {
 	o, ok := other.(intState)
 	return ok && o.v == s.v

@@ -19,16 +19,13 @@ import (
 )
 
 // State is the local state of a single process: the values of all its
-// locally shared variables. Implementations must be value-like: Equal must
-// compare by value. States are immutable values: nothing modifies a state
-// once it is built, so configurations may share one box. The engine's
-// buffers share the boxes of the start configuration and with Result.Final,
-// injections install their states as they are, and composed rule actions
-// hand the same box to every process that moves to an equal state.
+// locally shared variables. States are immutable values: Equal compares by
+// value, and nothing modifies a state once it is built, so there is no copy
+// operation and configurations may share one box. The engine's buffers share
+// the boxes of the start configuration and with Result.Final, injections
+// install their states as they are, and composed rule actions hand the same
+// box to every process that moves to an equal state.
 type State interface {
-	// Clone returns a copy of the state. States are immutable, so an
-	// implementation may return the value itself.
-	Clone() State
 	// Equal reports whether the other state has the same variable values.
 	Equal(other State) bool
 	// String renders the state compactly for traces and debugging.

@@ -43,9 +43,6 @@ type NodeState struct {
 
 var _ sim.State = NodeState{}
 
-// Clone implements sim.State.
-func (s NodeState) Clone() sim.State { return s }
-
 // Equal implements sim.State.
 func (s NodeState) Equal(other sim.State) bool {
 	o, ok := other.(NodeState)
@@ -238,30 +235,15 @@ func (b *BFS) InnerRules() []core.InnerRule {
 	}}
 }
 
-// EnumerateInner implements core.InnerEnumerable: distances 0..maxDist and
+// InnerStateCount implements core.InnerEnumerable: distances 0..maxDist and
 // parents in {⊥} ∪ identifiers of the neighbourhood.
-func (b *BFS) EnumerateInner(u int, net *sim.Network) []sim.State {
-	parents := []int{NoParent}
-	for i, deg := 0, net.Degree(u); i < deg; i++ {
-		parents = append(parents, net.ID(net.Neighbor(u, i)))
-	}
-	var out []sim.State
-	for d := 0; d <= b.maxDist; d++ {
-		for _, p := range parents {
-			out = append(out, NodeState{Dist: d, Parent: p})
-		}
-	}
-	return out
-}
-
-// InnerStateCount implements core.InnerIndexedEnumerable.
 func (b *BFS) InnerStateCount(u int, net *sim.Network) int {
 	return (b.maxDist + 1) * (net.Degree(u) + 1)
 }
 
-// InnerStateAt implements core.InnerIndexedEnumerable, reproducing
-// EnumerateInner's order: distances outermost, the parent pointer (⊥ first,
-// then the neighbours in local-label order) innermost.
+// InnerStateAt implements core.InnerEnumerable: distances outermost, the
+// parent pointer (⊥ first, then the neighbours in local-label order)
+// innermost.
 func (b *BFS) InnerStateAt(u int, net *sim.Network, i int) sim.State {
 	span := net.Degree(u) + 1
 	d, pi := i/span, i%span

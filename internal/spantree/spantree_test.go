@@ -13,6 +13,17 @@ import (
 	"sdr/internal/sim"
 )
 
+// randomStart draws a configuration uniformly from an enumerable algorithm's
+// state space.
+func randomStart(t *testing.T, alg sim.Algorithm, net *sim.Network, rng *rand.Rand) *sim.Configuration {
+	t.Helper()
+	c, err := faults.RandomConfiguration(alg, net, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestNewValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -33,7 +44,7 @@ func TestNewForValidation(t *testing.T) {
 
 func TestNodeStateBasics(t *testing.T) {
 	s := NodeState{Dist: 2, Parent: 5}
-	if !s.Equal(s.Clone()) || s.Equal(NodeState{Dist: 2, Parent: NoParent}) {
+	if !s.Equal(NodeState{Dist: 2, Parent: 5}) || s.Equal(NodeState{Dist: 2, Parent: NoParent}) {
 		t.Error("NodeState equality must be by value")
 	}
 	if !strings.Contains(s.String(), "p=5") {
@@ -83,20 +94,8 @@ func TestEnumerateInner(t *testing.T) {
 	net := sim.NewNetwork(g)
 	b := NewFor(g, 0)
 	// (maxDist+1) distances × (degree+1) parents for the centre.
-	if got, want := len(b.EnumerateInner(0, net)), 5*4; got != want {
+	if got, want := b.InnerStateCount(0, net), 5*4; got != want {
 		t.Errorf("centre enumerates %d states, want %d", got, want)
-	}
-	// The indexed enumeration must agree positionally at every process.
-	for u := 0; u < net.N(); u++ {
-		states := b.EnumerateInner(u, net)
-		if got := b.InnerStateCount(u, net); got != len(states) {
-			t.Fatalf("InnerStateCount(%d) = %d, want %d", u, got, len(states))
-		}
-		for i, want := range states {
-			if got := b.InnerStateAt(u, net, i); !got.Equal(want) {
-				t.Fatalf("InnerStateAt(%d, %d) = %s, want %s", u, i, got, want)
-			}
-		}
 	}
 }
 
@@ -195,7 +194,7 @@ func TestSelfStabilizingBFSFromCorruptedStates(t *testing.T) {
 		net := sim.NewNetwork(g)
 		for trial := 0; trial < 5; trial++ {
 			trialRng := rand.New(rand.NewSource(int64(trial*13 + g.N())))
-			start := faults.MustRandomConfiguration(comp, net, trialRng)
+			start := randomStart(t, comp, net, trialRng)
 			daemon := sim.NewDistributedRandomDaemon(trialRng, 0.5)
 			res := sim.NewEngine(net, comp, daemon).Run(start, sim.WithMaxSteps(400_000))
 			if !res.Terminated {
@@ -241,7 +240,10 @@ func TestSelfStabilizingBFSSurvivesTargetedFaults(t *testing.T) {
 		t.Errorf("after a fake reset wave: %v", err)
 	}
 
-	corrupted := faults.MustCorruptedInner(comp.Inner(), net, res2.Final, 0.6, rng)
+	corrupted, err := faults.CorruptedInner(comp.Inner(), net, res2.Final, 0.6, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res3 := eng.Run(corrupted, sim.WithMaxSteps(200_000))
 	if !res3.Terminated {
 		t.Fatal("did not terminate after inner corruption")
@@ -262,7 +264,7 @@ func TestExhaustiveConvergenceTinyPath(t *testing.T) {
 
 	perProcess := make([][]sim.State, net.N())
 	for u := 0; u < net.N(); u++ {
-		perProcess[u] = comp.EnumerateStates(u, net)
+		perProcess[u] = sim.StateSpace(comp, u, net)
 	}
 	// The full product of per-process states is ~560k starting
 	// configurations; exploring all of them takes ~10s, which dominated the
@@ -279,7 +281,7 @@ func TestExhaustiveConvergenceTinyPath(t *testing.T) {
 		for _, b := range perProcess[1] {
 			for _, c := range perProcess[2] {
 				if idx%stride == 0 {
-					starts = append(starts, sim.NewConfiguration([]sim.State{a.Clone(), b.Clone(), c.Clone()}))
+					starts = append(starts, sim.NewConfiguration([]sim.State{a, b, c}))
 				}
 				idx++
 			}
@@ -352,7 +354,7 @@ func TestQuickSelfStabilizationOnRandomTrees(t *testing.T) {
 		root := int(rawRoot) % n
 		comp := NewSelfStabilizing(g, root)
 		net := sim.NewNetwork(g)
-		start := faults.MustRandomConfiguration(comp, net, rng)
+		start := randomStart(t, comp, net, rng)
 		res := sim.NewEngine(net, comp, sim.NewDistributedRandomDaemon(rng, 0.5)).Run(start, sim.WithMaxSteps(300_000))
 		return res.Terminated && VerifyTree(g, root, res.Final) == nil
 	}

@@ -38,7 +38,10 @@ type BPV struct {
 	alpha int
 }
 
-var _ sim.Algorithm = (*BPV)(nil)
+var (
+	_ sim.Algorithm  = (*BPV)(nil)
+	_ sim.Enumerable = (*BPV)(nil)
+)
 
 // BPVState is the extended clock of the baseline: R ∈ {-Alpha, ..., K-1}.
 type BPVState struct {
@@ -47,9 +50,6 @@ type BPVState struct {
 }
 
 var _ sim.State = BPVState{}
-
-// Clone implements sim.State.
-func (s BPVState) Clone() sim.State { return BPVState{R: s.R} }
 
 // Equal implements sim.State.
 func (s BPVState) Equal(other sim.State) bool {
@@ -117,20 +117,11 @@ func (b *BPV) Name() string { return fmt.Sprintf("BPV(K=%d,α=%d)", b.k, b.alpha
 // has every clock at 0.
 func (b *BPV) InitialState(int, *sim.Network) sim.State { return BPVState{R: 0} }
 
-// EnumerateStates implements sim.Enumerable: all values of the tailed ring.
-func (b *BPV) EnumerateStates(int, *sim.Network) []sim.State {
-	var out []sim.State
-	for r := -b.alpha; r < b.k; r++ {
-		out = append(out, BPVState{R: r})
-	}
-	return out
-}
-
-// StateCount implements sim.IndexedEnumerable.
+// StateCount implements sim.Enumerable: all values of the tailed ring.
 func (b *BPV) StateCount(int, *sim.Network) int { return b.alpha + b.k }
 
-// StateAt implements sim.IndexedEnumerable: the enumeration is the extended
-// clock values -Alpha, ..., K-1 in increasing order.
+// StateAt implements sim.Enumerable: the extended clock values
+// -Alpha, ..., K-1 in increasing order.
 func (b *BPV) StateAt(_ int, _ *sim.Network, i int) sim.State {
 	return BPVState{R: i - b.alpha}
 }

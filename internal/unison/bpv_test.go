@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
 )
@@ -48,7 +47,7 @@ func TestParametersFor(t *testing.T) {
 
 func TestBPVStateBasics(t *testing.T) {
 	s := BPVState{R: -2}
-	if !s.Equal(s.Clone()) || s.Equal(BPVState{R: 0}) || s.Equal(ClockState{C: -2}) {
+	if !s.Equal(BPVState{R: -2}) || s.Equal(BPVState{R: 0}) || s.Equal(ClockState{C: -2}) {
 		t.Error("BPVState equality must be by value and type")
 	}
 	if s.String() != "r=-2" {
@@ -58,22 +57,12 @@ func TestBPVStateBasics(t *testing.T) {
 
 func TestBPVEnumerateStates(t *testing.T) {
 	b := NewBPV(5, 3)
-	states := b.EnumerateStates(0, sim.NewNetwork(graph.Ring(4)))
+	states := sim.StateSpace(b, 0, sim.NewNetwork(graph.Ring(4)))
 	if len(states) != 8 {
 		t.Fatalf("enumerated %d states, want α+K = 8", len(states))
 	}
 	if states[0].(BPVState).R != -3 || states[len(states)-1].(BPVState).R != 4 {
 		t.Errorf("state range is [%v, %v], want [-3, 4]", states[0], states[len(states)-1])
-	}
-	// The indexed enumeration must agree positionally.
-	net := sim.NewNetwork(graph.Ring(4))
-	if got := b.StateCount(0, net); got != len(states) {
-		t.Fatalf("StateCount = %d, want %d", got, len(states))
-	}
-	for i, want := range states {
-		if got := b.StateAt(0, net, i); !got.Equal(want) {
-			t.Fatalf("StateAt(%d) = %s, want %s", i, got, want)
-		}
 	}
 }
 
@@ -123,7 +112,7 @@ func TestBPVStabilizesFromRandomConfigurations(t *testing.T) {
 		legit := b.LegitimatePredicate()
 		for trial := 0; trial < 5; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial * 31)))
-			start := faults.MustRandomConfiguration(b, net, rng)
+			start := randomStart(t, b, net, rng)
 			res := sim.NewEngine(net, b, sim.NewDistributedRandomDaemon(rng, 0.5)).Run(start,
 				sim.WithMaxSteps(400_000),
 				sim.WithLegitimate(legit),

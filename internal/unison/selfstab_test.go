@@ -12,6 +12,17 @@ import (
 	"sdr/internal/sim"
 )
 
+// randomStart draws a configuration uniformly from an enumerable algorithm's
+// state space.
+func randomStart(t *testing.T, alg sim.Algorithm, net *sim.Network, rng *rand.Rand) *sim.Configuration {
+	t.Helper()
+	c, err := faults.RandomConfiguration(alg, net, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestNewSelfStabilizingBuildsComposition(t *testing.T) {
 	comp := NewSelfStabilizing(9)
 	if comp.Inner().Name() != New(9).Name() {
@@ -42,7 +53,7 @@ func TestSelfStabilizationRoundsAndMoves(t *testing.T) {
 
 		for trial := 0; trial < 4; trial++ {
 			rng := rand.New(rand.NewSource(int64(100*n + trial)))
-			start := faults.MustRandomConfiguration(comp, net, rng)
+			start := randomStart(t, comp, net, rng)
 			daemon := sim.NewDistributedRandomDaemon(rng, 0.5)
 			res := sim.NewEngine(net, comp, daemon).Run(start,
 				sim.WithMaxSteps(500_000),
@@ -73,7 +84,7 @@ func TestSpecificationHoldsAfterStabilization(t *testing.T) {
 	comp := core.Compose(u)
 	net := sim.NewNetwork(g)
 	rng := rand.New(rand.NewSource(21))
-	start := faults.MustRandomConfiguration(comp, net, rng)
+	start := randomStart(t, comp, net, rng)
 	daemon := sim.NewDistributedRandomDaemon(rng, 0.5)
 	eng := sim.NewEngine(net, comp, daemon)
 
@@ -136,13 +147,13 @@ func TestExhaustiveUnisonConvergenceTinyRing(t *testing.T) {
 
 	perProcess := make([][]sim.State, net.N())
 	for p := 0; p < net.N(); p++ {
-		perProcess[p] = comp.EnumerateStates(p, net)
+		perProcess[p] = sim.StateSpace(comp, p, net)
 	}
 	var starts []*sim.Configuration
 	for _, a := range perProcess[0] {
 		for _, b := range perProcess[1] {
 			for _, c := range perProcess[2] {
-				starts = append(starts, sim.NewConfiguration([]sim.State{a.Clone(), b.Clone(), c.Clone()}))
+				starts = append(starts, sim.NewConfiguration([]sim.State{a, b, c}))
 			}
 		}
 	}
@@ -169,7 +180,7 @@ func TestUncooperativeVariantStillStabilizes(t *testing.T) {
 	comp := core.Compose(u, core.WithUncooperativeResets())
 	net := sim.NewNetwork(g)
 	rng := rand.New(rand.NewSource(8))
-	start := faults.MustRandomConfiguration(comp, net, rng)
+	start := randomStart(t, comp, net, rng)
 	res := sim.NewEngine(net, comp, sim.NewDistributedRandomDaemon(rng, 0.5)).Run(start,
 		sim.WithMaxSteps(500_000),
 		sim.WithLegitimate(core.NormalPredicate(u)),

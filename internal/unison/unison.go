@@ -24,9 +24,6 @@ type ClockState struct {
 
 var _ sim.State = ClockState{}
 
-// Clone implements sim.State.
-func (s ClockState) Clone() sim.State { return ClockState{C: s.C} }
-
 // Equal implements sim.State.
 func (s ClockState) Equal(other sim.State) bool {
 	o, ok := other.(ClockState)
@@ -112,8 +109,8 @@ func clockOf(s sim.State) int {
 
 // ok is P_Ok(u, v) ≡ c_v ∈ {(c_u-1)%K, c_u, (c_u+1)%K}. Clocks are always
 // in [0, K) — they start and reset at 0, tick modulo K, and every other
-// state (faults, churn, the checker) comes from EnumerateInner or
-// InnerStateAt — so that is a difference c_v - c_u of 0, ±1 or ±(K-1).
+// state (faults, churn, the checker) comes from InnerStateAt — so that is a
+// difference c_v - c_u of 0, ±1 or ±(K-1).
 func (u *Unison) ok(cu, cv int) bool {
 	switch cv - cu {
 	case 0, 1, -1, u.k - 1, 1 - u.k:
@@ -166,20 +163,11 @@ func (u *Unison) InnerRules() []core.InnerRule {
 	}}
 }
 
-// EnumerateInner implements core.InnerEnumerable: all K clock values.
-func (u *Unison) EnumerateInner(int, *sim.Network) []sim.State {
-	out := make([]sim.State, u.k)
-	for c := 0; c < u.k; c++ {
-		out[c] = ClockState{C: c}
-	}
-	return out
-}
-
-// InnerStateCount implements core.InnerIndexedEnumerable.
+// InnerStateCount implements core.InnerEnumerable: all K clock values.
 func (u *Unison) InnerStateCount(int, *sim.Network) int { return u.k }
 
-// InnerStateAt implements core.InnerIndexedEnumerable: the enumeration is
-// the clock values in increasing order.
+// InnerStateAt implements core.InnerEnumerable: the clock values in
+// increasing order.
 func (u *Unison) InnerStateAt(_ int, _ *sim.Network, i int) sim.State {
 	return ClockState{C: i}
 }
