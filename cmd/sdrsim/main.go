@@ -30,6 +30,7 @@ import (
 	"runtime"
 
 	"sdr/internal/core"
+	"sdr/internal/graph"
 	"sdr/internal/obs"
 	"sdr/internal/scenario"
 	"sdr/internal/sim"
@@ -99,6 +100,27 @@ func run(args []string, out io.Writer) error {
 	return simulate(sp, *showTrace, *format, *profileSteps, out)
 }
 
+// exactDiameterMaxN is the largest node count for which the header prints
+// the exact diameter. Graph.Diameter usually needs a handful of BFS runs but
+// may need one per node, which on Torus(255, 255) takes tens of seconds, so
+// larger graphs get the bounds of its first three runs.
+const exactDiameterMaxN = 1 << 12
+
+// topologyLine describes the topology for the report header: its name, n,
+// m, Δ and D, or the bracket D∈[lo,hi] above exactDiameterMaxN nodes unless
+// the bounds meet.
+func topologyLine(name string, g *graph.Graph) string {
+	var d string
+	if g.N() <= exactDiameterMaxN {
+		d = fmt.Sprintf("D=%d", g.Diameter())
+	} else if lo, hi := g.DiameterBounds(); lo == hi {
+		d = fmt.Sprintf("D=%d", lo)
+	} else {
+		d = fmt.Sprintf("D∈[%d,%d]", lo, hi)
+	}
+	return fmt.Sprintf("%s (n=%d m=%d Δ=%d %s)", name, g.N(), g.M(), g.MaxDegree(), d)
+}
+
 // certify resolves the Spec and model-checks its convergence property on the
 // space reachable from the seeded starts, under every daemon choice up to
 // the selection cap.
@@ -109,7 +131,7 @@ func certify(sp scenario.Spec, vo scenario.VerifyOptions, out io.Writer) error {
 	}
 	g := run.Net.Graph()
 	fmt.Fprintf(out, "algorithm : %s\n", run.Alg.Name())
-	fmt.Fprintf(out, "topology  : %s (n=%d m=%d Δ=%d D=%d)\n", run.Spec.Topology, g.N(), g.M(), g.MaxDegree(), g.Diameter())
+	fmt.Fprintf(out, "topology  : %s\n", topologyLine(run.Spec.Topology, g))
 	daemons := "every daemon"
 	if vo.MaxSelectionSize > 0 {
 		daemons = fmt.Sprintf("every daemon activating ≤%d process(es) per step", vo.MaxSelectionSize)
@@ -190,7 +212,7 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 	// Topology stats are captured before the run: churn events replace the
 	// network's graph, and the header should describe the starting topology.
 	g := run.Net.Graph()
-	topoLine := fmt.Sprintf("%s (n=%d m=%d Δ=%d D=%d)", run.Spec.Topology, g.N(), g.M(), g.MaxDegree(), g.Diameter())
+	topoLine := topologyLine(run.Spec.Topology, g)
 	res := run.Execute(opts...)
 
 	fmt.Fprintf(out, "algorithm : %s\n", run.Alg.Name())

@@ -74,11 +74,15 @@ func (a *FGA) inAll(v core.InnerView) int {
 // and the requirement that applies to u (g(u) inside the alliance, f(u)
 // outside), clamped to {-1, 0, 1}.
 func (a *FGA) realScr(v core.InnerView) int {
-	in := a.inAll(v)
 	need := a.f(v)
 	if fgaOf(v.Self()).Col {
 		need = a.g(v)
 	}
+	return score(a.inAll(v), need)
+}
+
+// score clamps the slack in-need to {-1, 0, 1}.
+func score(in, need int) int {
 	switch {
 	case in < need:
 		return -1
@@ -131,25 +135,38 @@ func (a *FGA) pToQuit(v core.InnerView) bool {
 // verbatim for neighbour candidates, which is what the closure of
 // realScr(u) ≥ 0 (Lemma 22) relies on. See DESIGN.md, "Deviations".
 func (a *FGA) bestPtr(v core.InnerView, selfScr int, selfCanQ bool) int {
-	best := NoPointer
-	if selfCanQ {
-		best = v.ID()
-	}
+	minCanQ := NoPointer
 	for i := 0; i < v.Degree(); i++ {
-		if !fgaOf(v.Neighbor(i)).CanQ {
-			continue
-		}
-		if id := v.NeighborID(i); best == NoPointer || id < best {
-			best = id
+		if fgaOf(v.Neighbor(i)).CanQ {
+			minCanQ = minPointer(minCanQ, v.NeighborID(i))
 		}
 	}
-	if best == NoPointer || best == v.ID() {
+	return pickPtr(v.ID(), minCanQ, selfScr, selfCanQ)
+}
+
+// pickPtr finishes bestPtr(u) for the process with identifier id, given
+// minCanQ, the smallest identifier of a neighbour with canQ (⊥ when none).
+func pickPtr(id, minCanQ, selfScr int, selfCanQ bool) int {
+	best := minCanQ
+	if selfCanQ {
+		best = minPointer(best, id)
+	}
+	if best == NoPointer || best == id {
 		return best
 	}
 	if selfScr <= 0 {
 		return NoPointer
 	}
 	return best
+}
+
+// minPointer returns the smaller of two identifiers, where ⊥ counts as
+// larger than every identifier.
+func minPointer(p, id int) int {
+	if p == NoPointer || id < p {
+		return id
+	}
+	return p
 }
 
 // pUpdPtr is P_updPtr(u) ≡ ¬P_toQuit(u) ∧ ptr_u ≠ bestPtr(u), evaluated on
@@ -215,6 +232,57 @@ func (a *FGA) ICorrect(v core.InnerView) bool {
 	return found && !col
 }
 
+// Decide implements core.Resettable. One scan of the neighbours gathers what
+// P_ICorrect(u) and the four guards share: #InAll(u), whether every scr_v is
+// 1 and every ptr_v is u, the smallest identifier with canQ, and the col of
+// the process ptr_u names. realScr(u) and P_canQuit(u) are then computed
+// once, and the guards are tried in rule order.
+func (a *FGA) Decide(v core.InnerView) (correct bool, rule int) {
+	self := fgaOf(v.Self())
+	id := v.ID()
+	in, allScr1, allPtrU, minCanQ := 0, true, true, NoPointer
+	ptrFound := self.Ptr != NoPointer && self.Ptr == id
+	ptrCol := ptrFound && self.Col
+	for i, deg := 0, v.Degree(); i < deg; i++ {
+		nb, nid := fgaOf(v.Neighbor(i)), v.NeighborID(i)
+		if nb.Col {
+			in++
+		}
+		allScr1 = allScr1 && nb.Scr == 1
+		allPtrU = allPtrU && nb.Ptr == id
+		if nb.CanQ {
+			minCanQ = minPointer(minCanQ, nid)
+		}
+		if !ptrFound && self.Ptr != NoPointer && nid == self.Ptr {
+			ptrFound, ptrCol = true, nb.Col
+		}
+	}
+	f := a.f(v)
+	need := f
+	if self.Col {
+		need = a.g(v)
+	}
+	rs := score(in, need)
+	correct = rs >= 0 && (self.Scr == 1 && rs == 1 || self.Ptr == NoPointer ||
+		self.Ptr == id && self.Col || self.Scr == 1 && ptrFound && !ptrCol)
+	if !correct || !v.Clean() {
+		return correct, -1
+	}
+	canQuit := self.Col && in >= f && allScr1
+	switch {
+	case canQuit && self.Ptr == id && allPtrU:
+		return true, 0 // rule_Clr: P_toQuit(u)
+	case self.Ptr != pickPtr(id, minCanQ, self.Scr, self.CanQ):
+		if self.Ptr != NoPointer {
+			return true, 1 // rule_P1
+		}
+		return true, 2 // rule_P2
+	case self.Scr != rs || self.CanQ != canQuit:
+		return true, 3 // rule_Q
+	}
+	return true, -1
+}
+
 // cmpVar applies the macro cmpVar(u) to the given state: scr := realScr(u),
 // canQ := P_canQuit(u). Both macros read the neighbours' current values and
 // the given col value of the process itself.
@@ -224,14 +292,7 @@ func (a *FGA) cmpVar(v core.InnerView, s FGAState) FGAState {
 	if s.Col {
 		need = a.g(v)
 	}
-	switch {
-	case in < need:
-		s.Scr = -1
-	case in == need:
-		s.Scr = 0
-	default:
-		s.Scr = 1
-	}
+	s.Scr = score(in, need)
 	canQuit := s.Col && in >= a.f(v) &&
 		v.AllNeighbors(func(ns sim.State) bool { return fgaOf(ns).Scr == 1 })
 	s.CanQ = canQuit

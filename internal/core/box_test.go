@@ -27,8 +27,9 @@ func composed(st Status, d int, in sim.State) ComposedState {
 }
 
 // TestBoxTableConfirmsHitsByValue checks that a hit returns a box equal to
-// the requested value: equal keys of different inner types, and different
-// values sharing one slot, each get their own box.
+// the requested value: equal keys of different inner types, equal keys of
+// different state types, and different values sharing one pair of slots,
+// each get their own box.
 func TestBoxTableConfirmsHitsByValue(t *testing.T) {
 	var tab boxTable
 	a, b := composed(StatusRB, 2, keyedA(7)), composed(StatusRB, 2, keyedB(7))
@@ -36,80 +37,103 @@ func TestBoxTableConfirmsHitsByValue(t *testing.T) {
 	if kb, _ := b.Key64(); ka != kb {
 		t.Fatalf("test states must share a key: %d vs %d", ka, kb)
 	}
+	plain := keyedA(ka)
 	for range 2 {
-		if got := tab.box(a); got != sim.State(a) {
+		if got := boxIn(&tab, a); got != sim.State(a) {
 			t.Fatalf("box(%v) = %v", a, got)
 		}
-		if got := tab.box(b); got != sim.State(b) {
+		if got := boxIn(&tab, b); got != sim.State(b) {
 			t.Fatalf("box(%v) = %v (same key, other inner type)", b, got)
 		}
+		if got := boxIn(&tab, plain); got != sim.State(plain) {
+			t.Fatalf("box(%v) = %v (same key, other state type)", plain, got)
+		}
 	}
-	c := slotMate(a)
+	c := pairMates(a, 1)[0]
 	for range 2 {
-		if got := tab.box(a); got != sim.State(a) {
+		if got := boxIn(&tab, a); got != sim.State(a) {
 			t.Fatalf("box(%v) = %v", a, got)
 		}
-		if got := tab.box(c); got != sim.State(c) {
-			t.Fatalf("box(%v) = %v (same slot, other key)", c, got)
+		if got := boxIn(&tab, c); got != sim.State(c) {
+			t.Fatalf("box(%v) = %v (same pair, other key)", c, got)
 		}
 	}
 }
 
-// slotMate returns a value other than cs that lands in cs's slot.
-func slotMate(cs ComposedState) ComposedState {
+// pairMates returns count values other than cs, with distinct keys, that
+// land in cs's pair of slots.
+func pairMates(cs ComposedState, count int) []ComposedState {
 	k, _ := cs.Key64()
-	for v := 1; ; v++ {
+	var mates []ComposedState
+	for v := 1; len(mates) < count; v++ {
 		mate := composed(cs.SDR.St, cs.SDR.D, keyedA(int(cs.Inner.(keyedA))+v))
-		if km, _ := mate.Key64(); boxSlot(km) == boxSlot(k) {
-			return mate
+		if km, _ := mate.Key64(); boxPair(km) == boxPair(k) {
+			mates = append(mates, mate)
 		}
 	}
+	return mates
 }
 
 // TestBoxTableSharesBoxes checks what a call costs: boxing a value the table
-// holds allocates nothing, while a miss, and a value whose Key64 does not
-// fit, allocate the one box a plain construction allocates, and the latter
-// leaves the table untouched.
+// holds allocates nothing, a miss allocates the box a plain construction
+// allocates and the slot's pointer to it, and a value whose Key64 does not
+// fit allocates the one box and leaves the table untouched. It also checks
+// the replacement order: two values of one pair both stay held, and a third
+// evicts the one published first.
 func TestBoxTableSharesBoxes(t *testing.T) {
 	var tab boxTable
 	held := composed(StatusC, 3, keyedA(40))
-	tab.box(held)
-	if allocs := testing.AllocsPerRun(100, func() { tab.box(held) }); allocs != 0 {
-		t.Errorf("boxing a held value allocates %.1f times, want 0", allocs)
-	}
-	// Two values sharing a slot evict each other, so every call misses.
-	mate, i := slotMate(held), 0
+	mates := pairMates(held, 2)
+	boxIn(&tab, held)
+	boxIn(&tab, mates[0])
 	if allocs := testing.AllocsPerRun(100, func() {
-		if i++; i%2 == 0 {
-			tab.box(held)
-		} else {
-			tab.box(mate)
-		}
-	}); allocs != 1 {
-		t.Errorf("a miss allocates %.1f times, want 1", allocs)
+		boxIn(&tab, held)
+		boxIn(&tab, mates[0])
+	}); allocs != 0 {
+		t.Errorf("boxing two held values of one pair allocates %.1f times, want 0", allocs)
 	}
-	tab.box(held)
+	// Three values sharing a pair, boxed in turn from the one the pair
+	// does not hold, evict each other, so every call misses.
+	cycle, i := []ComposedState{mates[1], held, mates[0]}, 0
+	if allocs := testing.AllocsPerRun(99, func() {
+		boxIn(&tab, cycle[i%3])
+		i++
+	}); allocs != 2 {
+		t.Errorf("a miss allocates %.1f times, want 2", allocs)
+	}
+	boxIn(&tab, held)
 	far := composed(StatusRF, 1<<20, keyedA(40))
 	if _, ok := far.Key64(); ok {
 		t.Fatal("a distance of 2^20 must not fit Key64")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if tab.box(far) != sim.State(far) {
+		if boxIn(&tab, far) != sim.State(far) {
 			t.Fatal("a value whose key does not fit came back changed")
 		}
 	}); allocs != 1 {
 		t.Errorf("boxing a value whose key does not fit allocates %.1f times, want 1", allocs)
 	}
+	k, _ := held.Key64()
 	for i := range tab {
-		if v := tab[i].Load(); v != nil && v != sim.State(held) {
-			t.Errorf("slot %d holds %v; only %v and %v were published, %v last", i, v, held, mate, held)
+		p := tab[i].Load()
+		switch {
+		case i == boxPair(k):
+			if p == nil || *p != sim.State(held) {
+				t.Errorf("the first slot of the pair holds %v, want %v, boxed last", p, held)
+			}
+		case i == boxPair(k)+1:
+			if p == nil || (*p != sim.State(mates[0]) && *p != sim.State(mates[1])) {
+				t.Errorf("the second slot of the pair holds %v, want one of %v", p, mates)
+			}
+		case p != nil:
+			t.Errorf("slot %d outside the pair holds %v", i, *p)
 		}
 	}
 }
 
-// TestBoxTableConcurrent boxes a small set of values that share slots from
-// several goroutines at once; every call must return a box equal to its
-// argument. Run it under -race.
+// TestBoxTableConcurrent boxes a small set of values of two state types
+// that share slots from several goroutines at once; every call must return
+// a box equal to its argument. Run it under -race.
 func TestBoxTableConcurrent(t *testing.T) {
 	var tab boxTable
 	var vals []ComposedState
@@ -123,8 +147,13 @@ func TestBoxTableConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range 2000 {
 				cs := vals[(i*(g+1))%len(vals)]
-				if got := tab.box(cs); got != sim.State(cs) {
+				if got := boxIn(&tab, cs); got != sim.State(cs) {
 					t.Errorf("box(%v) = %v", cs, got)
+					return
+				}
+				k, _ := cs.Key64()
+				if got := boxIn(&tab, keyedA(k)); got != sim.State(keyedA(k)) {
+					t.Errorf("box(%v) = %v", keyedA(k), got)
 					return
 				}
 			}

@@ -49,11 +49,10 @@ func WithUncooperativeResets() ComposeOption {
 // Its rule actions return shared boxes from a hash-consing table, so a move
 // to a state the table holds allocates nothing.
 type Composed struct {
-	inner      Resettable
-	innerRules []InnerRule
-	enum       InnerEnumerable // nil when the inner algorithm does not enumerate
-	opts       composeOptions
-	rules      []sim.Rule
+	inner Resettable
+	enum  InnerEnumerable // nil when the inner algorithm does not enumerate
+	opts  composeOptions
+	rules []sim.Rule
 }
 
 var (
@@ -82,7 +81,7 @@ func Compose(inner Resettable, opts ...ComposeOption) *Composed {
 		opt(&o)
 	}
 	enum, _ := inner.(InnerEnumerable)
-	c := &Composed{inner: inner, innerRules: inner.InnerRules(), enum: enum, opts: o}
+	c := &Composed{inner: inner, enum: enum, opts: o}
 	c.rules = c.buildRules()
 	return c
 }
@@ -174,7 +173,7 @@ func (c *Composed) buildRules() []sim.Rule {
 				if !uncoop {
 					sdr.D = minBroadcastNeighborDistance(v) + 1
 				}
-				return boxes.box(ComposedState{SDR: sdr, Inner: inner.ResetState(v.Process(), networkOf(v))})
+				return Box(ComposedState{SDR: sdr, Inner: inner.ResetState(v.Process(), networkOf(v))})
 			},
 		},
 		{
@@ -183,7 +182,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			Guard: func(v sim.View) bool { return PRF(inner, v) },
 			Action: func(v sim.View) sim.State {
 				cs := mustComposed(v.Self())
-				return boxes.box(ComposedState{SDR: SDRState{St: StatusRF, D: cs.SDR.D}, Inner: cs.Inner})
+				return Box(ComposedState{SDR: SDRState{St: StatusRF, D: cs.SDR.D}, Inner: cs.Inner})
 			},
 		},
 		{
@@ -192,7 +191,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			Guard: func(v sim.View) bool { return PC(inner, v) },
 			Action: func(v sim.View) sim.State {
 				cs := mustComposed(v.Self())
-				return boxes.box(ComposedState{SDR: SDRState{St: StatusC, D: cs.SDR.D}, Inner: cs.Inner})
+				return Box(ComposedState{SDR: SDRState{St: StatusC, D: cs.SDR.D}, Inner: cs.Inner})
 			},
 		},
 		{
@@ -200,7 +199,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			Name:  RuleR,
 			Guard: func(v sim.View) bool { return PUp(inner, v) },
 			Action: func(v sim.View) sim.State {
-				return boxes.box(ComposedState{
+				return Box(ComposedState{
 					SDR:   SDRState{St: StatusRB, D: 0},
 					Inner: inner.ResetState(v.Process(), networkOf(v)),
 				})
@@ -209,7 +208,7 @@ func (c *Composed) buildRules() []sim.Rule {
 	}
 
 	rules := sdrRules
-	for _, ir := range c.innerRules {
+	for _, ir := range inner.InnerRules() {
 		ir := ir // capture
 		rules = append(rules, sim.Rule{
 			Name: InnerRuleName(ir.Name),
@@ -223,7 +222,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			},
 			Action: func(v sim.View) sim.State {
 				cs := mustComposed(v.Self())
-				return boxes.box(ComposedState{SDR: cs.SDR, Inner: ir.Action(NewInnerView(v))})
+				return Box(ComposedState{SDR: cs.SDR, Inner: ir.Action(NewInnerView(v))})
 			},
 		})
 	}
@@ -237,8 +236,8 @@ func (c *Composed) buildRules() []sim.Rule {
 //
 //   - C: rule_RF and rule_C are disabled. One scan of the neighbours gives
 //     P_RB (rule_RB) and decides P_R1 and P_Clean; rule_R is enabled by
-//     P_R1 or ¬P_ICorrect, and the inner guards run only when P_Clean and
-//     P_ICorrect hold.
+//     P_R1 or ¬P_ICorrect. The inner algorithm's Decide then gives
+//     P_ICorrect and its first enabled rule in one more scan.
 //   - RB, RF and any other status: rule_RB and the inner rules are
 //     disabled and P_Up reduces to P_R2 ≡ ¬P_reset(u), which also falsifies
 //     P_RF and P_C. Otherwise one scan decides P_RF (status RB) or P_C
@@ -277,17 +276,14 @@ func (c *Composed) FirstEnabled(v sim.View) int {
 		return ruleRIndex
 	}
 	// allC (with st_u = C) is P_Clean(u), which the inner guards may ask
-	// the view for again.
-	iv := InnerView{view: v, composed: true, clean: allC}
-	if !c.inner.ICorrect(iv) {
+	// the view for again; the composed inner rules require it on top of
+	// the inner guards (Requirement 2c).
+	correct, rule := c.inner.Decide(InnerView{view: v, composed: true, clean: allC})
+	switch {
+	case !correct:
 		return ruleRIndex
-	}
-	if allC {
-		for i := range c.innerRules {
-			if c.innerRules[i].Guard(iv) {
-				return firstInnerRule + i
-			}
-		}
+	case allC && rule >= 0:
+		return firstInnerRule + rule
 	}
 	return -1
 }
@@ -370,8 +366,9 @@ type Standalone struct {
 }
 
 var (
-	_ sim.Algorithm  = (*Standalone)(nil)
-	_ sim.Enumerable = (*Standalone)(nil)
+	_ sim.Algorithm   = (*Standalone)(nil)
+	_ sim.Enumerable  = (*Standalone)(nil)
+	_ sim.RuleIndexer = (*Standalone)(nil)
 )
 
 // NewStandalone wraps inner as a standalone algorithm.
@@ -399,6 +396,16 @@ func NewStandalone(inner Resettable) *Standalone {
 
 // Inner returns the wrapped input algorithm.
 func (s *Standalone) Inner() Resettable { return s.inner }
+
+// FirstEnabled implements sim.RuleIndexer: rule i is enabled exactly when
+// P_ICorrect(u) holds and inner rule i is the first whose guard holds, which
+// the inner algorithm's Decide gives in one pass.
+func (s *Standalone) FirstEnabled(v sim.View) int {
+	if correct, rule := s.inner.Decide(NewStandaloneView(v)); correct {
+		return rule
+	}
+	return -1
+}
 
 // UsesIdentifiers implements sim.IdentifierUser, forwarding the inner
 // algorithm's declaration (conservatively true when it makes none).

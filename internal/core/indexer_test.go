@@ -76,6 +76,52 @@ func composedEntries(t *testing.T, g *graph.Graph, net *sim.Network) []namedComp
 	return out
 }
 
+// namedStandalone is one registered standalone inner algorithm built on a
+// network.
+type namedStandalone struct {
+	name string
+	alg  *core.Standalone
+}
+
+// standaloneEntries builds every registered standalone inner algorithm on
+// net, in registry order, skipping the alliance specs the topology cannot
+// satisfy.
+func standaloneEntries(t *testing.T, g *graph.Graph, net *sim.Network) []namedStandalone {
+	t.Helper()
+	var out []namedStandalone
+	for _, name := range scenario.Algorithms() {
+		entry, err := scenario.AlgorithmByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asm, err := entry.Build(g, net, scenario.Params{})
+		if errors.Is(err, scenario.ErrUnsatisfiable) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s, ok := asm.Algorithm.(*core.Standalone); ok {
+			out = append(out, namedStandalone{name, s})
+		}
+	}
+	return out
+}
+
+// initialBiased returns a copy of c in which every process holds its
+// initial state with probability 3/4. Uniform random inner states are
+// almost never locally correct on a torus, so this is what reaches the
+// inner rules of a standalone algorithm.
+func initialBiased(alg sim.Algorithm, net *sim.Network, c *sim.Configuration, rng *rand.Rand) *sim.Configuration {
+	out := c.Clone()
+	for u := 0; u < net.N(); u++ {
+		if rng.Intn(4) > 0 {
+			out.SetState(u, alg.InitialState(u, net))
+		}
+	}
+	return out
+}
+
 // resetBiased returns a copy of c in which every process draws a status
 // among C, RB, RF and two out-of-range values, a small distance, and its
 // reset inner state with probability 3/4. Uniform random states almost
@@ -105,11 +151,39 @@ func resetBiased(comp *core.Composed, net *sim.Network, c *sim.Configuration, rn
 // torus and random graphs, from uniformly random configurations and from
 // reset-biased ones carrying out-of-range statuses. It also checks that the
 // configurations reached every SDR rule, an inner rule and the disabled
-// case, so that no branch of the indexer goes untested.
+// case, so that no branch of the indexer goes untested. It checks
+// Standalone.FirstEnabled the same way for every registered standalone
+// algorithm, from random and initial-biased configurations, which must
+// reach an enabled rule and the disabled case.
 func TestFirstEnabledMatchesGuards(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
+	rng, srng := rand.New(rand.NewSource(22)), rand.New(rand.NewSource(26))
 	for _, gr := range indexerGraphs(rng) {
 		net := sim.NewNetwork(gr.g)
+		for _, ns := range standaloneEntries(t, gr.g, net) {
+			name, alg := ns.name, ns.alg
+			rules := alg.Rules()
+			hits := make(map[int]int)
+			for trial := 0; trial < 100; trial++ {
+				c, err := faults.RandomConfiguration(alg, net, srng)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, gr.name, err)
+				}
+				for _, cfg := range []*sim.Configuration{c, initialBiased(alg, net, c, srng)} {
+					for u := 0; u < net.N(); u++ {
+						v := net.View(cfg, u)
+						got, want := alg.FirstEnabled(v), guardFirstEnabled(rules, v)
+						if got != want {
+							t.Fatalf("%s/%s trial %d: FirstEnabled(%d) = %d, guards give %d in %s",
+								name, gr.name, trial, u, got, want, cfg)
+						}
+						hits[min(want, 0)]++
+					}
+				}
+			}
+			if hits[-1] == 0 || hits[0] == 0 {
+				t.Errorf("%s/%s: %d processes disabled, %d enabled; want both", name, gr.name, hits[-1], hits[0])
+			}
+		}
 		for _, nc := range composedEntries(t, gr.g, net) {
 			name, comp := nc.name, nc.comp
 			rules := comp.Rules()
@@ -217,17 +291,36 @@ func (testInner) InnerRules() []core.InnerRule {
 }
 func (testInner) InitialInner(int, *sim.Network) sim.State { return testInnerState(0) }
 func (testInner) ICorrect(core.InnerView) bool             { return true }
+func (testInner) Decide(core.InnerView) (bool, int)        { return true, 0 }
 func (testInner) IsReset(_ int, _ *sim.Network, s sim.State) bool {
 	return s == sim.State(testInnerState(0))
 }
 func (testInner) ResetState(int, *sim.Network) sim.State { return testInnerState(0) }
 
 // TestFirstEnabledAllocationFree checks that the indexer allocates nothing
-// per call for every registered composition on a torus.
+// per call for every registered composition and standalone algorithm on a
+// torus.
 func TestFirstEnabledAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.Torus(6, 6)
 	net := sim.NewNetwork(g)
+	for _, ns := range standaloneEntries(t, g, net) {
+		name, alg := ns.name, ns.alg
+		c, err := faults.RandomConfiguration(alg, net, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		biased := initialBiased(alg, net, c, rng)
+		allocs := testing.AllocsPerRun(20, func() {
+			for u := 0; u < net.N(); u++ {
+				alg.FirstEnabled(net.View(c, u))
+				alg.FirstEnabled(net.View(biased, u))
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: FirstEnabled allocates %.1f times per sweep, want 0", name, allocs)
+		}
+	}
 	for _, nc := range composedEntries(t, g, net) {
 		name, comp := nc.name, nc.comp
 		c, err := faults.RandomConfiguration(comp, net, rng)

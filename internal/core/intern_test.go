@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -135,12 +136,13 @@ func composedTorusRun(comp *core.Composed, net *sim.Network, start *sim.Configur
 
 // TestComposedSteadyStateAllocationFree pins that a composed move allocates
 // nothing once the box table holds its state: synchronous U∘SDR on a 32×32
-// torus from a random-all start, where a 2k-step run must allocate no more
-// than a k-step run. The runs are deterministic, so AllocsPerRun's warm-up
-// run boxes every state the measured runs move to. The clocks stay below
-// 256 within 2k steps, and Go boxes such small values without allocating,
-// so Algorithm U's own action allocates nothing either. A rule action that
-// boxes a fresh state per move fails it.
+// torus, where a 2k-step run must allocate no more than a k-step run. The
+// runs are deterministic, so AllocsPerRun's warm-up run boxes every state
+// the measured runs move to. From a random-all start the clocks stay below
+// 256 within 2k steps, and Go boxes such small values without allocating.
+// From a normal configuration with every clock at 300, every process ticks
+// every step past 255, so Algorithm U's tick must take its clock box from
+// the table too. A rule action that boxes a fresh state per move fails it.
 func TestComposedSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -148,17 +150,31 @@ func TestComposedSteadyStateAllocationFree(t *testing.T) {
 	g := graph.Torus(32, 32)
 	net := sim.NewNetwork(g)
 	comp := core.Compose(unison.New(unison.DefaultPeriod(g.N())))
-	start := randomStart(t, comp, net, rand.New(rand.NewSource(1)))
-	const k = 100
-	allocs := func(steps int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			if res := composedTorusRun(comp, net, start, steps); res.Steps != steps || res.Moves < steps*net.N()/2 {
-				t.Fatalf("ran %d steps with %d moves, want %d steps", res.Steps, res.Moves, steps)
-			}
-		})
+	normal := make([]sim.State, net.N())
+	for u := range normal {
+		normal[u] = core.ComposedState{SDR: core.CleanSDRState(), Inner: unison.ClockState{C: 300}}
 	}
-	if once, twice := allocs(k), allocs(2*k); twice > once {
-		t.Errorf("%d steps allocate %v times, %d steps %v times", k, once, 2*k, twice)
+	for _, tc := range []struct {
+		name  string
+		start *sim.Configuration
+		k     int
+	}{
+		{"random-all", randomStart(t, comp, net, rand.New(rand.NewSource(1))), 100},
+		{"clocks-from-300", sim.NewConfiguration(normal), 200},
+	} {
+		allocs := func(steps int) float64 {
+			// A collection inside the measured runs can add a malloc;
+			// starting from a collected heap leaves none of them room to.
+			runtime.GC()
+			return testing.AllocsPerRun(3, func() {
+				if res := composedTorusRun(comp, net, tc.start, steps); res.Steps != steps || res.Moves < steps*net.N()/2 {
+					t.Fatalf("%s: ran %d steps with %d moves, want %d steps", tc.name, res.Steps, res.Moves, steps)
+				}
+			})
+		}
+		if once, twice := allocs(tc.k), allocs(2*tc.k); twice > once {
+			t.Errorf("%s: %d steps allocate %v times, %d steps %v times", tc.name, tc.k, once, 2*tc.k, twice)
+		}
 	}
 }
 

@@ -139,6 +139,14 @@ type Resettable interface {
 	// ICorrect is P_ICorrect(u), evaluated on the inner states of the closed
 	// neighbourhood of u.
 	ICorrect(v InnerView) bool
+	// Decide returns P_ICorrect(u) and, when it holds, the index of the
+	// first rule of InnerRules() whose Guard holds at v, or -1 when none
+	// does (rule is -1 whenever correct is false). It is what the
+	// compositions' rule indexers ask, so it decides both in one pass over
+	// the closed neighbourhood and allocates nothing. ICorrect and the
+	// Guards stay the specification: Decide must agree with them on every
+	// view, and is only a faster way to evaluate them together.
+	Decide(v InnerView) (correct bool, rule int)
 	// IsReset is P_reset(u): whether the given inner state is the pre-defined
 	// reset state of process u. It reads only the process's own state
 	// (Requirement 2b) but may depend on the process's constants (its

@@ -56,45 +56,64 @@ func (s ComposedState) Key64() (uint64, bool) {
 // boxTableBits sets the size of the box table: 1<<12 slots.
 const boxTableBits = 12
 
-// boxTable hash-conses the states composed rule actions return (Filliâtre &
+// boxTable hash-conses the states rule actions return (Filliâtre &
 // Conchon, "Type-safe modular hash-consing", 2006): after the first reset
 // wave a composition whose product state takes few distinct values hands
-// out boxes an earlier move already built instead of boxing a fresh
-// ComposedState per move. It is direct-mapped and lock-free: a slot holds
-// the last box published to it (always a ComposedState), and concurrent
-// shards read and replace slots atomically. Sharing is exact because states
-// are immutable values and a hit is confirmed by comparing values, never by
-// the hash alone. A miss costs the one box a plain construction costs.
-type boxTable [1 << boxTableBits]atomic.Value
+// out boxes an earlier move already built instead of boxing a fresh state
+// per move. It is two-way set-associative and lock-free: a key selects a
+// pair of slots, each slot points at a box of any state type, the last box
+// published to the pair sits in its first slot and the one before it in the
+// second, and concurrent shards read and replace slots atomically. Sharing
+// is exact because states are immutable values and a hit is confirmed by
+// comparing values, never by the hash alone.
+type boxTable [1 << boxTableBits]atomic.Pointer[sim.State]
 
-// boxes is the table the rule actions of every composition share. Like a
-// sync.Pool it changes no result, only which equal box a caller gets, so
-// compositions of different inner algorithms (a hit compares Inner's
-// dynamic type too) and concurrent runs may share it, and composing
+// boxes is the table Box uses. Like a sync.Pool it changes no result, only
+// which equal box a caller gets, so states of every type (a hit compares
+// the dynamic type too) and concurrent runs may share it, and composing
 // allocates no table.
 var boxes boxTable
 
-// box returns cs as a sim.State: the slot's box when it holds a value equal
-// to cs (the SDR fields, and Inner by dynamic type and value), and otherwise
-// a fresh box, which it publishes to the slot. A state whose Key64 does not
-// fit is boxed without touching the table.
-func (t *boxTable) box(cs ComposedState) sim.State {
-	k, ok := cs.Key64()
-	if !ok {
-		return cs
-	}
-	slot := &t[boxSlot(k)]
-	if held := slot.Load(); held != nil && held.(ComposedState) == cs {
-		return held.(sim.State)
-	}
-	s := sim.State(cs)
-	slot.Store(s)
-	return s
+// Box returns s as a sim.State: the box the shared table holds for a value
+// equal to s (same dynamic type and value), and otherwise a fresh box, which
+// it publishes to the table. A hit allocates nothing; a miss allocates the
+// box a plain conversion allocates and the slot's pointer to it. A state
+// whose Key64 does not fit is boxed without touching the table. The
+// composed rule actions return every state through it, and inner
+// algorithms may too, for states Go cannot box without allocating.
+func Box[S boxable](s S) sim.State { return boxIn(&boxes, s) }
+
+// boxable is what Box needs of a state type: values it can compare, and a
+// Key64 to find their slots by.
+type boxable interface {
+	comparable
+	sim.State
+	sim.KeyedState
 }
 
-// boxSlot maps a Key64 encoding to its slot by Fibonacci hashing, which
-// spreads the encodings' packed fields over the whole table.
-func boxSlot(k uint64) int { return int((k * 0x9E3779B97F4A7C15) >> (64 - boxTableBits)) }
+// boxIn is Box over the given table.
+func boxIn[S boxable](t *boxTable, s S) sim.State {
+	k, ok := s.Key64()
+	if !ok {
+		return s
+	}
+	pair := t[boxPair(k):][:2]
+	for i := range pair {
+		if held := pair[i].Load(); held != nil {
+			if h, ok := (*held).(S); ok && h == s {
+				return *held
+			}
+		}
+	}
+	boxed := sim.State(s)
+	pair[1].Store(pair[0].Load())
+	pair[0].Store(&boxed)
+	return boxed
+}
+
+// boxPair maps a Key64 encoding to the first slot of its pair by Fibonacci
+// hashing, which spreads the encodings' packed fields over the whole table.
+func boxPair(k uint64) int { return int((k*0x9E3779B97F4A7C15)>>(64-boxTableBits)) &^ 1 }
 
 // mustComposed extracts the composed state or panics with a clear message;
 // it guards against accidentally running composed rules on plain inner

@@ -56,6 +56,22 @@ func (a *testInner) ICorrect(v InnerView) bool {
 	})
 }
 
+func (a *testInner) Decide(v InnerView) (bool, int) {
+	self := v.Self().(testInnerState).V
+	localMin := true
+	for i := 0; i < v.Degree(); i++ {
+		d := v.Neighbor(i).(testInnerState).V - self
+		if d < -1 || d > 1 {
+			return false, -1
+		}
+		localMin = localMin && d >= 0
+	}
+	if localMin && self < a.limit && v.Clean() {
+		return true, 0
+	}
+	return true, -1
+}
+
 func (a *testInner) InnerRules() []InnerRule {
 	return []InnerRule{{
 		Name: "inc",

@@ -21,9 +21,9 @@ func allPairsDiameter(g *Graph) int {
 }
 
 // TestDiameterMatchesAllPairs checks iFUB against all-pairs BFS on every
-// generator, over several sizes and, for the random ones, several seeds.
-// The sizes cover odd and even rings and tori, which the two-centre bound
-// treats differently.
+// generator, over several sizes and, for the random ones, several seeds,
+// and that DiameterBounds brackets it. The sizes cover odd and even rings
+// and tori, which the two-centre bound treats differently.
 func TestDiameterMatchesAllPairs(t *testing.T) {
 	type namedGraph struct {
 		name string
@@ -64,8 +64,12 @@ func TestDiameterMatchesAllPairs(t *testing.T) {
 		}
 	}
 	for _, ng := range graphs {
-		if got, want := ng.g.Diameter(), allPairsDiameter(ng.g); got != want {
+		want := allPairsDiameter(ng.g)
+		if got := ng.g.Diameter(); got != want {
 			t.Errorf("%s: Diameter = %d, all-pairs %d", ng.name, got, want)
+		}
+		if lo, hi := ng.g.DiameterBounds(); lo > want || hi < want {
+			t.Errorf("%s: DiameterBounds = [%d, %d], all-pairs %d", ng.name, lo, hi, want)
 		}
 	}
 
@@ -76,5 +80,8 @@ func TestDiameterMatchesAllPairs(t *testing.T) {
 	b.Add(4, 5)
 	if got := b.MustGraph().Diameter(); got != -1 {
 		t.Errorf("two paths: Diameter = %d, want -1", got)
+	}
+	if lo, hi := b.MustGraph().DiameterBounds(); lo != -1 || hi != -1 {
+		t.Errorf("two paths: DiameterBounds = [%d, %d], want [-1, -1]", lo, hi)
 	}
 }

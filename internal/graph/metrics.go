@@ -73,25 +73,9 @@ func (g *Graph) Diameter() int {
 	}
 	dist := make([]int32, g.n)
 	queue := make([]int32, 0, g.n)
-
-	// Double sweep: a is farthest from node 0 and the path from a to a node
-	// b farthest from a gives the lower bound d(a,b); u is its midpoint.
-	queue = g.bfsInto(0, dist, queue)
-	if len(queue) < g.n {
+	lb, u := g.doubleSweep(dist, queue)
+	if lb < 0 {
 		return -1
-	}
-	a := int(queue[len(queue)-1])
-	queue = g.bfsInto(a, dist, queue)
-	b := int(queue[len(queue)-1])
-	lb := int(dist[b])
-	u := b
-	for dist[u] > int32(lb/2) {
-		for _, w := range g.row(u) {
-			if dist[w] == dist[u]-1 {
-				u = int(w)
-				break
-			}
-		}
 	}
 
 	// BFS from u: order lists the nodes by level, levelEnd[i] is the end of
@@ -132,6 +116,52 @@ func (g *Graph) Diameter() int {
 		lb, ub = max(lb, bi), 2*(i-1)
 	}
 	return lb
+}
+
+// DiameterBounds returns the bounds lo ≤ D ≤ hi that Diameter starts from,
+// at the cost of three BFS runs: lo is the larger of the double sweep's
+// d(a,b) and the eccentricity e of its midpoint u, and hi is 2e. It returns
+// (-1, -1) when the graph is disconnected and (0, 0) for a single node.
+// Callers that cannot afford Diameter's worst case on a large graph report
+// these instead.
+func (g *Graph) DiameterBounds() (lo, hi int) {
+	if g.n <= 1 {
+		return 0, 0
+	}
+	dist := make([]int32, g.n)
+	queue := make([]int32, 0, g.n)
+	lb, u := g.doubleSweep(dist, queue)
+	if lb < 0 {
+		return -1, -1
+	}
+	queue = g.bfsInto(u, dist, queue)
+	eccU := int(dist[queue[len(queue)-1]])
+	return max(lb, eccU), 2 * eccU
+}
+
+// doubleSweep runs the double sweep: a is farthest from node 0, and the
+// path from a to a node b farthest from a gives the lower bound d(a,b) on
+// D. It returns that bound and the path's midpoint u, or lb = -1 when the
+// graph is disconnected. dist and queue are scratch of len and cap n.
+func (g *Graph) doubleSweep(dist, queue []int32) (lb, u int) {
+	queue = g.bfsInto(0, dist, queue)
+	if len(queue) < g.n {
+		return -1, 0
+	}
+	a := int(queue[len(queue)-1])
+	queue = g.bfsInto(a, dist, queue)
+	b := int(queue[len(queue)-1])
+	lb = int(dist[b])
+	u = b
+	for dist[u] > int32(lb/2) {
+		for _, w := range g.row(u) {
+			if dist[w] == dist[u]-1 {
+				u = int(w)
+				break
+			}
+		}
+	}
+	return lb, u
 }
 
 // bfsInto runs a BFS from src, writing hop distances into dist (-1 for

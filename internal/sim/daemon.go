@@ -116,7 +116,10 @@ func (d *DistributedRandomDaemon) Select(sel Selection) []int {
 // alliance algorithms require this daemon; the paper's algorithms do not,
 // but it is useful for ablation A2.
 type LocallyCentralDaemon struct {
-	rng *rand.Rand
+	rng   *rand.Rand
+	perm  []int  // the visiting order, reused by every Select
+	taken bitset // the processes selected so far in a Select, cleared before it returns
+	out   []int  // the selection buffer, reused by every Select
 }
 
 var _ Daemon = (*LocallyCentralDaemon)(nil)
@@ -129,30 +132,43 @@ func NewLocallyCentralDaemon(rng *rand.Rand) *LocallyCentralDaemon {
 // Name implements Daemon.
 func (*LocallyCentralDaemon) Name() string { return "locally-central" }
 
-// Select implements Daemon.
+// Select implements Daemon. It visits the enabled processes in a random
+// order and selects every one that has no selected neighbour yet. The order
+// is drawn by rand.Perm's own loop into a reused buffer, so the rng draws,
+// and with them the schedules, are exactly those of rand.Perm.
 func (d *LocallyCentralDaemon) Select(sel Selection) []int {
-	perm := d.rng.Perm(len(sel.Enabled))
-	taken := make(map[int]bool)
-	var out []int
+	k := len(sel.Enabled)
+	if cap(d.perm) < k {
+		d.perm = make([]int, k)
+	}
+	perm := d.perm[:k]
+	for i := range perm {
+		j := d.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	if n := sel.Net.N(); len(d.taken)*64 < n {
+		d.taken = newBitset(n)
+	}
+	out := d.out[:0]
 	for _, i := range perm {
 		u := sel.Enabled[i]
 		conflict := false
 		for j, deg := 0, sel.Net.Degree(u); j < deg; j++ {
-			if taken[sel.Net.Neighbor(u, j)] {
+			if d.taken.get(sel.Net.Neighbor(u, j)) {
 				conflict = true
 				break
 			}
 		}
 		if !conflict {
-			taken[u] = true
+			d.taken.set(u)
 			out = append(out, u)
 		}
 	}
-	if len(out) == 0 {
-		// Cannot happen (the first process never conflicts), but keep the
-		// contract explicit.
-		out = []int{sel.Enabled[0]}
+	for _, u := range out {
+		d.taken.clear(u)
 	}
+	d.out = out
 	return out
 }
 

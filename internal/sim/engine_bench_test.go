@@ -101,10 +101,9 @@ func BenchmarkEngineGreedyAdversarialReference(b *testing.B) {
 // one-shard engine loop: doubling the step budget of a run must not add a
 // single allocation — synchronous plain, with a memo attached, and deciding
 // a legitimacy predicate every step, statically (it never holds) and under
-// an injector (it always holds), and under every standard daemon but the
-// locally-central one (its random permutation is drawn afresh per step).
-// Per-step allocations (a closure built per phase, a buffer regrown per
-// step, a selection built per step) fail it.
+// an injector (it always holds), and under every standard daemon. Per-step
+// allocations (a closure built per phase, a buffer regrown per step, a
+// selection or permutation built per step) fail it.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector: its instrumentation allocates on the memoized path")
@@ -139,6 +138,9 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		}, func() []Option { return nil }},
 		{"starving", func() Daemon {
 			return NewStarvingDaemon(0, rand.New(rand.NewSource(1)))
+		}, func() []Option { return nil }},
+		{"locally-central", func() Daemon {
+			return NewLocallyCentralDaemon(rand.New(rand.NewSource(1)))
 		}, func() []Option { return nil }},
 	}
 	for _, c := range cases {

@@ -488,6 +488,62 @@ func TestLocallyCentralDaemonIndependence(t *testing.T) {
 	}
 }
 
+// mapLocallyCentral is the locally central daemon as it was first written,
+// with rand.Perm and a map of taken processes: the schedule specification
+// of LocallyCentralDaemon.
+func mapLocallyCentral(rng *rand.Rand, sel Selection) []int {
+	taken := make(map[int]bool)
+	var out []int
+	for _, i := range rng.Perm(len(sel.Enabled)) {
+		u := sel.Enabled[i]
+		conflict := false
+		for j, deg := 0, sel.Net.Degree(u); j < deg; j++ {
+			if taken[sel.Net.Neighbor(u, j)] {
+				conflict = true
+				break
+			}
+		}
+		if !conflict {
+			taken[u] = true
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// TestLocallyCentralDaemonMatchesPerm checks that LocallyCentralDaemon,
+// which reuses its buffers, selects exactly what the rand.Perm-and-map
+// version selects from the same seed, step after step, on enabled sets of
+// every density over a torus and a random graph, so that seeded schedules
+// did not change.
+func TestLocallyCentralDaemonMatchesPerm(t *testing.T) {
+	draw := rand.New(rand.NewSource(9))
+	for _, g := range []*graph.Graph{graph.Torus(6, 6), graph.RandomConnected(40, 0.1, draw)} {
+		net := NewNetwork(g)
+		for seed := int64(1); seed <= 5; seed++ {
+			d := NewLocallyCentralDaemon(rand.New(rand.NewSource(seed)))
+			ref := rand.New(rand.NewSource(seed))
+			for step := 0; step < 200; step++ {
+				var enabled []int
+				density := 1 + draw.Intn(100)
+				for u := 0; u < net.N(); u++ {
+					if draw.Intn(100) < density {
+						enabled = append(enabled, u)
+					}
+				}
+				if len(enabled) == 0 {
+					enabled = []int{draw.Intn(net.N())}
+				}
+				sel := Selection{Net: net, Enabled: enabled, Step: step}
+				got, want := d.Select(sel), mapLocallyCentral(ref, sel)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: selected %v, rand.Perm version %v", seed, step, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestStarvingDaemon(t *testing.T) {
 	net := NewNetwork(graph.Ring(5))
 	d := NewStarvingDaemon(2, rand.New(rand.NewSource(1)))

@@ -212,6 +212,37 @@ func (b *BFS) ICorrect(v core.InnerView) bool {
 	return ok && self.Dist >= pd+1
 }
 
+// Decide implements core.Resettable: one scan of the neighbours finds the
+// parent's distance for P_ICorrect(u) and the minimum neighbour distance for
+// the adopt rule.
+func (b *BFS) Decide(v core.InnerView) (correct bool, rule int) {
+	self := stateOf(v.Self())
+	if b.isRoot(v) {
+		return self.Dist == 0 && self.Parent == NoParent, -1
+	}
+	if self.Dist < 1 || self.Dist > b.maxDist || (self.Parent == NoParent && self.Dist != b.maxDist) {
+		return false, -1
+	}
+	minDist, parentFound := b.maxDist, self.Parent == NoParent
+	for i, deg := 0, v.Degree(); i < deg; i++ {
+		d := stateOf(v.Neighbor(i)).Dist
+		minDist = min(minDist, d)
+		if !parentFound && v.NeighborID(i) == self.Parent {
+			if self.Dist < d+1 {
+				return false, -1
+			}
+			parentFound = true
+		}
+	}
+	if !parentFound {
+		return false, -1
+	}
+	if minDist+1 < self.Dist && v.Clean() {
+		return true, 0
+	}
+	return true, -1
+}
+
 // RuleAdopt is the name of Algorithm B's single rule.
 const RuleAdopt = "adopt"
 

@@ -144,6 +144,25 @@ func (u *Unison) pUp(v core.InnerView) bool {
 	return true
 }
 
+// Decide implements core.Resettable: one scan of the neighbours checks P_Ok
+// for P_ICorrect(u) and P_Up(u) for the tick rule together.
+func (u *Unison) Decide(v core.InnerView) (correct bool, rule int) {
+	cu := clockOf(v.Self())
+	next := mod(cu+1, u.k)
+	up := true
+	for i, deg := 0, v.Degree(); i < deg; i++ {
+		cv := clockOf(v.Neighbor(i))
+		if !u.ok(cu, cv) {
+			return false, -1
+		}
+		up = up && (cv == cu || cv == next)
+	}
+	if up && v.Clean() {
+		return true, 0
+	}
+	return true, -1
+}
+
 // RuleTick is the name of Algorithm U's single rule.
 const RuleTick = "tick"
 
@@ -158,7 +177,12 @@ func (u *Unison) InnerRules() []core.InnerRule {
 			return v.Clean() && u.pUp(v)
 		},
 		Action: func(v core.InnerView) sim.State {
-			return ClockState{C: mod(clockOf(v.Self())+1, u.k)}
+			c := mod(clockOf(v.Self())+1, u.k)
+			if c < 256 {
+				// Go boxes 8-byte values below 256 without allocating.
+				return ClockState{C: c}
+			}
+			return core.Box(ClockState{C: c})
 		},
 	}}
 }

@@ -170,6 +170,14 @@ func TestICorrectAndGuards(t *testing.T) {
 	if got := tick.Action(iview(wrap, 1)).(ClockState).C; got != 0 {
 		t.Errorf("ticking at K-1 wraps to 0, got %d", got)
 	}
+
+	// From 256 on the tick takes its box from core.Box: the same value.
+	wide := New(1000).InnerRules()[0]
+	for range 2 {
+		if got := wide.Action(iview(mk(300, 300, 300), 1)); got != sim.State(ClockState{C: 301}) {
+			t.Errorf("ticking at 300 gives %v, want c=301", got)
+		}
+	}
 }
 
 func TestStandaloneUnisonFromInitSatisfiesSpecification(t *testing.T) {
