@@ -198,8 +198,12 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 		return err
 	}
 
-	recorder := trace.NewRecorder(run.Net.N(), trace.WithMaxEvents(10_000))
-	opts := []sim.Option{sim.WithStepHook(recorder.Hook())}
+	var opts []sim.Option
+	var recorder *trace.Recorder
+	if showTrace {
+		recorder = trace.NewRecorder(run.Alg, trace.WithMaxEvents(10_000))
+		opts = append(opts, sim.WithStepHook(recorder.Hook()))
+	}
 	var prof *obs.PhaseProfiler
 	if profileSteps > 0 {
 		prof = obs.NewPhaseProfiler(profileSteps)
@@ -266,16 +270,16 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 	if showTrace {
 		switch format {
 		case "text":
-			return recorder.WriteText(out)
+			return recorder.WriteText(out, res)
 		case "csv":
 			return recorder.WriteCSV(out)
 		case "json":
-			return recorder.WriteJSON(out)
+			return recorder.WriteJSON(out, res)
 		default:
 			return fmt.Errorf("unknown trace format %q", format)
 		}
 	}
-	fmt.Fprint(out, recorder.Summary())
+	fmt.Fprint(out, trace.Summary(res))
 	return nil
 }
 

@@ -88,7 +88,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("\nrecovered from %d of %d events; availability %.3f over %d steps\n",
 		recovered, len(res.Events), res.Availability(), res.Steps)
-	fmt.Printf("reset work: segments=%d, max SDR moves/process=%d (bound %d), alive-root creations=%d\n",
+	fmt.Printf("reset work (worst fault-free stretch): segments=%d, max SDR moves/process=%d (bound %d), alive-root creations=%d\n",
 		observer.Segments(), observer.MaxSDRMoves(), core.MaxSDRMovesPerProcess(n), observer.AliveRootViolations())
 	if recovered < len(res.Events) {
 		return fmt.Errorf("%d event(s) were not recovered from within the step bound", len(res.Events)-recovered)

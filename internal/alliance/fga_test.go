@@ -224,7 +224,7 @@ func TestRemovalsAreLocallyCentral(t *testing.T) {
 	hook := func(info sim.StepInfo) {
 		var leavers []int
 		for i, u := range info.Activated {
-			if info.Rules[i] == RuleClr {
+			if alg.Rules()[info.Rules[i]].Name == RuleClr {
 				leavers = append(leavers, u)
 			}
 		}

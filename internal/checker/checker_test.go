@@ -1,7 +1,6 @@
 package checker
 
 import (
-	"math/rand"
 	"testing"
 
 	"sdr/internal/graph"
@@ -117,68 +116,6 @@ func TestCheckClosure(t *testing.T) {
 	// Starting outside the predicate is itself an error.
 	if err := CheckClosure(net, alg, sim.SynchronousDaemon{}, start, allAtCap(3, g.N()), 1000); err == nil {
 		t.Error("a start outside the predicate must be rejected")
-	}
-}
-
-func TestCheckInvariant(t *testing.T) {
-	g := graph.Path(3)
-	net := sim.NewNetwork(g)
-	alg := counterAlg{cap: 2}
-	start := sim.InitialConfiguration(alg, net)
-
-	within := func(c *sim.Configuration) bool {
-		for u := 0; u < c.N(); u++ {
-			if v := c.State(u).(counterState).V; v < 0 || v > 2 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := CheckInvariant(net, alg, sim.SynchronousDaemon{}, start, within, 1000); err != nil {
-		t.Errorf("the cap invariant holds: %v", err)
-	}
-	below2 := func(c *sim.Configuration) bool {
-		for u := 0; u < c.N(); u++ {
-			if c.State(u).(counterState).V >= 2 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := CheckInvariant(net, alg, sim.SynchronousDaemon{}, start, below2, 1000); err == nil {
-		t.Error("an invariant that eventually breaks must be reported")
-	}
-	if err := CheckInvariant(net, alg, sim.SynchronousDaemon{}, start, allAtCap(2, g.N()), 1000); err == nil {
-		t.Error("an invariant violated at the start must be reported")
-	}
-}
-
-func TestConvergenceSample(t *testing.T) {
-	g := graph.Ring(4)
-	net := sim.NewNetwork(g)
-	alg := counterAlg{cap: 3}
-	factory := sim.DaemonFactory{
-		Name: "distributed-random",
-		New: func(seed int64) sim.Daemon {
-			return sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(seed)), 0.5)
-		},
-	}
-	buildStart := func(rng *rand.Rand) *sim.Configuration {
-		states := make([]sim.State, g.N())
-		for u := range states {
-			states[u] = counterState{V: rng.Intn(3)}
-		}
-		return sim.NewConfiguration(states)
-	}
-	atCap := func(capValue int) sim.ProcessPredicate {
-		return func(v sim.View) bool { return v.Self().(counterState).V == capValue }
-	}
-	if err := ConvergenceSample(net, alg, factory, buildStart, atCap(3), 5, 10_000, 1); err != nil {
-		t.Errorf("the counter algorithm converges to the all-cap configuration: %v", err)
-	}
-	// An unreachable target must be reported.
-	if err := ConvergenceSample(net, alg, factory, buildStart, atCap(9), 2, 1_000, 1); err == nil {
-		t.Error("an unreachable legitimate set must be reported")
 	}
 }
 

@@ -14,6 +14,9 @@ const (
 	RuleR  = "SDR:R"
 )
 
+// sdrRuleNames gives the name of each SDR rule by its composed rule index.
+var sdrRuleNames = [firstInnerRule]string{ruleRBIndex: RuleRB, ruleRFIndex: RuleRF, ruleCIndex: RuleC, ruleRIndex: RuleR}
+
 // innerRulePrefix prefixes the names of the inner algorithm's rules.
 const innerRulePrefix = "I:"
 
@@ -25,6 +28,10 @@ func IsSDRRule(name string) bool {
 
 // InnerRuleName returns the composed trace name of an inner rule.
 func InnerRuleName(name string) string { return innerRulePrefix + name }
+
+// InnerRuleIndex returns the index in Composed.Rules() of the inner
+// algorithm's i-th rule (in Standalone.Rules() it is i).
+func InnerRuleIndex(i int) int { return firstInnerRule + i }
 
 // composeOptions carries the optional knobs of Compose.
 type composeOptions struct {
@@ -173,7 +180,7 @@ func (c *Composed) buildRules() []sim.Rule {
 				if !uncoop {
 					sdr.D = minBroadcastNeighborDistance(v) + 1
 				}
-				return Box(ComposedState{SDR: sdr, Inner: inner.ResetState(v.Process(), networkOf(v))})
+				return Box(ComposedState{SDR: sdr, Inner: inner.ResetState(v.Process(), v.Network())})
 			},
 		},
 		{
@@ -201,7 +208,7 @@ func (c *Composed) buildRules() []sim.Rule {
 			Action: func(v sim.View) sim.State {
 				return Box(ComposedState{
 					SDR:   SDRState{St: StatusRB, D: 0},
-					Inner: inner.ResetState(v.Process(), networkOf(v)),
+					Inner: inner.ResetState(v.Process(), v.Network()),
 				})
 			},
 		},
@@ -348,11 +355,6 @@ func minBroadcastNeighborDistance(v sim.View) int {
 	}
 	return best
 }
-
-// networkOf recovers the network a view belongs to. The sim package does not
-// expose it directly on View to keep algorithm code honest, so the composed
-// rules carry it through a package-level accessor set by the engine wrapper.
-func networkOf(v sim.View) *sim.Network { return v.Network() }
 
 // Standalone wraps a Resettable input algorithm I as a plain sim.Algorithm,
 // i.e. the non-self-stabilizing algorithm the paper analyses from its

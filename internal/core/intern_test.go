@@ -143,6 +143,8 @@ func composedTorusRun(comp *core.Composed, net *sim.Network, start *sim.Configur
 // From a normal configuration with every clock at 300, every process ticks
 // every step past 255, so Algorithm U's tick must take its clock box from
 // the table too. A rule action that boxes a fresh state per move fails it.
+// The last case attaches a reset observer, primed at the start of each run,
+// which must not allocate per step either.
 func TestComposedSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -154,20 +156,29 @@ func TestComposedSteadyStateAllocationFree(t *testing.T) {
 	for u := range normal {
 		normal[u] = core.ComposedState{SDR: core.CleanSDRState(), Inner: unison.ClockState{C: 300}}
 	}
+	random := randomStart(t, comp, net, rand.New(rand.NewSource(1)))
 	for _, tc := range []struct {
-		name  string
-		start *sim.Configuration
-		k     int
+		name    string
+		start   *sim.Configuration
+		k       int
+		observe bool
 	}{
-		{"random-all", randomStart(t, comp, net, rand.New(rand.NewSource(1))), 100},
-		{"clocks-from-300", sim.NewConfiguration(normal), 200},
+		{"random-all", random, 100, false},
+		{"clocks-from-300", sim.NewConfiguration(normal), 200, false},
+		{"random-all+observer", random, 100, true},
 	} {
 		allocs := func(steps int) float64 {
 			// A collection inside the measured runs can add a malloc;
 			// starting from a collected heap leaves none of them room to.
 			runtime.GC()
 			return testing.AllocsPerRun(3, func() {
-				if res := composedTorusRun(comp, net, tc.start, steps); res.Steps != steps || res.Moves < steps*net.N()/2 {
+				var opts []sim.Option
+				if tc.observe {
+					o := core.NewObserver(comp.Inner(), net)
+					o.Prime(tc.start)
+					opts = append(opts, sim.WithStepHook(o.Hook()))
+				}
+				if res := composedTorusRun(comp, net, tc.start, steps, opts...); res.Steps != steps || res.Moves < steps*net.N()/2 {
 					t.Fatalf("%s: ran %d steps with %d moves, want %d steps", tc.name, res.Steps, res.Moves, steps)
 				}
 			})

@@ -238,7 +238,7 @@ func (s Spec) MustResolve() *Run {
 // when the Spec requests one, and — for non-terminating algorithms —
 // stopping at the first legitimate configuration (for churn runs the engine
 // defers that stop until the schedule is exhausted and the system has
-// recovered). extra options (hooks, rule-choice policies) are appended.
+// recovered). extra options (hooks, a profiler) are appended.
 func (r *Run) Options(extra ...sim.Option) []sim.Option {
 	opts := []sim.Option{sim.WithMaxSteps(r.Spec.MaxSteps)}
 	if r.Legitimate != nil {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -14,34 +13,27 @@ import (
 // protects against non-terminating executions of non-silent algorithms.
 const DefaultMaxSteps = 2_000_000
 
-// RuleChoicePolicy decides which enabled rule an activated process executes
-// when several of its rules are enabled (the model leaves this
-// nondeterministic).
-type RuleChoicePolicy int
-
-// Rule choice policies.
-const (
-	// FirstEnabledRule executes the first enabled rule in declaration order.
-	FirstEnabledRule RuleChoicePolicy = iota + 1
-	// RandomEnabledRule executes a uniformly random enabled rule.
-	RandomEnabledRule
-)
-
 // StepInfo describes one executed step, for hooks and traces.
 type StepInfo struct {
 	// Step is the 0-based index of the step.
 	Step int
 	// Activated lists the processes that moved, in ascending order.
 	Activated []int
-	// Rules gives, for each activated process (same order), the name of the
-	// rule it executed.
-	Rules []string
+	// Rules gives, for each activated process (same order), the index in
+	// Algorithm.Rules() of the rule it executed: an activated process
+	// executes its first enabled rule.
+	Rules []int
 	// Before and After are the configurations around the step. Like Activated
 	// and Rules they are the engine's reusable working buffers: hooks must
 	// not retain or modify them beyond the callback (clone if needed).
 	Before, After *Configuration
 	// Round is the index (0-based) of the round this step belongs to.
 	Round int
+	// Events is the number of injected events that fired before the step
+	// (see WithInjector). A hook that sees it grow knows that events changed
+	// states or the topology since the last step it saw, so Before need not
+	// be the After of that step.
+	Events int
 }
 
 // StepHook observes executed steps.
@@ -54,8 +46,6 @@ type Options struct {
 	maxSteps           int
 	legitimate         ProcessPredicate
 	hooks              []StepHook
-	ruleChoice         RuleChoicePolicy
-	rng                *rand.Rand
 	stopWhenLegitimate bool
 	injector           Injector
 	memo               *MemoShare
@@ -74,24 +64,11 @@ func (o *Options) validate() error {
 	if o.maxSteps < 0 {
 		return fmt.Errorf("sim: WithMaxSteps(%d): the step bound must be non-negative", o.maxSteps)
 	}
-	switch o.ruleChoice {
-	case FirstEnabledRule, RandomEnabledRule:
-	default:
-		return fmt.Errorf("sim: WithRuleChoice(%d): unknown rule-choice policy", o.ruleChoice)
-	}
-	if o.ruleChoice == RandomEnabledRule && o.rng == nil {
-		return fmt.Errorf("sim: WithRuleChoice(RandomEnabledRule, nil): the random policy requires a non-nil rng")
-	}
 	if o.shards < 0 {
 		return fmt.Errorf("sim: WithShards(%d): the shard count must be non-negative", o.shards)
 	}
-	if o.shards > 1 {
-		if o.ruleChoice == RandomEnabledRule {
-			return fmt.Errorf("sim: WithShards(%d) is incompatible with RandomEnabledRule: shards execute rules concurrently, so draws from the shared rng would consume it in a nondeterministic order", o.shards)
-		}
-		if o.memo != nil {
-			return fmt.Errorf("sim: WithShards(%d) is incompatible with WithMemo: the memoized evaluator is not safe for concurrent guard evaluation", o.shards)
-		}
+	if o.shards > 1 && o.memo != nil {
+		return fmt.Errorf("sim: WithShards(%d) is incompatible with WithMemo: the memoized evaluator is not safe for concurrent guard evaluation", o.shards)
 	}
 	return nil
 }
@@ -120,19 +97,6 @@ func WithLegitimate(p ProcessPredicate) Option {
 // WithStepHook registers a hook invoked after every step.
 func WithStepHook(h StepHook) Option {
 	return func(o *Options) { o.hooks = append(o.hooks, h) }
-}
-
-// WithRuleChoice sets the rule-choice policy (default FirstEnabledRule). The
-// RandomEnabledRule policy requires a non-nil rng: a nil rng would silently
-// degrade the policy to deterministic first-rule choice, losing the
-// nondeterminism the caller asked for. The violation is reported when the
-// run starts (an error from RunE, a panic from Run), not here, so that
-// option values can be assembled and inspected freely.
-func WithRuleChoice(p RuleChoicePolicy, rng *rand.Rand) Option {
-	return func(o *Options) {
-		o.ruleChoice = p
-		o.rng = rng
-	}
 }
 
 // WithStopWhenLegitimate makes the run stop as soon as the legitimacy
@@ -170,11 +134,10 @@ func WithMemoReadOnly(share *MemoShare) Option {
 // accounting without sharding; select, per-shard execute, merge, per-shard
 // boundary exchange and accounting when WithShards asked for more than one
 // shard (even if the ⌈n/64⌉ cap leaves one). All guard evaluation of an
-// unmemoized FirstEnabledRule run falls in guard re-evaluation (or boundary
-// exchange); execute evaluates guards only under RandomEnabledRule, and asks
-// the memo when one is attached. Timing never feeds back into the
-// execution, so profiled runs stay bit-identical to unprofiled ones, and
-// without a profiler (the default) the loop pays one nil check per step and
+// unmemoized run falls in guard re-evaluation (or boundary exchange);
+// execute evaluates no guard, and asks the memo when one is attached.
+// Timing never feeds back into the execution, so profiled runs stay
+// bit-identical to unprofiled ones, and without a profiler (the default) the loop pays one nil check per step and
 // allocates nothing. The profiler belongs to a single run; read it with
 // Profile after the run returns.
 func WithProfiler(p *obs.PhaseProfiler) Option {
@@ -182,10 +145,7 @@ func WithProfiler(p *obs.PhaseProfiler) Option {
 }
 
 func defaultOptions() Options {
-	return Options{
-		maxSteps:   DefaultMaxSteps,
-		ruleChoice: FirstEnabledRule,
-	}
+	return Options{maxSteps: DefaultMaxSteps}
 }
 
 // Result summarises an execution.
@@ -356,15 +316,14 @@ func (e *Engine) Run(start *Configuration, opts ...Option) Result {
 // maintained as a bitset and, after a step, only the activated processes and
 // their neighbours are re-evaluated — rule guards read closed neighbourhoods
 // only (the locally shared memory model), so enabledness cannot change
-// anywhere else. Each guard is evaluated once per step: re-evaluation keeps
-// every process's first enabled rule next to its enabled bit, and under
-// FirstEnabledRule the next step executes that rule without evaluating
-// guards again (RandomEnabledRule, which needs every enabled rule, evaluates
-// the selected processes' guards when it executes them). The configuration
-// is double-buffered instead of cloned per step, and the
-// neutralization-based round accounting runs on reusable bitsets. The
-// test-only RunReference keeps the straightforward implementation as the
-// oracle; the differential tests compare the two bit for bit.
+// anywhere else. Each guard is evaluated once per step: an activated process
+// executes its first enabled rule, which re-evaluation keeps next to the
+// process's enabled bit, so the next step executes it without evaluating
+// guards again. The configuration is double-buffered instead of cloned per
+// step, and the neutralization-based round accounting runs on reusable
+// bitsets. The test-only RunReference keeps the straightforward
+// implementation as the oracle; the differential tests compare the two bit
+// for bit.
 func (e *Engine) RunE(start *Configuration, opts ...Option) (Result, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -426,8 +385,7 @@ type engineRun struct {
 	// enabledBits is the authoritative enabled set; enabledList is its
 	// sorted materialisation handed to daemons. firstRule[u] is the index of
 	// u's first enabled rule (-1 when u is disabled), written next to u's
-	// enabled bit on the unmemoized path and read by the apply phase under
-	// FirstEnabledRule.
+	// enabled bit on the unmemoized path and read by the apply phase.
 	enabledBits bitset
 	enabledList []int
 	firstRule   []int32
@@ -439,14 +397,13 @@ type engineRun struct {
 	pending, wasEnabled bitset
 	roundProgress       bool
 
-	// The step's sorted selection is a prefix of selBuf; the chosen rule
-	// index of selected[i] lands in ruleBuf[i] and its name in ruleNames[i].
-	// Each shard works on its contiguous block of both. dedup is the
-	// selection sanitizer's scratch (selection is sequential). ruleMoves
-	// counts moves per rule index; run folds it into Result.MovesPerRule.
+	// The step's sorted selection is a prefix of selBuf, and the rule index
+	// selected[i] executes lands in ruleBuf[i]; hooks see both prefixes. Each
+	// shard works on its contiguous block of both. dedup is the selection
+	// sanitizer's scratch (selection is sequential). ruleMoves counts moves
+	// per rule index; run folds it into Result.MovesPerRule.
 	selBuf, ruleBuf []int
 	selected        []int
-	ruleNames       []string
 	dedup           bitset
 	ruleMoves       []int
 
@@ -485,7 +442,6 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 		wasEnabled:  newBitset(n),
 		selBuf:      make([]int, n),
 		ruleBuf:     make([]int, n),
-		ruleNames:   make([]string, 0, n),
 		dedup:       newBitset(n),
 		ruleMoves:   make([]int, len(ev.Rules())),
 		prof:        o.profiler,
@@ -499,9 +455,6 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 		if r.memo != nil && o.memoReadOnly {
 			r.memo.donor = false
 		}
-	}
-	for s := range r.shards {
-		r.shards[s].ruleScratch = make([]int, 0, len(r.rules))
 	}
 	if r.prof != nil {
 		r.shardDur = make([]time.Duration, len(r.shards))
@@ -713,28 +666,21 @@ func (r *engineRun) selectShards() {
 // of the double buffer and executes the chosen rule of each of its selected
 // processes, all reading cur (composite atomicity). Every selected process
 // is enabled (the selection is sanitized against the enabled set), so it has
-// a rule. Under FirstEnabledRule without a memo that rule is the one the
-// last evaluation of u's guards cached in firstRule. Move accounting is left
-// to the sequential merge — Result's counters are not safe for concurrent
-// writes.
+// a rule: its first enabled one, which without a memo the last evaluation of
+// u's guards cached in firstRule. Move accounting is left to the sequential
+// merge — Result's counters are not safe for concurrent writes.
 func (r *engineRun) applyShard(sh *engineShard) {
 	t := r.shardStart()
 	cur, next := r.cur, r.next.states
 	copy(next[sh.lo:sh.hi], cur.states[sh.lo:sh.hi])
 	ruleIdxs := r.ruleBuf[sh.off : sh.off+len(sh.selected)]
 	for i, u := range sh.selected {
-		v := r.e.net.View(cur, u)
-		var ri int
-		switch {
-		case r.memo != nil:
-			ri = chooseRuleFromMask(r.memo.Mask(cur, u), &r.o)
-		case r.o.ruleChoice == FirstEnabledRule:
-			ri = int(r.firstRule[u])
-		default:
-			ri = chooseRandomRule(r.rules, v, r.o.rng, sh.ruleScratch)
+		ri := int(r.firstRule[u])
+		if r.memo != nil {
+			ri = r.memo.FirstEnabledRule(cur, u)
 		}
 		ruleIdxs[i] = ri
-		next[u] = r.rules[ri].Action(v)
+		next[u] = r.rules[ri].Action(r.e.net.View(cur, u))
 	}
 	// Mark the closed neighbourhoods whose guards must be re-evaluated. The
 	// marks go to the shard-private bitset: a boundary process has
@@ -753,11 +699,8 @@ func (r *engineRun) applyShard(sh *engineShard) {
 // selection, whose rule indices the shards wrote to the matching positions
 // of ruleBuf, and installs the step.
 func (r *engineRun) merge() {
-	r.ruleNames = r.ruleNames[:0]
 	for i, u := range r.selected {
-		ri := r.ruleBuf[i]
-		r.ruleNames = append(r.ruleNames, r.rules[ri].Name)
-		r.ruleMoves[ri]++
+		r.ruleMoves[r.ruleBuf[i]]++
 		r.res.MovesPerProcess[u]++
 	}
 	r.res.Moves += len(r.selected)
@@ -844,10 +787,11 @@ func (r *engineRun) account() {
 		h(StepInfo{
 			Step:      res.Steps,
 			Activated: r.selected,
-			Rules:     r.ruleNames,
+			Rules:     r.ruleBuf[:len(r.selected)],
 			Before:    r.next,
 			After:     r.cur,
 			Round:     res.Rounds,
+			Events:    len(res.Events),
 		})
 	}
 	res.Steps++
@@ -963,34 +907,4 @@ func (r *engineRun) shardEnd(sh *engineShard, t time.Time) {
 	if r.profStep {
 		r.shardDur[sh.idx] = time.Since(t)
 	}
-}
-
-// chooseRandomRule returns the index of a uniformly random rule enabled at
-// process v, drawing once from rng; v must have an enabled rule. scratch is
-// a reusable buffer with capacity for all rule indices. Options.validate
-// rejects a nil rng for RandomEnabledRule, so rng is always set.
-func chooseRandomRule(rules []Rule, v View, rng *rand.Rand, scratch []int) int {
-	enabled := scratch[:0]
-	for i, r := range rules {
-		if r.Guard(v) {
-			enabled = append(enabled, i)
-		}
-	}
-	return enabled[rng.Intn(len(enabled))]
-}
-
-// chooseRuleFromMask picks a rule from a memoized non-zero enabled-rule
-// bitmask. Under RandomEnabledRule it consumes the rng like chooseRandomRule
-// (one Intn over the same count, selecting set bits in ascending index
-// order), so memoized and direct runs stay bit-identical under both
-// policies.
-func chooseRuleFromMask(mask uint64, o *Options) int {
-	if o.ruleChoice == FirstEnabledRule {
-		return bits.TrailingZeros64(mask)
-	}
-	pick := o.rng.Intn(bits.OnesCount64(mask))
-	for ; pick > 0; pick-- {
-		mask &= mask - 1
-	}
-	return bits.TrailingZeros64(mask)
 }

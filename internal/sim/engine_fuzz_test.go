@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"sdr/internal/sim"
@@ -10,44 +9,32 @@ import (
 
 // FuzzEngineMatchesReference extends the differential sweep of
 // TestEngineMatchesReference from fixed seeds to fuzzed ones: for a
-// workload of diffWorkloads(seed), a standard daemon and a rule-choice
-// policy, Run must equal the RunReference oracle bit for bit, and under
-// FirstEnabledRule (the only policy sharding admits) a run asked for k
-// shards must equal the one-shard run. The workloads have fewer than 64
-// processes, so the ⌈n/64⌉ cap runs that k-shard request on one shard;
+// workload of diffWorkloads(seed) and a standard daemon, Run must equal the
+// RunReference oracle bit for bit, and a run asked for k shards must equal
+// the one-shard run. The workloads have fewer than 64 processes, so the
+// ⌈n/64⌉ cap runs that k-shard request on one shard;
 // TestShardedBitIdentical covers real partitions. When the workload's
 // algorithm implements sim.RuleIndexer (the SDR compositions), its
 // FirstEnabled must also equal the first enabled Guard at every process of
 // the start and final configurations. The committed corpus under
-// testdata/fuzz covers every workload and daemon under both policies.
+// testdata/fuzz covers every workload and daemon.
 func FuzzEngineMatchesReference(f *testing.F) {
-	f.Add(uint32(1), uint8(0), uint8(0), false, uint8(1))
-	f.Add(uint32(2), uint8(1), uint8(2), true, uint8(1))
-	f.Add(uint32(3), uint8(4), uint8(5), false, uint8(3))
+	f.Add(uint32(1), uint8(0), uint8(0), uint8(1))
+	f.Add(uint32(2), uint8(1), uint8(2), uint8(1))
+	f.Add(uint32(3), uint8(4), uint8(5), uint8(3))
 	factories := sim.StandardDaemonFactories()
-	f.Fuzz(func(t *testing.T, seed32 uint32, workload, daemon uint8, random bool, shards uint8) {
+	f.Fuzz(func(t *testing.T, seed32 uint32, workload, daemon, shards uint8) {
 		seed := int64(seed32)
 		ws := diffWorkloads(t, seed)
 		w := ws[int(workload)%len(ws)]
 		df := factories[int(daemon)%len(factories)]
 		k := 1 + int(shards)%3
-		// Each run gets its own rule-choice rng from the same seed.
-		opts := func() []sim.Option {
-			if !random {
-				return w.opts
-			}
-			return append(append([]sim.Option(nil), w.opts...),
-				sim.WithRuleChoice(sim.RandomEnabledRule, rand.New(rand.NewSource(seed))))
-		}
-		label := fmt.Sprintf("%s/%s/random=%v", w.name, df.Name, random)
-		inc := sim.NewEngine(w.net, w.alg, df.New(seed)).Run(w.start, opts()...)
-		ref := sim.NewEngine(w.net, w.alg, df.New(seed)).RunReference(w.start, opts()...)
+		label := fmt.Sprintf("%s/%s", w.name, df.Name)
+		inc := sim.NewEngine(w.net, w.alg, df.New(seed)).Run(w.start, w.opts...)
+		ref := sim.NewEngine(w.net, w.alg, df.New(seed)).RunReference(w.start, w.opts...)
 		assertResultsIdentical(t, label, inc, ref)
 		assertIndexerMatchesGuards(t, label+"/start", w.alg, w.net, w.start)
 		assertIndexerMatchesGuards(t, label+"/final", w.alg, w.net, ref.Final)
-		if random {
-			return
-		}
 		shardOpts := append(append([]sim.Option(nil), w.opts...), sim.WithShards(k))
 		sharded, err := sim.NewEngine(w.net, w.alg, df.New(seed)).RunE(w.start, shardOpts...)
 		if err != nil {

@@ -84,17 +84,16 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 		// Composite atomicity: all selected processes read cur and their
 		// writes are installed together in next.
 		next := NewConfiguration(copyStates(cur))
-		ruleNames := make([]string, 0, len(selected))
+		ruleIdxs := make([]int, 0, len(selected))
 		for _, u := range selected {
 			v := e.net.View(cur, u)
-			ri := referenceChooseRule(rules, v, o)
+			ri := referenceFirstRule(rules, v)
+			ruleIdxs = append(ruleIdxs, ri)
 			if ri < 0 {
 				// Defensive: the daemon selected a non-enabled process; skip.
-				ruleNames = append(ruleNames, "")
 				continue
 			}
 			next.SetState(u, rules[ri].Action(v))
-			ruleNames = append(ruleNames, rules[ri].Name)
 			res.Moves++
 			res.MovesPerProcess[u]++
 			res.MovesPerRule[rules[ri].Name]++
@@ -135,7 +134,7 @@ func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 			h(StepInfo{
 				Step:      res.Steps,
 				Activated: selected,
-				Rules:     ruleNames,
+				Rules:     ruleIdxs,
 				Before:    prev,
 				After:     cur,
 				Round:     res.Rounds,
@@ -218,22 +217,13 @@ func referenceSortInts(s []int) {
 	}
 }
 
-// referenceChooseRule is the retained rule-choice helper; it allocates the
-// enabled-rule slice per call under RandomEnabledRule.
-func referenceChooseRule(rules []Rule, v View, o Options) int {
-	var enabled []int
+// referenceFirstRule is the retained rule-choice helper: the index of the
+// first rule whose Guard holds at v, or -1.
+func referenceFirstRule(rules []Rule, v View) int {
 	for i, r := range rules {
 		if r.Guard(v) {
-			if o.ruleChoice == FirstEnabledRule {
-				return i
-			}
-			enabled = append(enabled, i)
+			return i
 		}
 	}
-	if len(enabled) == 0 {
-		return -1
-	}
-	// Options.validate rejects a nil rng for RandomEnabledRule, so o.rng is
-	// always set here.
-	return enabled[o.rng.Intn(len(enabled))]
+	return -1
 }

@@ -21,8 +21,7 @@ type RuleIndexer interface {
 // FirstEnabledRule, Enabled, AppendEnabled and Terminal go through the
 // algorithm's RuleIndexer when it implements one. AppendEnabledRules always
 // evaluates every Guard, as do the paths that need the full enabled-rule
-// set: RandomEnabledRule's choice, the memo's mask fill and the checker's
-// transition enumeration.
+// set: the memo's mask fill and the checker's transition enumeration.
 type Evaluator struct {
 	net     *Network
 	alg     Algorithm

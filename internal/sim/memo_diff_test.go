@@ -66,29 +66,6 @@ func TestMemoSharedTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMemoRandomRuleChoiceMatchesReference pins rng parity of the mask-based
-// rule choice: picking the k-th set bit must consume the rule-choice rng
-// exactly like picking the k-th element of the enabled-rule slice.
-func TestMemoRandomRuleChoiceMatchesReference(t *testing.T) {
-	g := graph.RandomConnected(9, 0.35, rand.New(rand.NewSource(7)))
-	net := sim.NewNetwork(g)
-	u := unison.New(unison.DefaultPeriod(g.N()))
-	comp := core.Compose(u)
-	start := randomStart(t, comp, net, rand.New(rand.NewSource(8)))
-	for _, df := range sim.StandardDaemonFactories() {
-		optsFor := func(extra ...sim.Option) []sim.Option {
-			return append([]sim.Option{
-				sim.WithMaxSteps(5_000),
-				sim.WithRuleChoice(sim.RandomEnabledRule, rand.New(rand.NewSource(21))),
-			}, extra...)
-		}
-		inc := sim.NewEngine(net, comp, df.New(9)).Run(start,
-			optsFor(sim.WithMemo(sim.NewMemoShare(0)))...)
-		ref := sim.NewEngine(net, comp, df.New(9)).RunReference(start, optsFor()...)
-		assertResultsIdentical(t, "memo-random-rule/"+df.Name, inc, ref)
-	}
-}
-
 // TestMemoChurnMatchesPlain compares a memoized and an unmemoized run under
 // an identical churn schedule (state corruption, crash-reboot and topology
 // mutation). Churn mutates the network in place, so each run gets its own

@@ -19,10 +19,9 @@ import (
 // Exactness. Selection is sequential and global: the daemon is consulted
 // once per step on the whole sorted enabled list, exactly as in a one-shard
 // run, and each shard then executes its contiguous block of the sorted
-// selection. Rule choice is deterministic (FirstEnabledRule;
-// RandomEnabledRule is rejected, see Options.validate) and all accounting
-// runs in ascending process order, so a run is bit-identical for every
-// shard count under every daemon. The test-only RunReference is the
+// selection. Every activated process executes its first enabled rule, and
+// all accounting runs in ascending process order, so a run is bit-identical
+// for every shard count under every daemon. The test-only RunReference is the
 // independent oracle: the differential tests in shard_test.go compare
 // sharded runs against it and against the one-shard run.
 //
@@ -40,8 +39,8 @@ import (
 // WithShards sets the number of shards of the run (default 1: one shard on
 // the calling goroutine). With k > 1 guard evaluation and rule execution run
 // concurrently on k contiguous node ranges; the run is bit-identical for
-// every k. Sharding is incompatible with RandomEnabledRule and with
-// WithMemo; Options.validate reports both combinations as errors. Shard
+// every k. Sharding is incompatible with WithMemo; Options.validate reports
+// the combination as an error. Shard
 // counts larger than ⌈n/64⌉ are silently capped (boundaries are 64-aligned
 // so that bitset words have a single writer); a run capped to one shard
 // still reports the sharded phase names to a profiler (see WithProfiler).
@@ -65,9 +64,6 @@ type engineShard struct {
 	// its position in the run's selection and rule buffers.
 	selected []int
 	off      int
-
-	// ruleScratch is chooseRandomRule's reusable buffer.
-	ruleScratch []int
 }
 
 // makeShards partitions [0, n) into at most k word-aligned contiguous

@@ -110,14 +110,14 @@ func TestShardedBitIdentical(t *testing.T) {
 
 // TestShardedHooksMatchSequential extends the exactness check to the
 // step-by-step trace: for every standard daemon the sharded loop must hand
-// hooks the same activation sets, rule names and round indices as the
+// hooks the same activation sets, rule indices and round indices as the
 // one-shard loop (at 3 shards) and as the independent RunReference oracle
 // (at 2 and 7 shards).
 func TestShardedHooksMatchSequential(t *testing.T) {
 	type step struct {
 		step, round int
 		activated   []int
-		rules       []string
+		rules       []int
 	}
 	record := func(dst *[]step) sim.StepHook {
 		return func(info sim.StepInfo) {
@@ -125,7 +125,7 @@ func TestShardedHooksMatchSequential(t *testing.T) {
 				step:      info.Step,
 				round:     info.Round,
 				activated: append([]int(nil), info.Activated...),
-				rules:     append([]string(nil), info.Rules...),
+				rules:     append([]int(nil), info.Rules...),
 			})
 		}
 	}
@@ -150,7 +150,7 @@ func TestShardedHooksMatchSequential(t *testing.T) {
 			}
 			for j := range a.activated {
 				if a.activated[j] != b.activated[j] || a.rules[j] != b.rules[j] {
-					t.Fatalf("%s: step %d: (%d,%q) vs (%d,%q)",
+					t.Fatalf("%s: step %d: (%d,%d) vs (%d,%d)",
 						name, i, a.activated[j], a.rules[j], b.activated[j], b.rules[j])
 				}
 			}
@@ -267,10 +267,6 @@ func TestShardOptionValidation(t *testing.T) {
 		opts []sim.Option
 	}{
 		{"negative-shards", []sim.Option{sim.WithShards(-1)}},
-		{"shards+random-rule-choice", []sim.Option{
-			sim.WithShards(2),
-			sim.WithRuleChoice(sim.RandomEnabledRule, rand.New(rand.NewSource(1))),
-		}},
 		{"shards+memo", []sim.Option{
 			sim.WithShards(2),
 			sim.WithMemo(sim.NewMemoShare(1 << 16)),

@@ -1,6 +1,7 @@
 // Package trace records executions of the simulator for inspection, export
-// and the CLI tools: per-step events, per-process and per-rule move
-// histograms, and compact textual / CSV / JSON renderings.
+// and the CLI tools: a per-step event log, and compact textual / CSV / JSON
+// renderings of it together with the run's sim.Result, whose move counters
+// are the histograms the renderings print.
 package trace
 
 import (
@@ -28,18 +29,15 @@ type Event struct {
 	After string `json:"after,omitempty"`
 }
 
-// Recorder collects events and move statistics from a run through a step
-// hook. The zero value is not usable; call NewRecorder.
+// Recorder collects the events of a run through a step hook. The zero value
+// is not usable; call NewRecorder.
 type Recorder struct {
-	n                  int
+	rules              []sim.Rule
 	keepConfigurations bool
 	maxEvents          int
 
-	events        []Event
-	truncated     bool
-	movesByRule   map[string]int
-	movesByProc   []int
-	activatedHist map[int]int // selection size -> count
+	events    []Event
+	truncated bool
 }
 
 // RecorderOption customises a Recorder.
@@ -51,21 +49,16 @@ func WithConfigurations() RecorderOption {
 	return func(r *Recorder) { r.keepConfigurations = true }
 }
 
-// WithMaxEvents caps the number of stored events; further steps are still
-// counted in the histograms but their events are dropped and Truncated
-// reports true. 0 means no cap.
+// WithMaxEvents caps the number of stored events; the events of further
+// steps are dropped and Truncated reports true. 0 means no cap.
 func WithMaxEvents(maxEvents int) RecorderOption {
 	return func(r *Recorder) { r.maxEvents = maxEvents }
 }
 
-// NewRecorder returns a recorder for a network of n processes.
-func NewRecorder(n int, opts ...RecorderOption) *Recorder {
-	r := &Recorder{
-		n:             n,
-		movesByRule:   make(map[string]int),
-		movesByProc:   make([]int, n),
-		activatedHist: make(map[int]int),
-	}
+// NewRecorder returns a recorder for runs of alg; it names the rules of its
+// events through alg.Rules().
+func NewRecorder(alg sim.Algorithm, opts ...RecorderOption) *Recorder {
+	r := &Recorder{rules: alg.Rules()}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -78,14 +71,6 @@ func (r *Recorder) Hook() sim.StepHook {
 }
 
 func (r *Recorder) observe(info sim.StepInfo) {
-	for i, u := range info.Activated {
-		if u >= 0 && u < r.n {
-			r.movesByProc[u]++
-		}
-		r.movesByRule[info.Rules[i]]++
-	}
-	r.activatedHist[len(info.Activated)]++
-
 	if r.maxEvents > 0 && len(r.events) >= r.maxEvents {
 		r.truncated = true
 		return
@@ -94,7 +79,10 @@ func (r *Recorder) observe(info sim.StepInfo) {
 		Step:      info.Step,
 		Round:     info.Round,
 		Activated: append([]int(nil), info.Activated...),
-		Rules:     append([]string(nil), info.Rules...),
+		Rules:     make([]string, len(info.Rules)),
+	}
+	for i, ri := range info.Rules {
+		ev.Rules[i] = r.rules[ri].Name
 	}
 	if r.keepConfigurations {
 		ev.After = info.After.String()
@@ -109,66 +97,32 @@ func (r *Recorder) Events() []Event { return r.events }
 // Truncated reports whether events were dropped because of WithMaxEvents.
 func (r *Recorder) Truncated() bool { return r.truncated }
 
-// Moves returns the total number of recorded moves.
-func (r *Recorder) Moves() int {
-	total := 0
-	for _, m := range r.movesByProc {
-		total += m
-	}
-	return total
-}
-
-// MovesByProcess returns a copy of the per-process move counts.
-func (r *Recorder) MovesByProcess() []int {
-	out := make([]int, len(r.movesByProc))
-	copy(out, r.movesByProc)
-	return out
-}
-
-// MovesByRule returns a copy of the per-rule move counts.
-func (r *Recorder) MovesByRule() map[string]int {
-	out := make(map[string]int, len(r.movesByRule))
-	for k, v := range r.movesByRule {
-		out[k] = v
-	}
-	return out
-}
-
-// SelectionSizeHistogram returns a copy of the histogram of daemon selection
-// sizes (how many processes were activated per step).
-func (r *Recorder) SelectionSizeHistogram() map[int]int {
-	out := make(map[int]int, len(r.activatedHist))
-	for k, v := range r.activatedHist {
-		out[k] = v
-	}
-	return out
-}
-
-// Summary renders the move histograms as a human-readable block.
-func (r *Recorder) Summary() string {
+// Summary renders the move counters of the run's result as a human-readable
+// block.
+func Summary(res sim.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "moves: %d over %d steps (%d processes)\n", r.Moves(), len(r.events), r.n)
+	fmt.Fprintf(&b, "moves: %d over %d steps (%d processes)\n", res.Moves, res.Steps, len(res.MovesPerProcess))
 
-	rules := make([]string, 0, len(r.movesByRule))
-	for name := range r.movesByRule {
+	rules := make([]string, 0, len(res.MovesPerRule))
+	for name := range res.MovesPerRule {
 		rules = append(rules, name)
 	}
 	sort.Strings(rules)
 	b.WriteString("moves by rule:\n")
 	for _, name := range rules {
-		fmt.Fprintf(&b, "  %-12s %d\n", name, r.movesByRule[name])
+		fmt.Fprintf(&b, "  %-12s %d\n", name, res.MovesPerRule[name])
 	}
 
 	b.WriteString("moves by process:\n")
-	for u, m := range r.movesByProc {
+	for u, m := range res.MovesPerProcess {
 		fmt.Fprintf(&b, "  p%-3d %d\n", u, m)
 	}
 	return b.String()
 }
 
 // WriteText writes every recorded event as one line "step round [procs] rules"
-// to w, followed by the summary.
-func (r *Recorder) WriteText(w io.Writer) error {
+// to w, followed by the Summary of the run's result.
+func (r *Recorder) WriteText(w io.Writer, res sim.Result) error {
 	for _, ev := range r.events {
 		line := fmt.Sprintf("step %4d  round %3d  activated %v  rules %v", ev.Step, ev.Round, ev.Activated, ev.Rules)
 		if ev.After != "" {
@@ -183,7 +137,7 @@ func (r *Recorder) WriteText(w io.Writer) error {
 			return fmt.Errorf("trace: write text: %w", err)
 		}
 	}
-	_, err := io.WriteString(w, r.Summary())
+	_, err := io.WriteString(w, Summary(res))
 	if err != nil {
 		return fmt.Errorf("trace: write text: %w", err)
 	}
@@ -216,13 +170,14 @@ type JSONExport struct {
 	Events         []Event        `json:"events"`
 }
 
-// WriteJSON writes the whole trace as a single JSON document.
-func (r *Recorder) WriteJSON(w io.Writer) error {
+// WriteJSON writes the whole trace, with the move counters of the run's
+// result, as a single JSON document.
+func (r *Recorder) WriteJSON(w io.Writer, res sim.Result) error {
 	export := JSONExport{
-		Processes:      r.n,
-		Moves:          r.Moves(),
-		MovesByRule:    r.MovesByRule(),
-		MovesByProcess: r.MovesByProcess(),
+		Processes:      len(res.MovesPerProcess),
+		Moves:          res.Moves,
+		MovesByRule:    res.MovesPerRule,
+		MovesByProcess: res.MovesPerProcess,
 		Truncated:      r.truncated,
 		Events:         r.events,
 	}

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,7 +23,7 @@ func recordedRun(t *testing.T, opts ...RecorderOption) (*Recorder, sim.Result) {
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
 	net := sim.NewNetwork(g)
-	rec := NewRecorder(net.N(), opts...)
+	rec := NewRecorder(comp, opts...)
 	daemon := sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(3)), 0.5)
 	res := sim.NewEngine(net, comp, daemon).Run(sim.InitialConfiguration(comp, net),
 		sim.WithMaxSteps(50),
@@ -30,35 +32,30 @@ func recordedRun(t *testing.T, opts ...RecorderOption) (*Recorder, sim.Result) {
 	return rec, res
 }
 
+// TestRecorderCountsMatchEngine checks the event log against the run's
+// counters: one event per step, and the activated processes and rule names
+// of the events add up to Result's per-process and per-rule move counts.
 func TestRecorderCountsMatchEngine(t *testing.T) {
 	rec, res := recordedRun(t)
-	if rec.Moves() != res.Moves {
-		t.Errorf("recorder counted %d moves, engine reports %d", rec.Moves(), res.Moves)
-	}
-	byProc := rec.MovesByProcess()
-	for u, m := range res.MovesPerProcess {
-		if byProc[u] != m {
-			t.Errorf("process %d: recorder %d vs engine %d", u, byProc[u], m)
-		}
-	}
-	byRule := rec.MovesByRule()
-	for name, m := range res.MovesPerRule {
-		if byRule[name] != m {
-			t.Errorf("rule %s: recorder %d vs engine %d", name, byRule[name], m)
-		}
-	}
 	if len(rec.Events()) != res.Steps {
 		t.Errorf("recorded %d events for %d steps", len(rec.Events()), res.Steps)
 	}
-	total := 0
-	for size, count := range rec.SelectionSizeHistogram() {
-		if size <= 0 {
-			t.Errorf("selection size %d should be positive", size)
+	byProc := make([]int, len(res.MovesPerProcess))
+	byRule := make(map[string]int)
+	for _, ev := range rec.Events() {
+		if len(ev.Activated) == 0 || len(ev.Rules) != len(ev.Activated) {
+			t.Fatalf("step %d: %d activated processes with %d rules", ev.Step, len(ev.Activated), len(ev.Rules))
 		}
-		total += count
+		for i, u := range ev.Activated {
+			byProc[u]++
+			byRule[ev.Rules[i]]++
+		}
 	}
-	if total != res.Steps {
-		t.Errorf("histogram covers %d steps, want %d", total, res.Steps)
+	if !reflect.DeepEqual(byProc, res.MovesPerProcess) {
+		t.Errorf("events give per-process moves %v, engine %v", byProc, res.MovesPerProcess)
+	}
+	if !reflect.DeepEqual(byRule, res.MovesPerRule) {
+		t.Errorf("events give per-rule moves %v, engine %v", byRule, res.MovesPerRule)
 	}
 }
 
@@ -80,21 +77,18 @@ func TestRecorderConfigurationsOption(t *testing.T) {
 }
 
 func TestRecorderMaxEvents(t *testing.T) {
-	rec, res := recordedRun(t, WithMaxEvents(5))
+	rec, _ := recordedRun(t, WithMaxEvents(5))
 	if len(rec.Events()) != 5 {
 		t.Errorf("recorded %d events, want the cap of 5", len(rec.Events()))
 	}
 	if !rec.Truncated() {
 		t.Error("the recorder must report truncation")
 	}
-	if rec.Moves() != res.Moves {
-		t.Error("truncation must not affect the move histograms")
-	}
 }
 
 func TestSummary(t *testing.T) {
-	rec, _ := recordedRun(t)
-	s := rec.Summary()
+	_, res := recordedRun(t)
+	s := Summary(res)
 	for _, want := range []string{"moves:", "moves by rule:", "moves by process:", "p0"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
@@ -102,10 +96,27 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	rec, _ := recordedRun(t, WithMaxEvents(3), WithConfigurations())
+// TestSummaryCountsAllSteps pins the summary's step count on a run longer
+// than the event cap: it is the run's, not the length of the event log.
+func TestSummaryCountsAllSteps(t *testing.T) {
+	rec, res := recordedRun(t, WithMaxEvents(5))
+	if res.Steps <= 5 {
+		t.Fatalf("the run took %d steps; it must outlast the cap of 5", res.Steps)
+	}
 	var buf bytes.Buffer
-	if err := rec.WriteText(&buf); err != nil {
+	if err := rec.WriteText(&buf, res); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	want := fmt.Sprintf("moves: %d over %d steps (6 processes)\n", res.Moves, res.Steps)
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("text output lacks %q:\n%s", want, buf.String())
+	}
+}
+
+func TestWriteText(t *testing.T) {
+	rec, res := recordedRun(t, WithMaxEvents(3), WithConfigurations())
+	var buf bytes.Buffer
+	if err := rec.WriteText(&buf, res); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	out := buf.String()
@@ -139,7 +150,7 @@ func TestWriteCSV(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	rec, res := recordedRun(t)
 	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
+	if err := rec.WriteJSON(&buf, res); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var export JSONExport
@@ -191,7 +202,7 @@ func TestExportMatrix(t *testing.T) {
 		if err := rec.WriteCSV(&csvBuf); err != nil {
 			t.Fatalf("%s: WriteCSV: %v", v.name, err)
 		}
-		if err := rec.WriteJSON(&jsonBuf); err != nil {
+		if err := rec.WriteJSON(&jsonBuf, res); err != nil {
 			t.Fatalf("%s: WriteJSON: %v", v.name, err)
 		}
 		var ex JSONExport
@@ -210,7 +221,7 @@ func TestExportMatrix(t *testing.T) {
 		if ex.Truncated != (v.maxEvents > 0 && res.Steps > v.maxEvents) {
 			t.Errorf("%s: truncated = %v with %d steps and cap %d", v.name, ex.Truncated, res.Steps, v.maxEvents)
 		}
-		// The histograms always cover the whole run, cap or not.
+		// The move counters always cover the whole run, cap or not.
 		if ex.Moves != res.Moves {
 			t.Errorf("%s: exported %d moves, engine reports %d", v.name, ex.Moves, res.Moves)
 		}
@@ -265,14 +276,14 @@ type writeError struct{}
 func (*writeError) Error() string { return "synthetic write failure" }
 
 func TestWriterErrorsArePropagated(t *testing.T) {
-	rec, _ := recordedRun(t)
-	if err := rec.WriteText(&failingWriter{remaining: 1}); err == nil {
+	rec, res := recordedRun(t)
+	if err := rec.WriteText(&failingWriter{remaining: 1}, res); err == nil {
 		t.Error("WriteText must propagate write failures")
 	}
 	if err := rec.WriteCSV(&failingWriter{remaining: 0}); err == nil {
 		t.Error("WriteCSV must propagate write failures")
 	}
-	if err := rec.WriteJSON(&failingWriter{remaining: 0}); err == nil {
+	if err := rec.WriteJSON(&failingWriter{remaining: 0}, res); err == nil {
 		t.Error("WriteJSON must propagate write failures")
 	}
 }

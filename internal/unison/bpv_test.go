@@ -81,7 +81,7 @@ func TestBPVFromInitBehavesAsUnison(t *testing.T) {
 			violations++
 		}
 		for i, u := range info.Activated {
-			if info.Rules[i] == RuleBPVNormal {
+			if b.Rules()[info.Rules[i]].Name == RuleBPVNormal {
 				ticks[u]++
 			}
 		}

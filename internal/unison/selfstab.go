@@ -88,27 +88,30 @@ func MaxDrift(u *Unison, net *sim.Network, c *sim.Configuration) int {
 // of the tick rule) observed through a step hook. It is used to check the
 // liveness part of the unison specification on finite run prefixes.
 type TickCounter struct {
-	counts   []int
-	ruleName string
+	counts []int
+	rule   int // the tick rule's index in the observed algorithm's Rules()
 }
 
+// tickRule is the index of the tick rule in Algorithm U's InnerRules.
+const tickRule = 0
+
 // NewTickCounter returns a counter for a network of n processes observing
-// executions of the composed algorithm (rule name "I:tick").
+// executions of the composed algorithm (rule "I:tick").
 func NewTickCounter(n int) *TickCounter {
-	return &TickCounter{counts: make([]int, n), ruleName: core.InnerRuleName(RuleTick)}
+	return &TickCounter{counts: make([]int, n), rule: core.InnerRuleIndex(tickRule)}
 }
 
 // NewStandaloneTickCounter returns a counter for runs of Algorithm U alone
-// (rule name "tick").
+// (rule "tick").
 func NewStandaloneTickCounter(n int) *TickCounter {
-	return &TickCounter{counts: make([]int, n), ruleName: RuleTick}
+	return &TickCounter{counts: make([]int, n), rule: tickRule}
 }
 
 // Hook returns the sim.StepHook to register with sim.WithStepHook.
 func (t *TickCounter) Hook() sim.StepHook {
 	return func(info sim.StepInfo) {
 		for i, u := range info.Activated {
-			if info.Rules[i] == t.ruleName {
+			if info.Rules[i] == t.rule {
 				t.counts[u]++
 			}
 		}

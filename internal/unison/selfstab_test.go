@@ -194,8 +194,12 @@ func TestUncooperativeVariantStillStabilizes(t *testing.T) {
 func TestTickCounter(t *testing.T) {
 	tc := NewTickCounter(3)
 	hook := tc.Hook()
-	hook(sim.StepInfo{Activated: []int{0, 2}, Rules: []string{core.InnerRuleName(RuleTick), "SDR:RB"}})
-	hook(sim.StepInfo{Activated: []int{0}, Rules: []string{core.InnerRuleName(RuleTick)}})
+	rules := core.Compose(New(3)).Rules()
+	if name := rules[tc.rule].Name; name != core.InnerRuleName(RuleTick) {
+		t.Fatalf("the counter watches rule %q", name)
+	}
+	hook(sim.StepInfo{Activated: []int{0, 2}, Rules: []int{tc.rule, 0}})
+	hook(sim.StepInfo{Activated: []int{0}, Rules: []int{tc.rule}})
 	counts := tc.Counts()
 	if counts[0] != 2 || counts[1] != 0 || counts[2] != 0 {
 		t.Errorf("counts = %v, want [2 0 0]", counts)
@@ -204,7 +208,10 @@ func TestTickCounter(t *testing.T) {
 		t.Errorf("Min = %d, want 0", tc.Min())
 	}
 	standalone := NewStandaloneTickCounter(2)
-	standalone.Hook()(sim.StepInfo{Activated: []int{1}, Rules: []string{RuleTick}})
+	if name := core.NewStandalone(New(3)).Rules()[standalone.rule].Name; name != RuleTick {
+		t.Fatalf("the standalone counter watches rule %q", name)
+	}
+	standalone.Hook()(sim.StepInfo{Activated: []int{1}, Rules: []int{standalone.rule}})
 	if got := standalone.Counts(); got[1] != 1 {
 		t.Errorf("standalone counter = %v, want a tick at process 1", got)
 	}
