@@ -25,7 +25,10 @@ func runExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table := exp.Run(cfg)
+		table, err := exp.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if table.Violations != 0 {
 			b.Fatalf("%s reported %d bound violations", id, table.Violations)
 		}

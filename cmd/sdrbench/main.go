@@ -1,5 +1,5 @@
 // Command sdrbench regenerates the experiment tables of the reproduction
-// (E1-E10 and the ablations A1-A3; see DESIGN.md for the per-experiment
+// (E1-E10 and the ablations A1-A3; -list prints the per-experiment
 // index). By default every experiment is run with the full configuration;
 // use -experiment to run a single one and -quick for a fast, smaller sweep.
 //
@@ -219,7 +219,10 @@ func run(args []string, out io.Writer) error {
 
 	violations := 0
 	for _, e := range experiments {
-		table := e.Run(cfg)
+		table, err := e.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
+		}
 		violations += table.Violations
 		if err := emit(table); err != nil {
 			return err

@@ -153,6 +153,19 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestExperimentSizeTooSmallIsAnError runs experiments on networks of two
+// nodes, which parseSizes accepts but a ring cannot have: the topology's
+// error must come back from run instead of a panic.
+func TestExperimentSizeTooSmallIsAnError(t *testing.T) {
+	for _, id := range []string{"E1", "E10"} {
+		var out bytes.Buffer
+		err := run([]string{"-experiment", id, "-sizes", "2", "-trials", "1"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "ring requires n >= 3") {
+			t.Errorf("%s at n=2: error %v, want the ring's size error", id, err)
+		}
+	}
+}
+
 func TestParseSizes(t *testing.T) {
 	sizes, err := parseSizes("8, 16,24")
 	if err != nil || len(sizes) != 3 || sizes[0] != 8 || sizes[2] != 24 {

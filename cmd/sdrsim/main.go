@@ -201,7 +201,7 @@ func simulate(sp scenario.Spec, showTrace bool, format string, profileSteps int,
 	var opts []sim.Option
 	var recorder *trace.Recorder
 	if showTrace {
-		recorder = trace.NewRecorder(run.Alg, trace.WithMaxEvents(10_000))
+		recorder = trace.NewRecorder(run.Alg)
 		opts = append(opts, sim.WithStepHook(recorder.Hook()))
 	}
 	var prof *obs.PhaseProfiler

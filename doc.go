@@ -25,7 +25,8 @@
 //   - internal/checker  — closure/convergence checkers and the parallel
 //     bounded-exhaustive state-space exploration behind the -verify modes
 //     (model checking convergence under every daemon choice on small n);
-//   - internal/faults   — transient-fault injection;
+//   - internal/faults   — transient-fault injection: the corruption builders
+//     behind the scenario registry's fault models;
 //   - internal/churn    — seeded mid-run perturbation schedules (state
 //     corruption, node crashes, edge churn, partitions) and the injector
 //     behind scenario Spec.Churn, with per-event re-stabilization metrics;
@@ -34,9 +35,10 @@
 //     that resolves a description into a ready-to-run engine, Sweep
 //     cross-products, and Run.Verify, the exhaustive-certification
 //     counterpart of Run.Execute;
-//   - internal/trace    — execution recording and export;
-//   - internal/stats    — summaries, percentiles, Student-t confidence
-//     intervals and growth fits for the reports;
+//   - internal/trace    — the sdrsim -trace event log (capped at 10 000
+//     events), its text/CSV/JSON export, and the run summary;
+//   - internal/stats    — sample aggregates (mean, percentiles, Student-t
+//     confidence intervals) and growth fits for the reports;
 //   - internal/bench    — the paper's experiment tables (E1-E10, A1-A3, X1)
 //     and the -verify certification table, built on scenario sweeps, run
 //     unmemoized, and the worker pool (MapGrid) campaigns share;

@@ -133,7 +133,8 @@ func (a *FGA) pToQuit(v core.InnerView) bool {
 // process leaving the alliance does not reduce its own #InAll — so the
 // self-candidate is exempted from the score guard. The score guard is kept
 // verbatim for neighbour candidates, which is what the closure of
-// realScr(u) ≥ 0 (Lemma 22) relies on. See DESIGN.md, "Deviations".
+// realScr(u) ≥ 0 (Lemma 22) relies on. See README.md, "Deviations from the
+// paper".
 func (a *FGA) bestPtr(v core.InnerView, selfScr int, selfCanQ bool) int {
 	minCanQ := NoPointer
 	for i := 0; i < v.Degree(); i++ {
@@ -415,12 +416,6 @@ func NewSelfStabilizing(spec Spec) *core.Composed {
 	return core.Compose(NewFGA(spec))
 }
 
-// NewSelfStabilizingUncooperative returns the ablation variant of FGA ∘ SDR
-// in which resets do not cooperate (see core.WithUncooperativeResets).
-func NewSelfStabilizingUncooperative(spec Spec) *core.Composed {
-	return core.Compose(NewFGA(spec), core.WithUncooperativeResets())
-}
-
 // Members returns the sorted list of processes whose col variable is true in
 // the configuration. It accepts configurations of both FGA alone (FGAState)
 // and FGA ∘ SDR (core.ComposedState wrapping FGAState).
@@ -436,14 +431,4 @@ func Members(c *sim.Configuration) []int {
 		}
 	}
 	return members
-}
-
-// TerminalPredicate returns the predicate "the configuration is terminal for
-// FGA and the col variables form a 1-minimal (f,g)-alliance", used as the
-// legitimacy/terminal check of experiments E7-E10. It works on both
-// standalone and composed configurations.
-func TerminalPredicate(spec Spec, net *sim.Network) sim.Predicate {
-	return func(c *sim.Configuration) bool {
-		return Is1Minimal(net.Graph(), spec, Members(c))
-	}
 }

@@ -292,23 +292,6 @@ func TestMembersAcceptsComposedAndPlainStates(t *testing.T) {
 	}
 }
 
-func TestTerminalPredicate(t *testing.T) {
-	g := graph.Path(3)
-	net := sim.NewNetwork(g)
-	pred := TerminalPredicate(DominatingSet(), net)
-	oneMinimal := fgaConfig(
-		FGAState{Col: false, Scr: 1, CanQ: false, Ptr: NoPointer},
-		FGAState{Col: true, Scr: 1, CanQ: true, Ptr: NoPointer},
-		FGAState{Col: false, Scr: 1, CanQ: false, Ptr: NoPointer})
-	if !pred(oneMinimal) {
-		t.Error("{1} is a 1-minimal dominating set of the 3-path")
-	}
-	full := fgaConfig(ResetFGAState(), ResetFGAState(), ResetFGAState())
-	if pred(full) {
-		t.Error("the full set is not 1-minimal on a 3-path")
-	}
-}
-
 func TestBoundsFormulas(t *testing.T) {
 	if MaxStandaloneMovesPerProcess(3, 5) != 8*3*5+18*3+24 {
 		t.Error("MaxStandaloneMovesPerProcess formula mismatch")

@@ -137,11 +137,12 @@ func TestRuleQRefreshesScoreAndClearsPointer(t *testing.T) {
 }
 
 // TestDeviationRegression encodes the counterexample that motivated the
-// documented deviation from the paper's bestPtr macro (DESIGN.md,
-// "Deviations"): a degree-1 member m with f(m) = g(m) = #InAll(m) = 1 whose
-// only neighbour approves it. With the literal macro the configuration is
-// terminal and not 1-minimal; with the corrected macro m approves itself, is
-// removed, and the terminal alliance is 1-minimal.
+// documented deviation from the paper's bestPtr macro (README.md,
+// "Deviations from the paper"): a degree-1 member m with
+// f(m) = g(m) = #InAll(m) = 1 whose only neighbour approves it. With the
+// literal macro the configuration is terminal and not 1-minimal; with the
+// corrected macro m approves itself, is removed, and the terminal alliance
+// is 1-minimal.
 func TestDeviationRegression(t *testing.T) {
 	// Star centre 0 with leaves 1, 2, 3 under the global powerful alliance:
 	// leaves have degree 1, so f = g = 1 for them.

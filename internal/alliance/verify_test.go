@@ -1,6 +1,7 @@
 package alliance
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -170,5 +171,70 @@ func TestQuickProperty1Part2(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// IsMinimal reports whether members is a minimal (f,g)-alliance: no proper
+// subset of it is an alliance. The check enumerates all proper subsets and is
+// therefore only usable for small alliances (it is exponential in their
+// size); the tests use it on small graphs to exercise Property 1 of the paper.
+func IsMinimal(g *graph.Graph, spec Spec, members []int) bool {
+	if !IsAlliance(g, spec, members) {
+		return false
+	}
+	n := len(members)
+	if n > 20 {
+		panic(fmt.Sprintf("alliance: IsMinimal is exponential; refusing alliance of size %d", n))
+	}
+	for mask := 0; mask < (1 << uint(n)); mask++ {
+		if mask == (1<<uint(n))-1 {
+			continue // the full set is not a proper subset
+		}
+		var subset []int
+		for i := 0; i < n; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				subset = append(subset, members[i])
+			}
+		}
+		if IsAlliance(g, spec, subset) {
+			return false
+		}
+	}
+	return true
+}
+
+// AllNodes returns the trivial alliance containing every node. Under the
+// solvability assumption δ_u ≥ max(f(u), g(u)) it is always an
+// (f,g)-alliance; it is the starting point FGA reduces from.
+func AllNodes(g *graph.Graph) []int {
+	members := make([]int, g.N())
+	for u := range members {
+		members[u] = u
+	}
+	return members
+}
+
+// GreedyMinimize reduces members to a 1-minimal alliance by repeatedly
+// removing, in increasing node order, any member whose removal keeps the
+// alliance property. It is the sequential comparator the tests use to
+// cross-check that 1-minimal alliances exist and to compare sizes against
+// FGA's distributed output.
+func GreedyMinimize(g *graph.Graph, spec Spec, members []int) []int {
+	current := append([]int(nil), members...)
+	for {
+		removed := false
+		for i := 0; i < len(current); i++ {
+			candidate := make([]int, 0, len(current)-1)
+			candidate = append(candidate, current[:i]...)
+			candidate = append(candidate, current[i+1:]...)
+			if IsAlliance(g, spec, candidate) {
+				current = candidate
+				removed = true
+				break
+			}
+		}
+		if !removed {
+			return current
+		}
 	}
 }

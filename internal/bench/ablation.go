@@ -1,22 +1,20 @@
 package bench
 
 import (
-	"context"
-
 	"sdr/internal/core"
 	"sdr/internal/scenario"
 	"sdr/internal/stats"
 	"sdr/internal/unison"
 )
 
-// Ablations A1-A3: design-choice experiments called out in DESIGN.md. They do
-// not correspond to paper claims; they quantify why the paper's design
+// Ablations A1-A3: design-choice experiments of the suite (see Experiments).
+// They do not correspond to paper claims; they quantify why the paper's design
 // decisions matter.
 
 // RunA1NoCooperation compares the cooperative composition U ∘ SDR against the
 // uncooperative variant in which every joining process becomes the root of
 // its own reset (distance 0) instead of hooking under a neighbouring reset.
-func RunA1NoCooperation(cfg Config) Table {
+func RunA1NoCooperation(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:    "A1",
@@ -37,9 +35,12 @@ func RunA1NoCooperation(cfg Config) Table {
 		bound                            int
 		coopStabilized, uncoopStabilized bool
 	}
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
 		coopSpec := sweep.Trial(cells[ci], tr)
-		m := runObserved(coopSpec)
+		m, err := runObserved(coopSpec)
+		if err != nil {
+			return trial{}, err
+		}
 
 		// Same seed for the uncooperative variant: the resolved topology,
 		// corrupted start and daemon are identical, so the two runs differ
@@ -50,7 +51,10 @@ func RunA1NoCooperation(cfg Config) Table {
 		// argument.
 		uncoopSpec := coopSpec
 		uncoopSpec.Algorithm = "unison-uncoop"
-		m2 := runObserved(uncoopSpec)
+		m2, err := runObserved(uncoopSpec)
+		if err != nil {
+			return trial{}, err
+		}
 
 		return trial{
 			coopMoves:        m.result.StabilizationMoves,
@@ -62,8 +66,11 @@ func RunA1NoCooperation(cfg Config) Table {
 			bound:            core.MaxSDRMovesPerProcess(m.run.Net.N()),
 			coopStabilized:   m.result.StabilizationMoves >= 0,
 			uncoopStabilized: m2.result.StabilizationMoves >= 0,
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	var ratios []float64
 	for ci, c := range cells {
 		var coop, uncoop []int
@@ -81,8 +88,8 @@ func RunA1NoCooperation(cfg Config) Table {
 			uncoopRoots += tr.uncoopRoots
 			bound = tr.bound
 		}
-		coopMean := stats.SummarizeInts(coop).Mean
-		uncoopMean := stats.SummarizeInts(uncoop).Mean
+		coopMean := stats.AggregateInts(coop).Mean
+		uncoopMean := stats.AggregateInts(uncoop).Mean
 		ratio := stats.Ratio(uncoopMean, coopMean)
 		ratios = append(ratios, ratio)
 		if coopRoots > 0 || coopSDR > bound {
@@ -96,15 +103,15 @@ func RunA1NoCooperation(cfg Config) Table {
 	}
 	t.AddNote("mean uncooperative/cooperative move ratio: %.2f; cooperation's guarantee is structural: "+
 		"the cooperative runs never create alive roots (Theorem 3) while the uncooperative variant does",
-		stats.Summarize(ratios).Mean)
-	return t
+		stats.AggregateSamples(ratios).Mean)
+	return t, nil
 }
 
 // RunA2Daemons runs the same U ∘ SDR workload under every registered daemon
 // and reports the spread of stabilization rounds and moves; every daemon is
 // a legal schedule of the distributed unfair daemon, so all measurements
 // must stay within the paper's bounds.
-func RunA2Daemons(cfg Config) Table {
+func RunA2Daemons(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "A2",
@@ -116,15 +123,21 @@ func RunA2Daemons(cfg Config) Table {
 	sweep.Sizes = []int{n}
 	cells := sweep.Cells()
 	type trial struct{ rounds, moves, roundBound, moveBound int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr))
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runObserved(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
 		return trial{
 			rounds:     m.result.StabilizationRounds,
 			moves:      m.result.StabilizationMoves,
 			roundBound: unison.MaxStabilizationRounds(m.run.Net.N()),
 			moveBound:  unison.MaxStabilizationMoves(m.run.Net.N(), m.run.Net.Graph().Diameter()),
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		maxRounds, maxMoves, roundBound, moveBound := 0, 0, 0, 0
 		for _, tr := range results[ci] {
@@ -138,13 +151,13 @@ func RunA2Daemons(cfg Config) Table {
 		}
 		t.AddRow(c.Daemon, itoa(c.N), itoa(maxRounds), itoa(roundBound), itoa(maxMoves), itoa(moveBound), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 // RunA3Period measures the sensitivity of U ∘ SDR to the clock period K:
 // the paper only requires K > n, and the stabilization bounds are independent
 // of K, so the measured costs should stay flat as K grows.
-func RunA3Period(cfg Config) Table {
+func RunA3Period(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "A3",
@@ -160,12 +173,12 @@ func RunA3Period(cfg Config) Table {
 		}
 	}
 	type trial struct{ rounds, moves, bound, k int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
 		c := cells[ci]
 		// The ring topology has exactly n processes, so the period can be
 		// derived from the requested size.
 		k := c.factor*c.n + 1
-		m := runObserved(scenario.Spec{
+		m, err := runObserved(scenario.Spec{
 			Algorithm: "unison",
 			Topology:  top,
 			N:         c.n,
@@ -175,13 +188,19 @@ func RunA3Period(cfg Config) Table {
 			MaxSteps:  cfg.MaxSteps,
 			Params:    scenario.Params{K: k},
 		})
+		if err != nil {
+			return trial{}, err
+		}
 		return trial{
 			rounds: m.result.StabilizationRounds,
 			moves:  m.result.StabilizationMoves,
 			bound:  unison.MaxStabilizationRounds(m.run.Net.N()),
 			k:      k,
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		var moves []int
 		maxRounds, bound, k := 0, 0, 0
@@ -196,9 +215,9 @@ func RunA3Period(cfg Config) Table {
 		if !within {
 			t.Violations++
 		}
-		t.AddRow(top, itoa(c.n), itoa(k), itoa(maxRounds), ftoa(stats.SummarizeInts(moves).Mean), itoa(bound), boolCell(within))
+		t.AddRow(top, itoa(c.n), itoa(k), itoa(maxRounds), ftoa(stats.AggregateInts(moves).Mean), itoa(bound), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 func maxInt(a, b int) int {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"strings"
 
@@ -37,7 +36,7 @@ func specCell(algorithm string) string {
 
 // RunE7FGAMoves measures the total moves of FGA alone against the
 // 16·Δ·m + 36·m + 24·n bound of Corollary 11.
-func RunE7FGAMoves(cfg Config) Table {
+func RunE7FGAMoves(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E7",
@@ -50,8 +49,11 @@ func RunE7FGAMoves(cfg Config) Table {
 		moves, bound, m, delta int
 		terminated             bool
 	}
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runPlain(sweep.Trial(cells[ci], tr))
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runPlain(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
 		g := m.run.Net.Graph()
 		return trial{
 			moves:      m.result.Moves,
@@ -59,8 +61,11 @@ func RunE7FGAMoves(cfg Config) Table {
 			m:          g.M(),
 			delta:      g.MaxDegree(),
 			terminated: m.result.Terminated,
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		maxMoves, bound, m, delta := 0, 0, 0, 0
 		for _, tr := range results[ci] {
@@ -76,12 +81,12 @@ func RunE7FGAMoves(cfg Config) Table {
 		}
 		t.AddRow(specCell(c.Algorithm), c.Topology, itoa(c.N), itoa(m), itoa(delta), itoa(maxMoves), itoa(bound), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 // RunE8FGARounds measures the rounds FGA alone needs to terminate from its
 // pre-defined initial configuration against the 5n+4 bound of Theorem 10.
-func RunE8FGARounds(cfg Config) Table {
+func RunE8FGARounds(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E8",
@@ -91,10 +96,16 @@ func RunE8FGARounds(cfg Config) Table {
 	sweep := sweepFor(cfg, 8009, standaloneNames(allianceSpecNames()), DenseTopologies(), []string{"distributed-random"}, []string{"none"})
 	cells := sweep.Cells()
 	type trial struct{ rounds, bound int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runPlain(sweep.Trial(cells[ci], tr))
-		return trial{rounds: m.result.Rounds, bound: alliance.MaxStandaloneRounds(m.run.Net.N())}
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runPlain(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
+		return trial{rounds: m.result.Rounds, bound: alliance.MaxStandaloneRounds(m.run.Net.N())}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		maxRounds, bound := 0, 0
 		for _, tr := range results[ci] {
@@ -107,14 +118,14 @@ func RunE8FGARounds(cfg Config) Table {
 		}
 		t.AddRow(specCell(c.Algorithm), c.Topology, itoa(c.N), itoa(maxRounds), itoa(bound), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 // RunE9AllianceStabilization measures the stabilization cost of FGA ∘ SDR
 // from corrupted configurations against the O(Δ·n·m) move bound (Theorem 12)
 // and the 8n+4 round bound (Theorem 14), and checks that the terminal
 // configuration is a 1-minimal alliance (Theorem 11).
-func RunE9AllianceStabilization(cfg Config) Table {
+func RunE9AllianceStabilization(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E9",
@@ -127,8 +138,11 @@ func RunE9AllianceStabilization(cfg Config) Table {
 		moves, rounds, moveBound, roundBound int
 		minimal                              bool
 	}
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runPlain(sweep.Trial(cells[ci], tr))
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runPlain(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
 		g := m.run.Net.Graph()
 		return trial{
 			moves:      m.result.Moves,
@@ -136,8 +150,11 @@ func RunE9AllianceStabilization(cfg Config) Table {
 			moveBound:  alliance.MaxStabilizationMoves(g.N(), g.M(), g.MaxDegree()),
 			roundBound: alliance.MaxStabilizationRounds(g.N()),
 			minimal:    m.run.Report(m.result).OK,
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		maxMoves, maxRounds, moveBound, roundBound := 0, 0, 0, 0
 		allMinimal := true
@@ -155,14 +172,14 @@ func RunE9AllianceStabilization(cfg Config) Table {
 			itoa(maxMoves), itoa(moveBound), itoa(maxRounds), itoa(roundBound),
 			boolCell(allMinimal), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 // RunE10Correctness checks the end-to-end correctness claims: every special
 // case of Section 6.1 yields a 1-minimal (f,g)-alliance through FGA ∘ SDR
 // (Theorem 11), and U ∘ SDR satisfies unison safety and liveness after
 // stabilization (Corollary 7, Lemma 19).
-func RunE10Correctness(cfg Config) Table {
+func RunE10Correctness(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E10",
@@ -189,7 +206,7 @@ func RunE10Correctness(cfg Config) Table {
 				continue
 			}
 			if err != nil {
-				panic(err)
+				return Table{}, err
 			}
 			res := run.Execute()
 			ok := run.Report(res).OK
@@ -211,7 +228,10 @@ func RunE10Correctness(cfg Config) Table {
 			Seed:      cfg.Seed * 13,
 			MaxSteps:  cfg.MaxSteps,
 		}
-		run := sp.MustResolve()
+		run, err := sp.Resolve()
+		if err != nil {
+			return Table{}, err
+		}
 
 		// Run to a normal configuration first.
 		res := run.Execute()
@@ -241,5 +261,5 @@ func RunE10Correctness(cfg Config) Table {
 		}
 		t.AddRow("unison", top, itoa(nn), "safety holds and every clock ticks after stabilization", boolCell(ok))
 	}
-	return t
+	return t, nil
 }

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness of the reproduction: one runner per
-// quantitative claim of the paper (experiments E1-E10 of DESIGN.md) plus the
-// ablations A1-A3. The same runners back the root-level testing.B benchmarks
-// and the cmd/sdrbench CLI, so the tables printed by both always agree.
+// quantitative claim of the paper (experiments E1-E10, indexed by
+// Experiments) plus the ablations A1-A3. The same runners back the
+// root-level testing.B benchmarks and the cmd/sdrbench CLI, so the tables
+// printed by both always agree.
 package bench
 
 import (
@@ -72,8 +73,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Table is one experiment's result table: the rows cmd/sdrbench prints and
-// EXPERIMENTS.md records.
+// Table is one experiment's result table: the rows cmd/sdrbench prints.
 type Table struct {
 	// ID is the experiment identifier (E1, ..., A3).
 	ID string
@@ -155,8 +155,8 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// Markdown renders the table as a GitHub-flavoured markdown table, used to
-// regenerate the EXPERIMENTS.md sections.
+// Markdown renders the table as a GitHub-flavoured markdown table (the
+// -markdown output of cmd/sdrbench).
 func (t *Table) Markdown(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "### %s — %s\n\n", t.ID, t.Title); err != nil {
 		return fmt.Errorf("bench: render markdown: %w", err)
@@ -212,11 +212,13 @@ type Experiment struct {
 	// Title summarises the paper claim being reproduced.
 	Title string
 	// Run regenerates the experiment's table under the given configuration.
-	Run func(cfg Config) Table
+	// A configuration whose scenarios the registries reject (a size too
+	// small for a topology, say) is an error.
+	Run func(cfg Config) (Table, error)
 }
 
-// Experiments returns every experiment of the suite, in the order of the
-// per-experiment index of DESIGN.md.
+// Experiments returns every experiment of the suite, in suite order: the
+// per-experiment index.
 func Experiments() []Experiment {
 	return []Experiment{
 		{ID: "E1", Title: "SDR reaches a normal configuration within 3n rounds (Corollary 5)", Run: RunE1ResetRounds},
@@ -249,13 +251,4 @@ func ExperimentByID(id string) (Experiment, error) {
 	}
 	sort.Strings(known)
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
-}
-
-// RunAll runs every experiment and returns the tables in suite order.
-func RunAll(cfg Config) []Table {
-	var tables []Table
-	for _, e := range Experiments() {
-		tables = append(tables, e.Run(cfg))
-	}
-	return tables
 }

@@ -54,7 +54,10 @@ func TestAllExperimentsRunCleanly(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			table := e.Run(cfg)
+			table, err := e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if table.ID != e.ID {
 				t.Errorf("table id %q does not match experiment id %q", table.ID, e.ID)
 			}

@@ -19,7 +19,10 @@ func TestExperimentGoldens(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			table := e.Run(cfg)
+			table, err := e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var got bytes.Buffer
 			if err := table.Render(&got); err != nil {
 				t.Fatalf("render: %v", err)

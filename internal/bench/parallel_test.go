@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapGridOrderAndCoverage(t *testing.T) {
@@ -108,8 +109,14 @@ func TestParallelTrialsDeterministic(t *testing.T) {
 		sequential.Parallel = 1
 		parallel := cfg
 		parallel.Parallel = 4
-		seqTable := exp.Run(sequential)
-		parTable := exp.Run(parallel)
+		seqTable, err := exp.Run(sequential)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parTable, err := exp.Run(parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(seqTable, parTable) {
 			t.Errorf("%s: parallel table differs from sequential table:\n%+v\n%+v", e, parTable, seqTable)
 		}
@@ -119,8 +126,16 @@ func TestParallelTrialsDeterministic(t *testing.T) {
 // TestMapGridWorkerPanic pins the panic contract server jobs recover
 // through: a panic in fn on a pool worker stops the dispatch and reaches the
 // calling goroutine with its original value once the workers have returned.
+//
+// The bound on calls only holds if the panic comes before the grid is
+// drained, which the scheduler alone does not promise: the worker holding the
+// panicking pair can be descheduled before or after its call while the other
+// worker races through trivial calls. So calls dispatched after that pair
+// wait until it has panicked and then take a few milliseconds each, which
+// leaves the recovery ample time to stop the dispatch.
 func TestMapGridWorkerPanic(t *testing.T) {
 	var calls, running atomic.Int64
+	fired := make(chan struct{})
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		MapGrid(context.Background(), 2, 50, 4, func(cell, trial int) int {
@@ -128,7 +143,12 @@ func TestMapGridWorkerPanic(t *testing.T) {
 			defer running.Add(-1)
 			calls.Add(1)
 			if cell == 1 && trial == 2 {
+				close(fired)
 				panic("trial 1/2 failed")
+			}
+			if cell*4+trial > 1*4+2 {
+				<-fired
+				time.Sleep(5 * time.Millisecond)
 			}
 			return cell
 		})

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-
 	"sdr/internal/core"
 	"sdr/internal/stats"
 )
@@ -16,7 +14,7 @@ import (
 // RunE1ResetRounds measures, over the standard topology/daemon/fault sweep,
 // the number of rounds until the composition reaches a normal configuration,
 // and compares it to the 3n bound of Corollary 5.
-func RunE1ResetRounds(cfg Config) Table {
+func RunE1ResetRounds(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E1",
@@ -26,10 +24,16 @@ func RunE1ResetRounds(cfg Config) Table {
 	sweep := sweepFor(cfg, 1001, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"random-all"})
 	cells := sweep.Cells()
 	type trial struct{ rounds, bound int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr))
-		return trial{rounds: m.result.StabilizationRounds, bound: core.MaxResetRounds(m.run.Net.N())}
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runObserved(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
+		return trial{rounds: m.result.StabilizationRounds, bound: core.MaxResetRounds(m.run.Net.N())}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		var rounds []int
 		bound := 0
@@ -37,7 +41,7 @@ func RunE1ResetRounds(cfg Config) Table {
 			rounds = append(rounds, tr.rounds)
 			bound = tr.bound
 		}
-		summary := stats.SummarizeInts(rounds)
+		summary := stats.AggregateInts(rounds)
 		within := summary.Max <= float64(bound) && summary.Min >= 0
 		if !within {
 			t.Violations++
@@ -45,13 +49,13 @@ func RunE1ResetRounds(cfg Config) Table {
 		t.AddRow(c.Topology, itoa(c.N), c.Daemon, c.Fault,
 			itoa(int(summary.Max)), ftoa(summary.Mean), itoa(bound), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 // RunE2ResetMovesPerProcess measures the maximum number of SDR-rule moves any
 // single process executes during a whole run, and compares it to the 3n+3
 // bound of Corollary 4.
-func RunE2ResetMovesPerProcess(cfg Config) Table {
+func RunE2ResetMovesPerProcess(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E2",
@@ -61,10 +65,16 @@ func RunE2ResetMovesPerProcess(cfg Config) Table {
 	sweep := sweepFor(cfg, 2003, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"random-all", "fake-wave"})
 	cells := sweep.Cells()
 	type trial struct{ maxMoves, bound int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr))
-		return trial{maxMoves: m.observer.MaxSDRMoves(), bound: core.MaxSDRMovesPerProcess(m.run.Net.N())}
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runObserved(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
+		return trial{maxMoves: m.observer.MaxSDRMoves(), bound: core.MaxSDRMovesPerProcess(m.run.Net.N())}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		maxMoves, bound := 0, 0
 		for _, tr := range results[ci] {
@@ -77,13 +87,13 @@ func RunE2ResetMovesPerProcess(cfg Config) Table {
 		}
 		t.AddRow(c.Topology, itoa(c.N), c.Daemon, c.Fault, itoa(maxMoves), itoa(bound), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 // RunE3Segments measures the number of segments of each execution and checks
 // that no alive root is ever created and that the per-segment SDR rule
 // sequence of every process matches the language of Theorem 4.
-func RunE3Segments(cfg Config) Table {
+func RunE3Segments(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E3",
@@ -96,15 +106,21 @@ func RunE3Segments(cfg Config) Table {
 		segments, bound, rootCreations int
 		languageOK                     bool
 	}
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr))
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runObserved(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
 		return trial{
 			segments:      m.observer.Segments(),
 			bound:         core.MaxSegments(m.run.Net.N()),
 			rootCreations: m.observer.AliveRootViolations(),
 			languageOK:    m.observer.LanguageViolation() == "",
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		maxSegments, rootCreations, bound := 0, 0, 0
 		languageOK := true
@@ -121,5 +137,5 @@ func RunE3Segments(cfg Config) Table {
 		t.AddRow(c.Topology, itoa(c.N), c.Daemon,
 			itoa(maxSegments), itoa(bound), itoa(rootCreations), boolCell(languageOK), boolCell(within))
 	}
-	return t
+	return t, nil
 }

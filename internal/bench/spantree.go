@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-
 	"sdr/internal/core"
 	"sdr/internal/stats"
 )
@@ -13,7 +11,7 @@ import (
 // corrupted configurations, checks silence (termination) and the exactness of
 // the resulting tree, and verifies that the SDR-level bounds (3n rounds to a
 // normal configuration, 3n+3 SDR moves per process) continue to hold.
-func RunX1SpanningTree(cfg Config) Table {
+func RunX1SpanningTree(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "X1",
@@ -26,8 +24,11 @@ func RunX1SpanningTree(cfg Config) Table {
 		moves, rounds, sdrMoves, sdrBound, rootCreations int
 		normalRoundsOK, treeExact                        bool
 	}
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr))
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runObserved(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
 		n := m.run.Net.N()
 		return trial{
 			moves:          m.result.Moves,
@@ -37,8 +38,11 @@ func RunX1SpanningTree(cfg Config) Table {
 			rootCreations:  m.observer.AliveRootViolations(),
 			normalRoundsOK: m.result.StabilizationRounds >= 0 && m.result.StabilizationRounds <= core.MaxResetRounds(n),
 			treeExact:      m.run.Report(m.result).OK,
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		var moves []int
 		maxRounds, maxSDRMoves, sdrBound, rootCreations := 0, 0, 0, 0
@@ -57,8 +61,8 @@ func RunX1SpanningTree(cfg Config) Table {
 			t.Violations++
 		}
 		t.AddRow(c.Topology, itoa(c.N), c.Fault,
-			ftoa(stats.SummarizeInts(moves).Mean), itoa(maxRounds), boolCell(normalRoundsOK),
+			ftoa(stats.AggregateInts(moves).Mean), itoa(maxRounds), boolCell(normalRoundsOK),
 			itoa(maxSDRMoves), itoa(sdrBound), itoa(rootCreations), boolCell(treesExact), boolCell(within))
 	}
-	return t
+	return t, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-
 	"sdr/internal/stats"
 	"sdr/internal/unison"
 )
@@ -13,7 +11,7 @@ import (
 
 // RunE4UnisonRounds measures the stabilization time in rounds of U ∘ SDR from
 // corrupted clock configurations, against the 3n bound of Theorem 7.
-func RunE4UnisonRounds(cfg Config) Table {
+func RunE4UnisonRounds(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E4",
@@ -23,10 +21,16 @@ func RunE4UnisonRounds(cfg Config) Table {
 	sweep := sweepFor(cfg, 4001, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"inner-only"})
 	cells := sweep.Cells()
 	type trial struct{ rounds, bound int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr))
-		return trial{rounds: m.result.StabilizationRounds, bound: unison.MaxStabilizationRounds(m.run.Net.N())}
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runObserved(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
+		return trial{rounds: m.result.StabilizationRounds, bound: unison.MaxStabilizationRounds(m.run.Net.N())}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	for ci, c := range cells {
 		var rounds []int
 		bound := 0
@@ -34,7 +38,7 @@ func RunE4UnisonRounds(cfg Config) Table {
 			rounds = append(rounds, tr.rounds)
 			bound = tr.bound
 		}
-		summary := stats.SummarizeInts(rounds)
+		summary := stats.AggregateInts(rounds)
 		within := summary.Max <= float64(bound) && summary.Min >= 0
 		if !within {
 			t.Violations++
@@ -42,13 +46,13 @@ func RunE4UnisonRounds(cfg Config) Table {
 		t.AddRow(c.Topology, itoa(c.N), c.Daemon,
 			itoa(int(summary.Max)), ftoa(summary.Mean), itoa(bound), boolCell(within))
 	}
-	return t
+	return t, nil
 }
 
 // RunE5UnisonMoves measures the stabilization time in moves of U ∘ SDR and
 // compares it to the explicit (3D+3)·n² + (3D+1)·(n-1) + 1 bound behind
 // Theorem 6, reporting the growth exponent of moves versus n per topology.
-func RunE5UnisonMoves(cfg Config) Table {
+func RunE5UnisonMoves(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E5",
@@ -58,15 +62,21 @@ func RunE5UnisonMoves(cfg Config) Table {
 	sweep := sweepFor(cfg, 5003, []string{"unison"}, StandardTopologies(), defaultDaemons(), []string{"random-all"})
 	cells := sweep.Cells()
 	type trial struct{ moves, bound, diameter int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
-		m := runObserved(sweep.Trial(cells[ci], tr))
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
+		m, err := runObserved(sweep.Trial(cells[ci], tr))
+		if err != nil {
+			return trial{}, err
+		}
 		diameter := m.run.Net.Graph().Diameter()
 		return trial{
 			moves:    m.result.StabilizationMoves,
 			bound:    unison.MaxStabilizationMoves(m.run.Net.N(), diameter),
 			diameter: diameter,
-		}
+		}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	// Per-topology growth fits over the distributed-random rows.
 	growth := map[string][2][]float64{}
 	for ci, c := range cells {
@@ -77,7 +87,7 @@ func RunE5UnisonMoves(cfg Config) Table {
 			bound = tr.bound
 			diameter = tr.diameter
 		}
-		summary := stats.SummarizeInts(moves)
+		summary := stats.AggregateInts(moves)
 		within := summary.Max <= float64(bound) && summary.Min >= 0
 		if !within {
 			t.Violations++
@@ -97,7 +107,7 @@ func RunE5UnisonMoves(cfg Config) Table {
 				top, stats.GrowthExponent(g[0], g[1]))
 		}
 	}
-	return t
+	return t, nil
 }
 
 // RunE6UnisonVsBPV compares the stabilization moves of U ∘ SDR against the
@@ -106,7 +116,7 @@ func RunE5UnisonMoves(cfg Config) Table {
 // 5.3) is that U ∘ SDR has the better move complexity: O(D·n²) versus
 // O(D·n³ + α·n²). Both legs resolve from the same seed, so they run on
 // identical graphs.
-func RunE6UnisonVsBPV(cfg Config) Table {
+func RunE6UnisonVsBPV(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "E6",
@@ -116,17 +126,26 @@ func RunE6UnisonVsBPV(cfg Config) Table {
 	sweep := sweepFor(cfg, 6007, []string{"unison"}, StandardTopologies(), []string{"distributed-random"}, []string{"random-all"})
 	cells := sweep.Cells()
 	type trial struct{ sdrMoves, bpvMoves int }
-	results := MapGrid(context.TODO(), cfg.Parallel, len(cells), cfg.Trials, func(ci, tr int) trial {
+	results, err := mapTrials(cfg, len(cells), func(ci, tr int) (trial, error) {
 		sdrSpec := sweep.Trial(cells[ci], tr)
-		m := runObserved(sdrSpec)
+		m, err := runObserved(sdrSpec)
+		if err != nil {
+			return trial{}, err
+		}
 
 		// BPV on the same topology (same seed → same graph) from the same
 		// kind of uniformly random configuration.
 		bpvSpec := sdrSpec
 		bpvSpec.Algorithm = "bpv"
-		b := runPlain(bpvSpec)
-		return trial{sdrMoves: m.result.StabilizationMoves, bpvMoves: b.result.StabilizationMoves}
+		b, err := runPlain(bpvSpec)
+		if err != nil {
+			return trial{}, err
+		}
+		return trial{sdrMoves: m.result.StabilizationMoves, bpvMoves: b.result.StabilizationMoves}, nil
 	})
+	if err != nil {
+		return Table{}, err
+	}
 	var ratioAccum []float64
 	for ci, c := range cells {
 		var sdrMoves, bpvMoves []int
@@ -138,13 +157,13 @@ func RunE6UnisonVsBPV(cfg Config) Table {
 				bpvMoves = append(bpvMoves, tr.bpvMoves)
 			}
 		}
-		sdrMean := stats.SummarizeInts(sdrMoves).Mean
-		bpvMean := stats.SummarizeInts(bpvMoves).Mean
+		sdrMean := stats.AggregateInts(sdrMoves).Mean
+		bpvMean := stats.AggregateInts(bpvMoves).Mean
 		ratio := stats.Ratio(bpvMean, sdrMean)
 		ratioAccum = append(ratioAccum, ratio)
 		t.AddRow(c.Topology, itoa(c.N), ftoa(sdrMean), ftoa(bpvMean), ftoa(ratio), boolCell(sdrMean <= bpvMean || ratio >= 1))
 	}
 	t.AddNote("mean bpv/sdr move ratio across the sweep: %.2f (>1 means U∘SDR needs fewer moves, matching the paper's comparison)",
-		stats.Summarize(ratioAccum).Mean)
-	return t
+		stats.AggregateSamples(ratioAccum).Mean)
+	return t, nil
 }

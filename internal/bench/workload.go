@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"sdr/internal/core"
@@ -61,22 +62,53 @@ type measurement struct {
 // hooked into the run (compositions only; the observer is nil otherwise).
 // Non-terminating algorithms stop at their first legitimate configuration —
 // for compositions this loses no SDR activity, since the normal set is
-// closed and SDR rules are disabled in it.
-func runObserved(sp scenario.Spec) measurement {
-	run := sp.MustResolve()
+// closed and SDR rules are disabled in it. A spec the registries reject (a
+// ring of two nodes, say) is an error.
+func runObserved(sp scenario.Spec) (measurement, error) {
+	run, err := sp.Resolve()
+	if err != nil {
+		return measurement{}, err
+	}
 	observer := run.Observer()
 	var opts []sim.Option
 	if observer != nil {
 		opts = append(opts, sim.WithStepHook(observer.Hook()))
 	}
 	res := run.Execute(opts...)
-	return measurement{run: run, result: res, observer: observer}
+	return measurement{run: run, result: res, observer: observer}, nil
 }
 
 // runPlain resolves and executes the spec without instrumentation.
-func runPlain(sp scenario.Spec) measurement {
-	run := sp.MustResolve()
-	return measurement{run: run, result: run.Execute()}
+func runPlain(sp scenario.Spec) (measurement, error) {
+	run, err := sp.Resolve()
+	if err != nil {
+		return measurement{}, err
+	}
+	return measurement{run: run, result: run.Execute()}, nil
+}
+
+// mapTrials runs fn over the (cell × trial) grid of cfg like MapGrid and
+// returns the results, or the first error in (cell, trial) order.
+func mapTrials[T any](cfg Config, cells int, fn func(cell, trial int) (T, error)) ([][]T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	grid := MapGrid(context.TODO(), cfg.Parallel, cells, cfg.Trials, func(c, tr int) result {
+		v, err := fn(c, tr)
+		return result{v, err}
+	})
+	out := make([][]T, cells)
+	for c, row := range grid {
+		out[c] = make([]T, len(row))
+		for tr, r := range row {
+			if r.err != nil {
+				return nil, r.err
+			}
+			out[c][tr] = r.v
+		}
+	}
+	return out, nil
 }
 
 // itoa formats an integer cell.

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"sort"
 	"strings"
 
 	"sdr/internal/scenario"
@@ -356,23 +355,4 @@ func aggregateCell(key CellKey, recs []TrialRecord) CellAggregate {
 		agg.Metrics[name] = stats.AggregateSamples(xs)
 	}
 	return agg
-}
-
-// metricNames returns the aggregated metric names in render order: the
-// canonical Metrics() order first, then any unknown names sorted.
-func (a CellAggregate) metricNames() []string {
-	var names []string
-	for _, m := range Metrics() {
-		if _, ok := a.Metrics[m]; ok {
-			names = append(names, m)
-		}
-	}
-	var extra []string
-	for name := range a.Metrics {
-		if !validMetric(name) {
-			extra = append(extra, name)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
 }

@@ -39,25 +39,10 @@ type ExploreOptions struct {
 	// use — pure functions of the configuration, as every algorithm and
 	// predicate in this repository is.
 	Workers int
-	// Progress, when non-nil, is invoked after every completed BFS level
-	// with the running coverage counters.
-	Progress func(ExploreProgress)
 }
 
 // DefaultMaxConfigurations bounds explorations when the caller does not.
 const DefaultMaxConfigurations = 200_000
-
-// ExploreProgress is the per-level progress snapshot handed to
-// ExploreOptions.Progress.
-type ExploreProgress struct {
-	// Depth is the number of fully expanded BFS levels.
-	Depth int
-	// Configurations and Transitions are the running totals.
-	Configurations int
-	Transitions    int
-	// Frontier is the size of the next level still to expand.
-	Frontier int
-}
 
 // ExploreReport summarises an exhaustive exploration.
 type ExploreReport struct {
@@ -381,20 +366,11 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 			}
 		}
 		if truncated {
-			// A truncated level was only partially applied: it neither
-			// counts as fully expanded nor emits a progress snapshot, so the
-			// progress stream is exactly one callback per completed level.
+			// A truncated level was only partially applied: it does not
+			// count as fully expanded.
 			break
 		}
 		depth++
-		if opts.Progress != nil {
-			opts.Progress(ExploreProgress{
-				Depth:          depth,
-				Configurations: len(configs),
-				Transitions:    report.Transitions,
-				Frontier:       len(queue),
-			})
-		}
 	}
 
 	finalize(!truncated)

@@ -100,31 +100,3 @@ func TestExploreReportRegression(t *testing.T) {
 		})
 	}
 }
-
-// TestExploreProgressReporting asserts the per-level progress stream is
-// monotone and consistent with the final report.
-func TestExploreProgressReporting(t *testing.T) {
-	run := resolveRegress(t, "unison", 4)
-	var levels []checker.ExploreProgress
-	report, err := run.Verify(scenario.VerifyOptions{
-		Starts:           2,
-		MaxSelectionSize: 1,
-		Progress:         func(p checker.ExploreProgress) { levels = append(levels, p) },
-	})
-	if err != nil {
-		t.Fatalf("verification failed: %v", err)
-	}
-	if len(levels) != report.Depth {
-		t.Fatalf("%d progress callbacks for depth %d", len(levels), report.Depth)
-	}
-	for i := 1; i < len(levels); i++ {
-		prev, cur := levels[i-1], levels[i]
-		if cur.Depth != prev.Depth+1 || cur.Configurations < prev.Configurations || cur.Transitions < prev.Transitions {
-			t.Fatalf("progress not monotone at level %d: %+v -> %+v", i, prev, cur)
-		}
-	}
-	last := levels[len(levels)-1]
-	if last.Configurations != report.Configurations || last.Transitions != report.Transitions || last.Frontier != 0 {
-		t.Errorf("final progress %+v inconsistent with report %+v", last, report)
-	}
-}

@@ -103,9 +103,6 @@ const (
 	Adversarial Pattern = "adversarial"
 )
 
-// Patterns returns every schedule pattern, in declaration order.
-func Patterns() []Pattern { return []Pattern{Periodic, Poisson, BurstPattern, Adversarial} }
-
 // Schedule describes a seeded sequence of perturbation events. The zero
 // value is not valid; fill Pattern and rely on withDefaults for the knobs.
 type Schedule struct {

@@ -82,7 +82,7 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 }
 
 func TestScheduleTimesDeterministic(t *testing.T) {
-	for _, pattern := range Patterns() {
+	for _, pattern := range []Pattern{Periodic, Poisson, BurstPattern, Adversarial} {
 		s := Schedule{Pattern: pattern, Events: 8}.withDefaults()
 		a := s.times(rand.New(rand.NewSource(7)))
 		b := s.times(rand.New(rand.NewSource(7)))

@@ -7,59 +7,10 @@ import (
 )
 
 // This file provides the analysis machinery the paper's proofs are built on
-// (alive roots, segments, reset branches) as runtime observers, so that the
-// theorems can be checked on executions: Theorem 3 (no alive-root creation),
-// Remark 5 (at most n+1 segments), Theorem 4 (per-segment rule language) and
-// Corollary 4 (at most 3n+3 SDR moves per process).
-
-// ResetParents returns the reset parents of u in configuration c
-// (Definition 4): neighbours v with RParent(v, u), i.e. st_u ≠ C, P_reset(u),
-// d_u > d_v and (st_u = st_v ∨ st_v = RB).
-func ResetParents(inner Resettable, net *sim.Network, c *sim.Configuration, u int) []int {
-	view := net.View(c, u)
-	self := SDRPart(view.Self())
-	if self.St == StatusC || !PReset(inner, view) {
-		return nil
-	}
-	var parents []int
-	for i, deg := 0, net.Degree(u); i < deg; i++ {
-		nb := SDRPart(view.Neighbor(i))
-		if nb.D < self.D && (nb.St == self.St || nb.St == StatusRB) {
-			parents = append(parents, net.Neighbor(u, i))
-		}
-	}
-	return parents
-}
-
-// MaxBranchDepth returns, for every process, the maximum depth at which it
-// appears in a reset branch of configuration c (0 for roots and for processes
-// that belong to no branch). Depths are computed by longest-path relaxation
-// over the reset-parent DAG; the DAG property follows from d_parent < d_child.
-func MaxBranchDepth(inner Resettable, net *sim.Network, c *sim.Configuration) []int {
-	n := net.N()
-	parents := make([][]int, n)
-	for u := 0; u < n; u++ {
-		parents[u] = ResetParents(inner, net, c, u)
-	}
-	depth := make([]int, n)
-	// Relax repeatedly; distances strictly increase along parent links, so at
-	// most n iterations are needed.
-	for iter := 0; iter < n; iter++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			for _, p := range parents[u] {
-				if depth[p]+1 > depth[u] {
-					depth[u] = depth[p] + 1
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return depth
-}
+// (alive roots, segments) as a runtime observer, so that the theorems can be
+// checked on executions: Theorem 3 (no alive-root creation), Remark 5 (at
+// most n+1 segments), Theorem 4 (per-segment rule language) and Corollary 4
+// (at most 3n+3 SDR moves per process).
 
 // Observer is a sim.StepHook factory that tracks the quantities the paper's
 // analysis is phrased in over executions of a composition I ∘ SDR: alive

@@ -9,62 +9,6 @@ import (
 	"sdr/internal/sim"
 )
 
-func TestResetParents(t *testing.T) {
-	net := pathNetwork(t)
-	inner := newTestInner(5)
-
-	// 0:RB@0 ← 1:RB@1 ← 2:RF@2 — process 1's parent is 0, process 2's parent
-	// is 1 (same status or RB), process 0 has no parent.
-	cfg := composedConfig(t,
-		[]SDRState{{St: StatusRB, D: 0}, {St: StatusRB, D: 1}, {St: StatusRF, D: 2}},
-		[]int{0, 0, 0})
-	if got := ResetParents(inner, net, cfg, 0); len(got) != 0 {
-		t.Errorf("process 0 should have no reset parent, got %v", got)
-	}
-	if got := ResetParents(inner, net, cfg, 1); len(got) != 1 || got[0] != 0 {
-		t.Errorf("ResetParents(1) = %v, want [0]", got)
-	}
-	if got := ResetParents(inner, net, cfg, 2); len(got) != 1 || got[0] != 1 {
-		t.Errorf("ResetParents(2) = %v, want [1]", got)
-	}
-
-	// A process whose inner state is not reset has no parent (P_reset is part
-	// of the definition).
-	cfg2 := composedConfig(t,
-		[]SDRState{{St: StatusRB, D: 0}, {St: StatusRB, D: 1}, CleanSDRState()},
-		[]int{0, 3, 0})
-	if got := ResetParents(inner, net, cfg2, 1); len(got) != 0 {
-		t.Errorf("a non-reset process has no reset parent, got %v", got)
-	}
-
-	// An RF process is not the parent of an RB process (status condition).
-	cfg3 := composedConfig(t,
-		[]SDRState{{St: StatusRF, D: 0}, {St: StatusRB, D: 1}, CleanSDRState()},
-		[]int{0, 0, 0})
-	if got := ResetParents(inner, net, cfg3, 1); len(got) != 0 {
-		t.Errorf("an RF process cannot be the parent of an RB process, got %v", got)
-	}
-}
-
-func TestMaxBranchDepth(t *testing.T) {
-	inner := newTestInner(5)
-	g := graph.Path(4)
-	net := sim.NewNetwork(g)
-	cfg := sim.NewConfiguration([]sim.State{
-		ComposedState{SDR: SDRState{St: StatusRB, D: 0}, Inner: testInnerState{V: 0}},
-		ComposedState{SDR: SDRState{St: StatusRB, D: 1}, Inner: testInnerState{V: 0}},
-		ComposedState{SDR: SDRState{St: StatusRB, D: 2}, Inner: testInnerState{V: 0}},
-		ComposedState{SDR: CleanSDRState(), Inner: testInnerState{V: 0}},
-	})
-	depth := MaxBranchDepth(inner, net, cfg)
-	want := []int{0, 1, 2, 0}
-	for u, w := range want {
-		if depth[u] != w {
-			t.Errorf("depth[%d] = %d, want %d", u, depth[u], w)
-		}
-	}
-}
-
 // TestSegmentLanguage runs the Observer's Theorem 4 automaton and the
 // oracle's word matcher over the same rule sequences.
 func TestSegmentLanguage(t *testing.T) {

@@ -20,12 +20,6 @@ var sdrRuleNames = [firstInnerRule]string{ruleRBIndex: RuleRB, ruleRFIndex: Rule
 // innerRulePrefix prefixes the names of the inner algorithm's rules.
 const innerRulePrefix = "I:"
 
-// IsSDRRule reports whether the rule name refers to one of the four SDR
-// rules (as opposed to a rule of the inner algorithm).
-func IsSDRRule(name string) bool {
-	return name == RuleRB || name == RuleRF || name == RuleC || name == RuleR
-}
-
 // InnerRuleName returns the composed trace name of an inner rule.
 func InnerRuleName(name string) string { return innerRulePrefix + name }
 
@@ -41,7 +35,8 @@ type composeOptions struct {
 // ComposeOption customises the composition.
 type ComposeOption func(*composeOptions)
 
-// WithUncooperativeResets is the ablation A1 of DESIGN.md: the rule_RB action
+// WithUncooperativeResets is the ablation A1 of the experiment suite
+// (bench.RunA1NoCooperation, registry entry unison-uncoop): the rule_RB action
 // makes the joining process a root of its own reset (distance 0) instead of
 // hooking under the neighbouring reset's DAG (compute macro). The resulting
 // algorithm loses the coordination that the paper's move-complexity analysis

@@ -55,6 +55,17 @@ func (o *ReferenceObserver) Prime(c *sim.Configuration) {
 	o.initialized = true
 }
 
+// AliveRoots returns the sorted list of alive roots in the configuration.
+func AliveRoots(inner Resettable, net *sim.Network, c *sim.Configuration) []int {
+	var roots []int
+	for u := 0; u < net.N(); u++ {
+		if IsAliveRoot(inner, net.View(c, u)) {
+			roots = append(roots, u)
+		}
+	}
+	return roots
+}
+
 func (o *ReferenceObserver) aliveRootSet(c *sim.Configuration) map[int]bool {
 	set := make(map[int]bool)
 	for _, u := range AliveRoots(o.inner, o.net, c) {
@@ -132,4 +143,10 @@ func (o *ReferenceObserver) SDRMovesPerProcess() []int {
 func (o *ReferenceObserver) LanguageViolation() string {
 	o.checkSegmentLanguage()
 	return o.languageViolation
+}
+
+// IsSDRRule reports whether the rule name refers to one of the four SDR
+// rules (as opposed to a rule of the inner algorithm).
+func IsSDRRule(name string) bool {
+	return name == RuleRB || name == RuleRF || name == RuleC || name == RuleR
 }

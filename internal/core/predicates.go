@@ -159,22 +159,6 @@ func IsAliveRoot(inner Resettable, v sim.View) bool {
 	return PUp(inner, v) || PRoot(v)
 }
 
-// IsDeadRoot reports whether u is a dead root:
-// st_u = RF ∧ (∀v ∈ N(u), st_v ≠ C ⇒ d_v ≥ d_u) (Definition 1).
-func IsDeadRoot(v sim.View) bool {
-	self := SDRPart(v.Self())
-	if self.St != StatusRF {
-		return false
-	}
-	for i := 0; i < v.Degree(); i++ {
-		nb := SDRPart(v.Neighbor(i))
-		if nb.St != StatusC && nb.D < self.D {
-			return false
-		}
-	}
-	return true
-}
-
 // NormalPredicate returns the per-process conjunct of normal configurations
 // (Definition 6 / Corollary 5), P_Clean(u) ∧ P_ICorrect(u), bound to the
 // inner algorithm. A configuration is normal when it holds at every process
@@ -184,26 +168,4 @@ func IsDeadRoot(v sim.View) bool {
 // the neighbourhoods each step touched.
 func NormalPredicate(inner Resettable) sim.ProcessPredicate {
 	return func(v sim.View) bool { return PClean(v) && PICorrect(inner, v) }
-}
-
-// AliveRoots returns the sorted list of alive roots in the configuration.
-func AliveRoots(inner Resettable, net *sim.Network, c *sim.Configuration) []int {
-	var roots []int
-	for u := 0; u < net.N(); u++ {
-		if IsAliveRoot(inner, net.View(c, u)) {
-			roots = append(roots, u)
-		}
-	}
-	return roots
-}
-
-// DeadRoots returns the sorted list of dead roots in the configuration.
-func DeadRoots(net *sim.Network, c *sim.Configuration) []int {
-	var roots []int
-	for u := 0; u < net.N(); u++ {
-		if IsDeadRoot(net.View(c, u)) {
-			roots = append(roots, u)
-		}
-	}
-	return roots
 }

@@ -249,8 +249,7 @@ func TestRootsAndNormal(t *testing.T) {
 	net := pathNetwork(t)
 	inner := newTestInner(5)
 
-	// A broadcasting local minimum is an alive root; an RF local minimum with
-	// non-C neighbours at larger distances is a dead root.
+	// A broadcasting local minimum is an alive root.
 	cfg := composedConfig(t,
 		[]SDRState{{St: StatusRB, D: 0}, {St: StatusRB, D: 1}, {St: StatusRF, D: 2}},
 		[]int{0, 0, 0})
@@ -262,19 +261,6 @@ func TestRootsAndNormal(t *testing.T) {
 	}
 	if got := AliveRoots(inner, net, cfg); len(got) != 1 || got[0] != 0 {
 		t.Errorf("AliveRoots = %v, want [0]", got)
-	}
-
-	dead := composedConfig(t,
-		[]SDRState{CleanSDRState(), {St: StatusRF, D: 1}, {St: StatusRF, D: 2}},
-		[]int{0, 0, 0})
-	if !IsDeadRoot(net.View(dead, 1)) {
-		t.Error("process 1 should be a dead root")
-	}
-	if IsDeadRoot(net.View(dead, 2)) {
-		t.Error("process 2 should not be a dead root (neighbour 1 has a smaller distance)")
-	}
-	if got := DeadRoots(net, dead); len(got) != 1 || got[0] != 1 {
-		t.Errorf("DeadRoots = %v, want [1]", got)
 	}
 
 	// Normal configurations: clean everywhere and I-correct everywhere.

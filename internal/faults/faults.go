@@ -7,9 +7,8 @@
 // Self-stabilization quantifies over every possible initial configuration;
 // these generators sample that space for the experiments and tests. Builders
 // that draw from an algorithm's enumerated state space return an error when
-// the algorithm does not enumerate it (the scenario registry surfaces such
-// errors to the user); the Must* variants panic instead, for tests and
-// examples where the algorithm is statically known to be enumerable.
+// the algorithm does not enumerate it; the scenario registry's fault models
+// are built from them and surface such errors to the user.
 package faults
 
 import (
@@ -97,25 +96,6 @@ func CorruptFraction(alg sim.Algorithm, net *sim.Network, base *sim.Configuratio
 	return c, nil
 }
 
-// CorruptProcesses returns a copy of base in which exactly the listed
-// processes get uniformly random states. It returns an error when the
-// algorithm does not enumerate its states.
-func CorruptProcesses(alg sim.Algorithm, net *sim.Network, base *sim.Configuration, processes []int, rng *rand.Rand) (*sim.Configuration, error) {
-	smp, err := newSampler(alg, net)
-	if err != nil {
-		return nil, err
-	}
-	c := base.Clone()
-	for _, u := range processes {
-		st, err := smp.draw(u, net, rng)
-		if err != nil {
-			return nil, err
-		}
-		c.SetState(u, st)
-	}
-	return c, nil
-}
-
 // CorruptedInner returns a copy of base (a configuration of a composition
 // I ∘ SDR) in which the inner states of a random subset of processes are
 // corrupted while the SDR variables are left clean. This models the typical
@@ -161,49 +141,4 @@ func FakeResetWave(net *sim.Network, base *sim.Configuration, fraction float64, 
 		c.SetState(u, core.WithSDR(c.State(u), sdr))
 	}
 	return c
-}
-
-// Scenario names a canned corruption recipe used by the benchmark harness so
-// that tables can label their workloads.
-type Scenario struct {
-	// Name labels the scenario in result tables.
-	Name string
-	// Build produces the corrupted starting configuration for the composed
-	// algorithm on the network. It fails when the recipe's requirements
-	// (an enumerated state space) are not met.
-	Build func(alg sim.Algorithm, inner core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error)
-}
-
-// StandardScenarios returns the corruption scenarios used across the
-// experiment suite for compositions I ∘ SDR.
-func StandardScenarios() []Scenario {
-	return []Scenario{
-		{
-			Name: "random-all",
-			Build: func(alg sim.Algorithm, _ core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
-				return RandomConfiguration(alg, net, rng)
-			},
-		},
-		{
-			Name: "inner-only",
-			Build: func(alg sim.Algorithm, inner core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
-				base := sim.InitialConfiguration(alg, net)
-				return CorruptedInner(inner, net, base, 0.5, rng)
-			},
-		},
-		{
-			Name: "fake-wave",
-			Build: func(alg sim.Algorithm, _ core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
-				base := sim.InitialConfiguration(alg, net)
-				return FakeResetWave(net, base, 0.4, net.N(), rng), nil
-			},
-		},
-		{
-			Name: "half-corrupt",
-			Build: func(alg sim.Algorithm, _ core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
-				base := sim.InitialConfiguration(alg, net)
-				return CorruptFraction(alg, net, base, 0.5, rng)
-			},
-		},
-	}
 }

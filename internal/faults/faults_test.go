@@ -54,9 +54,6 @@ func TestRandomConfigurationRequiresEnumerable(t *testing.T) {
 	if _, err := CorruptFraction(nonEnumerable{}, net, base, 0.5, rng); err == nil {
 		t.Error("CorruptFraction must fail for non-enumerable algorithms")
 	}
-	if _, err := CorruptProcesses(nonEnumerable{}, net, base, []int{0}, rng); err == nil {
-		t.Error("CorruptProcesses must fail for non-enumerable algorithms")
-	}
 }
 
 // nonEnumerable is an algorithm without a state space.
@@ -93,22 +90,6 @@ func TestCorruptFraction(t *testing.T) {
 	}
 	if clamped.N() != base.N() {
 		t.Error("clamped corruption must keep the configuration size")
-	}
-}
-
-func TestCorruptProcesses(t *testing.T) {
-	net, _, comp := testSetup(t)
-	base := sim.InitialConfiguration(comp, net)
-	rng := rand.New(rand.NewSource(3))
-	corrupted, err := CorruptProcesses(comp, net, base, []int{2, 5}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < net.N(); u++ {
-		changed := !corrupted.State(u).Equal(base.State(u))
-		if changed && u != 2 && u != 5 {
-			t.Errorf("process %d changed although it was not targeted", u)
-		}
 	}
 }
 
@@ -158,46 +139,5 @@ func TestFakeResetWaveKeepsInnerStates(t *testing.T) {
 		if d := clamped.State(p).(core.ComposedState).SDR.D; d != 0 {
 			t.Errorf("process %d: distance %d, want 0 with a clamped maximum", p, d)
 		}
-	}
-}
-
-func TestStandardScenariosProduceRecoverableStarts(t *testing.T) {
-	// Every standard scenario must produce a configuration from which the
-	// composition stabilizes — this is the integration contract the benchmark
-	// harness relies on.
-	net, u, comp := testSetup(t)
-	for _, scenario := range StandardScenarios() {
-		scenario := scenario
-		t.Run(scenario.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(9))
-			start, err := scenario.Build(comp, u, net, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if start.N() != net.N() {
-				t.Fatalf("scenario produced %d states for %d processes", start.N(), net.N())
-			}
-			res := sim.NewEngine(net, comp, sim.NewDistributedRandomDaemon(rng, 0.5)).Run(start,
-				sim.WithMaxSteps(200_000),
-				sim.WithLegitimate(core.NormalPredicate(u)),
-				sim.WithStopWhenLegitimate(),
-			)
-			if !res.LegitimateReached {
-				t.Errorf("scenario %s produced a start from which the system did not stabilize", scenario.Name)
-			}
-		})
-	}
-}
-
-func TestScenarioNamesAreUnique(t *testing.T) {
-	seen := make(map[string]bool)
-	for _, s := range StandardScenarios() {
-		if s.Name == "" || s.Build == nil {
-			t.Errorf("scenario %+v is incomplete", s)
-		}
-		if seen[s.Name] {
-			t.Errorf("duplicate scenario name %q", s.Name)
-		}
-		seen[s.Name] = true
 	}
 }

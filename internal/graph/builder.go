@@ -91,3 +91,13 @@ func (b *Builder) MustGraph() *Graph {
 	}
 	return g
 }
+
+// FromEdges builds a graph with n nodes and the given edge list. A negative
+// n, an out-of-range edge, a self-loop or a duplicate edge is an error.
+func FromEdges(n int, edges [][2]int) (*Graph, error) {
+	b := NewBuilder(n, len(edges))
+	for _, e := range edges {
+		b.Add(e[0], e[1])
+	}
+	return b.Graph()
+}

@@ -137,7 +137,7 @@ func TestWithEditsRoundTrip(t *testing.T) {
 
 // TestCSREdgeless covers isolated nodes: empty rows and empty targets.
 func TestCSREdgeless(t *testing.T) {
-	g := New(3)
+	g := isolated(3)
 	if len(g.off) != 4 || len(g.tgt) != 0 {
 		t.Fatalf("edgeless CSR: off=%v tgt=%v", g.off, g.tgt)
 	}

@@ -43,9 +43,6 @@ type Graph struct {
 	tgt []int32
 }
 
-// New returns a graph with n isolated nodes. It panics if n is negative.
-func New(n int) *Graph { return NewBuilder(n, 0).MustGraph() }
-
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 

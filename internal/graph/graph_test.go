@@ -1,14 +1,16 @@
 package graph
 
 import (
-	"encoding/json"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// isolated returns a graph of n nodes and no edges.
+func isolated(n int) *Graph { return NewBuilder(n, 0).MustGraph() }
+
 func TestNewEmpty(t *testing.T) {
-	g := New(5)
+	g := isolated(5)
 	if g.N() != 5 {
 		t.Errorf("N() = %d, want 5", g.N())
 	}
@@ -23,10 +25,10 @@ func TestNewEmpty(t *testing.T) {
 func TestNewNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(-1) did not panic")
+			t.Fatal("isolated(-1) did not panic")
 		}
 	}()
-	New(-1)
+	isolated(-1)
 }
 
 // mustEdit is WithEdits for edits known to be valid.
@@ -40,7 +42,7 @@ func mustEdit(t *testing.T, g *Graph, drop, add [][2]int) *Graph {
 }
 
 func TestAddEdge(t *testing.T) {
-	base := New(3)
+	base := isolated(3)
 	g := mustEdit(t, base, nil, [][2]int{{0, 1}})
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Error("edge {0,1} not symmetric")
@@ -138,10 +140,10 @@ func firstNonEdge(g *Graph) [2]int {
 }
 
 func TestValidate(t *testing.T) {
-	if err := New(0).Validate(); err == nil {
+	if err := isolated(0).Validate(); err == nil {
 		t.Error("empty graph validated")
 	}
-	if err := New(3).Validate(); err == nil {
+	if err := isolated(3).Validate(); err == nil {
 		t.Error("disconnected graph validated")
 	}
 	if err := Ring(5).Validate(); err != nil {
@@ -254,12 +256,12 @@ func TestBFSAndDistances(t *testing.T) {
 			t.Errorf("dist[%d] = %d, want %d", i, dist[i], want)
 		}
 	}
-	if d := g.Distance(1, 4); d != 3 {
-		t.Errorf("Distance(1,4) = %d, want 3", d)
+	if d := g.BFS(1)[4]; d != 3 {
+		t.Errorf("BFS(1)[4] = %d, want 3", d)
 	}
-	disconnected := mustEdit(t, New(3), nil, [][2]int{{0, 1}})
-	if d := disconnected.Distance(0, 2); d != -1 {
-		t.Errorf("Distance in disconnected graph = %d, want -1", d)
+	disconnected := mustEdit(t, isolated(3), nil, [][2]int{{0, 1}})
+	if d := disconnected.BFS(0)[2]; d != -1 {
+		t.Errorf("BFS distance in disconnected graph = %d, want -1", d)
 	}
 	if diam := disconnected.Diameter(); diam != -1 {
 		t.Errorf("Diameter of disconnected graph = %d, want -1", diam)
@@ -273,9 +275,6 @@ func TestEccentricityRadius(t *testing.T) {
 	}
 	if ecc := g.Eccentricity(0); ecc != 4 {
 		t.Errorf("Eccentricity(0) = %d, want 4", ecc)
-	}
-	if r := g.Radius(); r != 2 {
-		t.Errorf("Radius = %d, want 2", r)
 	}
 }
 
@@ -306,29 +305,8 @@ func TestIsTree(t *testing.T) {
 	if Ring(5).IsTree() {
 		t.Error("ring recognised as tree")
 	}
-	if New(3).IsTree() {
+	if isolated(3).IsTree() {
 		t.Error("disconnected graph recognised as tree")
-	}
-}
-
-func TestGirth(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *Graph
-		want int
-	}{
-		{"tree", Path(6), 0},
-		{"triangle", Complete(3), 3},
-		{"ring7", Ring(7), 7},
-		{"grid", Grid(3, 3), 4},
-		{"complete5", Complete(5), 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.g.Girth(); got != tc.want {
-				t.Errorf("Girth = %d, want %d", got, tc.want)
-			}
-		})
 	}
 }
 
@@ -349,65 +327,6 @@ func TestLongestChordlessCycle(t *testing.T) {
 				t.Errorf("LongestChordlessCycle = %d, want %d", got, tc.want)
 			}
 		})
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	s := Ring(10).ComputeStats()
-	if s.N != 10 || s.M != 10 || s.MaxDegree != 2 || s.Diameter != 5 || s.Cyclomatic != 1 || s.IsTree {
-		t.Errorf("unexpected stats %+v", s)
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := Path(3)
-	dot := g.DOT("")
-	if dot == "" {
-		t.Fatal("empty DOT output")
-	}
-	for _, want := range []string{"graph G {", "0 -- 1;", "1 -- 2;"} {
-		if !contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
-	}
-}
-
-func contains(haystack, needle string) bool {
-	return len(haystack) >= len(needle) && (haystack == needle || indexOf(haystack, needle) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := RandomConnected(15, 0.2, rng)
-	data, err := json.Marshal(g)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var back Graph
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !g.Equal(&back) {
-		t.Error("JSON round trip changed the graph")
-	}
-}
-
-func TestJSONUnmarshalErrors(t *testing.T) {
-	var g Graph
-	if err := json.Unmarshal([]byte(`{"n": 2, "edges": [[0, 5]]}`), &g); err == nil {
-		t.Error("invalid edge accepted")
-	}
-	if err := json.Unmarshal([]byte(`not json`), &g); err == nil {
-		t.Error("malformed JSON accepted")
 	}
 }
 

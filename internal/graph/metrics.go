@@ -33,11 +33,6 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
-// Distance returns the hop distance between u and v, or -1 when disconnected.
-func (g *Graph) Distance(u, v int) int {
-	return g.BFS(u)[v]
-}
-
 // Eccentricity returns the eccentricity of u: the maximum distance from u to
 // any other node. It returns -1 when the graph is disconnected.
 func (g *Graph) Eccentricity(u int) int {
@@ -202,25 +197,6 @@ func pairBoundExceeds(far, suffix []int, top, lb int) bool {
 	return false
 }
 
-// Radius returns the minimum eccentricity over all nodes, or -1 when the
-// graph is disconnected.
-func (g *Graph) Radius() int {
-	if g.n == 0 {
-		return 0
-	}
-	radius := -1
-	for u := 0; u < g.n; u++ {
-		ecc := g.Eccentricity(u)
-		if ecc < 0 {
-			return -1
-		}
-		if radius < 0 || ecc < radius {
-			radius = ecc
-		}
-	}
-	return radius
-}
-
 // CyclomaticNumber returns m - n + c where c is the number of connected
 // components. For a connected graph this is the dimension of the cycle space,
 // i.e. the number of independent cycles; it is 0 exactly for trees/forests.
@@ -256,41 +232,6 @@ func (g *Graph) componentCount() int {
 // IsTree reports whether the graph is a tree (connected and acyclic).
 func (g *Graph) IsTree() bool {
 	return g.Connected() && g.m == g.n-1
-}
-
-// Girth returns the length of the shortest cycle, or 0 when the graph is
-// acyclic. It runs a BFS from every node, which is sufficient for the modest
-// network sizes used in simulation.
-func (g *Graph) Girth() int {
-	best := 0
-	for s := 0; s < g.n; s++ {
-		dist := make([]int, g.n)
-		parent := make([]int, g.n)
-		for i := range dist {
-			dist[i] = -1
-			parent[i] = -1
-		}
-		dist[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.row(u) {
-				v := int(w)
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					parent[v] = u
-					queue = append(queue, v)
-				} else if parent[u] != v {
-					cycle := dist[u] + dist[v] + 1
-					if best == 0 || cycle < best {
-						best = cycle
-					}
-				}
-			}
-		}
-	}
-	return best
 }
 
 // LongestChordlessCycle returns T_G, the length of the longest chordless
@@ -370,26 +311,4 @@ func isChordlessCycle(g *Graph, cycle []int) bool {
 		}
 	}
 	return true
-}
-
-// Stats bundles the structural quantities the complexity bounds depend on.
-type Stats struct {
-	N          int // number of processes n
-	M          int // number of edges m
-	MaxDegree  int // Δ
-	Diameter   int // D
-	Cyclomatic int // m - n + 1 for connected graphs
-	IsTree     bool
-}
-
-// ComputeStats returns the structural statistics of the graph.
-func (g *Graph) ComputeStats() Stats {
-	return Stats{
-		N:          g.n,
-		M:          g.m,
-		MaxDegree:  g.MaxDegree(),
-		Diameter:   g.Diameter(),
-		Cyclomatic: g.CyclomaticNumber(),
-		IsTree:     g.IsTree(),
-	}
 }

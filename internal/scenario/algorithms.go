@@ -89,11 +89,11 @@ func buildAllianceComposed(spec alliance.Spec, g *graph.Graph) (Assembly, error)
 	if err := spec.Validate(g); err != nil {
 		return Assembly{}, fmt.Errorf("%w: %v", ErrUnsatisfiable, err)
 	}
-	fga := alliance.NewFGA(spec)
+	comp := alliance.NewSelfStabilizing(spec)
 	return Assembly{
-		Algorithm:   core.Compose(fga),
-		Inner:       fga,
-		Legitimate:  core.NormalPredicate(fga),
+		Algorithm:   comp,
+		Inner:       comp.Inner(),
+		Legitimate:  core.NormalPredicate(comp.Inner()),
 		Terminating: true,
 	}, nil
 }
@@ -143,11 +143,11 @@ func init() {
 		Composed:    true,
 		Description: "Algorithm U ∘ SDR: self-stabilizing unison via the cooperative reset (Section 5); K = n+1 unless Params.K is set",
 		Build: func(g *graph.Graph, net *sim.Network, p Params) (Assembly, error) {
-			u := unison.New(periodOf(p, g.N()))
+			comp := unison.NewSelfStabilizing(periodOf(p, g.N()))
 			return Assembly{
-				Algorithm:  core.Compose(u),
-				Inner:      u,
-				Legitimate: core.NormalPredicate(u),
+				Algorithm:  comp,
+				Inner:      comp.Inner(),
+				Legitimate: core.NormalPredicate(comp.Inner()),
 			}, nil
 		},
 		Report: unisonReport,
@@ -167,11 +167,11 @@ func init() {
 		Composed:    true,
 		Description: "ablation A1: U ∘ SDR with uncooperative resets (joining processes become roots of their own reset)",
 		Build: func(g *graph.Graph, net *sim.Network, p Params) (Assembly, error) {
-			u := unison.New(periodOf(p, g.N()))
+			comp := unison.NewSelfStabilizingUncooperative(periodOf(p, g.N()))
 			return Assembly{
-				Algorithm:  core.Compose(u, core.WithUncooperativeResets()),
-				Inner:      u,
-				Legitimate: core.NormalPredicate(u),
+				Algorithm:  comp,
+				Inner:      comp.Inner(),
+				Legitimate: core.NormalPredicate(comp.Inner()),
 			}, nil
 		},
 		Report: unisonReport,
@@ -194,11 +194,11 @@ func init() {
 		Composed:    true,
 		Description: "extension: silent self-stabilizing BFS spanning tree via B ∘ SDR, rooted at Params.Root",
 		Build: func(g *graph.Graph, net *sim.Network, p Params) (Assembly, error) {
-			bfs := spantree.NewFor(g, p.Root)
+			comp := spantree.NewSelfStabilizing(g, p.Root)
 			return Assembly{
-				Algorithm:   core.Compose(bfs),
-				Inner:       bfs,
-				Legitimate:  core.NormalPredicate(bfs),
+				Algorithm:   comp,
+				Inner:       comp.Inner(),
+				Legitimate:  core.NormalPredicate(comp.Inner()),
 				Terminating: true,
 			}, nil
 		},

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand"
 
 	"sdr/internal/core"
@@ -20,7 +19,8 @@ type FaultEntry struct {
 	// only apply to compositions I ∘ SDR.
 	ComposedOnly bool
 	// Build produces the starting configuration. inner is nil for
-	// non-composed algorithms.
+	// non-composed algorithms. Builders that draw from an enumerated state
+	// space fail when the algorithm does not enumerate it.
 	Build func(alg sim.Algorithm, inner core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error)
 }
 
@@ -36,14 +36,6 @@ func FaultModels() []string { return faultRegistry.list() }
 // FaultByName returns the entry with the given name.
 func FaultByName(name string) (FaultEntry, error) { return faultRegistry.lookup(name) }
 
-// faultDescriptions documents the standard scenarios; keyed by scenario name.
-var faultDescriptions = map[string]string{
-	"random-all":   "every variable of every process drawn uniformly from the state space",
-	"inner-only":   "clean reset machinery, half of the application states corrupted",
-	"fake-wave":    "40% of the processes put into an arbitrary phase of a non-existent reset",
-	"half-corrupt": "half of the processes get uniformly random full states",
-}
-
 func init() {
 	RegisterFault(FaultEntry{
 		Name:        "none",
@@ -52,22 +44,34 @@ func init() {
 			return sim.InitialConfiguration(alg, net), nil
 		},
 	})
-	// The faults package scenarios become registry entries; the completeness
-	// test asserts every standard scenario is registered. Builders that need
-	// an enumerated state space report the requirement themselves.
-	for _, s := range faults.StandardScenarios() {
-		s := s
-		RegisterFault(FaultEntry{
-			Name:         s.Name,
-			Description:  faultDescriptions[s.Name],
-			ComposedOnly: s.Name == "inner-only" || s.Name == "fake-wave",
-			Build: func(alg sim.Algorithm, inner core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
-				cfg, err := s.Build(alg, inner, net, rng)
-				if err != nil {
-					return nil, fmt.Errorf("scenario: fault %q: %w", s.Name, err)
-				}
-				return cfg, nil
-			},
-		})
-	}
+	RegisterFault(FaultEntry{
+		Name:        "random-all",
+		Description: "every variable of every process drawn uniformly from the state space",
+		Build: func(alg sim.Algorithm, _ core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
+			return faults.RandomConfiguration(alg, net, rng)
+		},
+	})
+	RegisterFault(FaultEntry{
+		Name:         "inner-only",
+		Description:  "clean reset machinery, half of the application states corrupted",
+		ComposedOnly: true,
+		Build: func(alg sim.Algorithm, inner core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
+			return faults.CorruptedInner(inner, net, sim.InitialConfiguration(alg, net), 0.5, rng)
+		},
+	})
+	RegisterFault(FaultEntry{
+		Name:         "fake-wave",
+		Description:  "40% of the processes put into an arbitrary phase of a non-existent reset",
+		ComposedOnly: true,
+		Build: func(alg sim.Algorithm, _ core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
+			return faults.FakeResetWave(net, sim.InitialConfiguration(alg, net), 0.4, net.N(), rng), nil
+		},
+	})
+	RegisterFault(FaultEntry{
+		Name:        "half-corrupt",
+		Description: "half of the processes get uniformly random full states",
+		Build: func(alg sim.Algorithm, _ core.Resettable, net *sim.Network, rng *rand.Rand) (*sim.Configuration, error) {
+			return faults.CorruptFraction(alg, net, sim.InitialConfiguration(alg, net), 0.5, rng)
+		},
+	})
 }

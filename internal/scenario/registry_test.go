@@ -8,7 +8,6 @@ import (
 
 	"sdr/internal/alliance"
 	"sdr/internal/core"
-	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
 )
@@ -123,9 +122,14 @@ func TestEveryFaultScenarioRegistered(t *testing.T) {
 	if _, err := FaultByName("none"); err != nil {
 		t.Error("the none fault model must be registered")
 	}
-	for _, s := range faults.StandardScenarios() {
-		if _, err := FaultByName(s.Name); err != nil {
-			t.Errorf("standard scenario %q has no registry entry: %v", s.Name, err)
+	for _, name := range []string{"random-all", "inner-only", "fake-wave", "half-corrupt"} {
+		entry, err := FaultByName(name)
+		if err != nil {
+			t.Errorf("standard scenario %q has no registry entry: %v", name, err)
+			continue
+		}
+		if wantComposed := name == "inner-only" || name == "fake-wave"; entry.ComposedOnly != wantComposed {
+			t.Errorf("fault %q: ComposedOnly = %v, want %v", name, entry.ComposedOnly, wantComposed)
 		}
 	}
 }

@@ -191,7 +191,7 @@ func (s Spec) Resolve() (run *Run, err error) {
 	}
 	start, err := fault.Build(asm.Algorithm, asm.Inner, net, rng)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: fault %q: %w", s.Fault, err)
 	}
 	var injector *churn.Injector
 	if s.Churn != "" {
@@ -221,16 +221,6 @@ func (s Spec) Resolve() (run *Run, err error) {
 		Churn:       injector,
 		Engine:      sim.NewEngine(net, asm.Algorithm, daemon),
 	}, nil
-}
-
-// MustResolve is Resolve for specs known to be valid (registry-driven
-// internal sweeps); it panics on error.
-func (s Spec) MustResolve() *Run {
-	run, err := s.Resolve()
-	if err != nil {
-		panic(err)
-	}
-	return run
 }
 
 // Options assembles the engine options a run executes under: the step bound,

@@ -51,10 +51,20 @@ func TestResolveEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// mustResolve resolves a spec the test knows to be valid.
+func mustResolve(t *testing.T, sp Spec) *Run {
+	t.Helper()
+	run, err := sp.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 func TestResolveDeterministic(t *testing.T) {
 	sp := Spec{Algorithm: "unison", Topology: "random", N: 10, Daemon: "distributed-random", Fault: "random-all", Seed: 42, MaxSteps: 100_000}
-	a := sp.MustResolve()
-	b := sp.MustResolve()
+	a := mustResolve(t, sp)
+	b := mustResolve(t, sp)
 	if !a.Start.Equal(b.Start) {
 		t.Fatal("equal specs resolved to different starting configurations")
 	}
@@ -159,7 +169,7 @@ func TestResolveComposedOnlyFault(t *testing.T) {
 
 func TestExecuteStopsNonTerminatingAtLegitimate(t *testing.T) {
 	sp := Spec{Algorithm: "unison", Topology: "ring", N: 8, Daemon: "synchronous", Fault: "random-all", Seed: 3, MaxSteps: 100_000}
-	run := sp.MustResolve()
+	run := mustResolve(t, sp)
 	if run.Terminating {
 		t.Fatal("U∘SDR is not a terminating algorithm")
 	}
@@ -174,7 +184,7 @@ func TestExecuteStopsNonTerminatingAtLegitimate(t *testing.T) {
 	// Terminating compositions run to termination instead.
 	bsp := sp
 	bsp.Algorithm = "bfstree"
-	brun := bsp.MustResolve()
+	brun := mustResolve(t, bsp)
 	if !brun.Terminating {
 		t.Fatal("B∘SDR is a terminating algorithm")
 	}
@@ -194,7 +204,7 @@ func TestSpecShardsReachTheEngine(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		sp := Spec{Algorithm: "unison", Topology: "torus", N: 256, Daemon: "synchronous", Fault: "random-all", Seed: 3, MaxSteps: 20, Shards: shards}
 		prof := obs.NewPhaseProfiler(1)
-		sp.MustResolve().Execute(sim.WithProfiler(prof))
+		mustResolve(t, sp).Execute(sim.WithProfiler(prof))
 		want := 0
 		if shards > 1 {
 			want = shards
@@ -207,7 +217,7 @@ func TestSpecShardsReachTheEngine(t *testing.T) {
 
 func TestObserverTracksCompositions(t *testing.T) {
 	sp := Spec{Algorithm: "unison", Topology: "ring", N: 8, Daemon: "synchronous", Fault: "random-all", Seed: 9, MaxSteps: 100_000}
-	run := sp.MustResolve()
+	run := mustResolve(t, sp)
 	obs := run.Observer()
 	if obs == nil {
 		t.Fatal("compositions must expose an observer")
@@ -219,7 +229,7 @@ func TestObserverTracksCompositions(t *testing.T) {
 
 	bsp := sp
 	bsp.Algorithm = "bpv"
-	if brun := bsp.MustResolve(); brun.Observer() != nil {
+	if brun := mustResolve(t, bsp); brun.Observer() != nil {
 		t.Fatal("non-composed algorithms must not expose an observer")
 	}
 }
@@ -227,13 +237,13 @@ func TestObserverTracksCompositions(t *testing.T) {
 func TestParamsKnobs(t *testing.T) {
 	// Params.K overrides the unison period.
 	sp := Spec{Algorithm: "unison", Topology: "ring", N: 6, Daemon: "synchronous", Seed: 1, Params: Params{K: 19}}
-	run := sp.MustResolve()
+	run := mustResolve(t, sp)
 	if got := run.Alg.Name(); got != "U(K=19)∘SDR" {
 		t.Errorf("Params.K ignored: algorithm name %q", got)
 	}
 	// Params.EdgeProb steers the random topology density.
-	dense := Spec{Algorithm: "unison", Topology: "random", N: 12, Daemon: "synchronous", Seed: 1, Params: Params{EdgeProb: 0.9}}.MustResolve()
-	sparse := Spec{Algorithm: "unison", Topology: "random", N: 12, Daemon: "synchronous", Seed: 1, Params: Params{EdgeProb: 0.05}}.MustResolve()
+	dense := mustResolve(t, Spec{Algorithm: "unison", Topology: "random", N: 12, Daemon: "synchronous", Seed: 1, Params: Params{EdgeProb: 0.9}})
+	sparse := mustResolve(t, Spec{Algorithm: "unison", Topology: "random", N: 12, Daemon: "synchronous", Seed: 1, Params: Params{EdgeProb: 0.05}})
 	if dense.Net.Graph().M() <= sparse.Net.Graph().M() {
 		t.Errorf("EdgeProb ignored: dense m=%d, sparse m=%d", dense.Net.Graph().M(), sparse.Net.Graph().M())
 	}

@@ -38,8 +38,6 @@ type VerifyOptions struct {
 	// Workers > 1 rule guards and the legitimacy predicate are evaluated
 	// concurrently; every registry entry satisfies the required purity.
 	Workers int
-	// Progress, when non-nil, receives per-level exploration progress.
-	Progress func(checker.ExploreProgress)
 }
 
 // VerifyStarts builds the count seeded starting configurations a
@@ -59,7 +57,7 @@ func (r *Run) VerifyStarts(count int) ([]*sim.Configuration, error) {
 		rng := rand.New(rand.NewSource(r.Spec.Seed + int64(i)*VerifySeedStride))
 		start, err := fault.Build(r.Alg, r.Inner, r.Net, rng)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: verify start %d: %w", i, err)
+			return nil, fmt.Errorf("scenario: verify start %d: fault %q: %w", i, r.Spec.Fault, err)
 		}
 		starts = append(starts, start)
 	}
@@ -96,6 +94,5 @@ func (r *Run) Verify(opts VerifyOptions) (checker.ExploreReport, error) {
 		// per-configuration predicate also covers truncated explorations.
 		TerminalOK: legit,
 		Workers:    opts.Workers,
-		Progress:   opts.Progress,
 	})
 }

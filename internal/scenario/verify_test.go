@@ -6,14 +6,14 @@ import (
 )
 
 func TestVerifyCertifiesUnisonRing(t *testing.T) {
-	run := (Spec{
+	run := mustResolve(t, Spec{
 		Algorithm: "unison",
 		Topology:  "ring",
 		N:         4,
 		Daemon:    "synchronous",
 		Fault:     "random-all",
 		Seed:      3,
-	}).MustResolve()
+	})
 	report, err := run.Verify(VerifyOptions{Starts: 3, MaxSelectionSize: 1, Workers: 2})
 	if err != nil {
 		t.Fatalf("U∘SDR on a 4-ring must be certified: %v", err)
@@ -29,14 +29,14 @@ func TestVerifyCertifiesUnisonRing(t *testing.T) {
 func TestVerifyRequiresLegitimacyPredicate(t *testing.T) {
 	// Standalone entries define no legitimate set, so there is no
 	// convergence property to certify.
-	run := (Spec{
+	run := mustResolve(t, Spec{
 		Algorithm: "unison-standalone",
 		Topology:  "ring",
 		N:         4,
 		Daemon:    "synchronous",
 		Fault:     "none",
 		Seed:      1,
-	}).MustResolve()
+	})
 	if _, err := run.Verify(VerifyOptions{}); !errors.Is(err, ErrUnverifiable) {
 		t.Errorf("expected ErrUnverifiable, got %v", err)
 	}
@@ -51,8 +51,8 @@ func TestVerifyStartsSeededAndReproducible(t *testing.T) {
 		Fault:     "random-all",
 		Seed:      7,
 	}
-	a := spec.MustResolve()
-	b := spec.MustResolve()
+	a := mustResolve(t, spec)
+	b := mustResolve(t, spec)
 	sa, err := a.VerifyStarts(5)
 	if err != nil {
 		t.Fatal(err)

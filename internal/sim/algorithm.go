@@ -6,48 +6,23 @@ import (
 	"sdr/internal/graph"
 )
 
-// Network couples a topology with an identifier assignment. The paper's
+// Network is the topology of a run; process u has identifier u. The paper's
 // reset and unison algorithms run on anonymous networks (identifiers exist in
 // the simulator but must not be read by the algorithm); the (f,g)-alliance
 // algorithm requires an identified network, so identifiers are exposed
 // through the View for algorithms that declare they need them.
 type Network struct {
-	g   *graph.Graph
-	ids []int
+	g *graph.Graph
 }
 
-// NewNetwork builds a network over g with the default identifier assignment
-// id(u) = u. It panics when the graph is invalid (empty or disconnected),
-// since the paper only considers connected networks.
+// NewNetwork builds a network over g. It panics when the graph is invalid
+// (empty or disconnected), since the paper only considers connected
+// networks.
 func NewNetwork(g *graph.Graph) *Network {
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	ids := make([]int, g.N())
-	for i := range ids {
-		ids[i] = i
-	}
-	return &Network{g: g, ids: ids}
-}
-
-// NewNetworkWithIDs builds a network with an explicit identifier assignment.
-// Identifiers must be pairwise distinct. Permuting identifiers is used in
-// tests to check that anonymous algorithms do not depend on them.
-func NewNetworkWithIDs(g *graph.Graph, ids []int) (*Network, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if len(ids) != g.N() {
-		return nil, fmt.Errorf("sim: %d identifiers for %d processes", len(ids), g.N())
-	}
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			return nil, fmt.Errorf("sim: duplicate identifier %d", id)
-		}
-		seen[id] = true
-	}
-	return &Network{g: g, ids: append([]int(nil), ids...)}, nil
+	return &Network{g: g}
 }
 
 // N returns the number of processes.
@@ -60,8 +35,8 @@ func (n *Network) N() int { return n.g.N() }
 // with.
 func (n *Network) Graph() *graph.Graph { return n.g }
 
-// ID returns the identifier of process u.
-func (n *Network) ID(u int) int { return n.ids[u] }
+// ID returns the identifier of process u, which is u itself.
+func (n *Network) ID(u int) int { return u }
 
 // Degree returns the degree of process u.
 func (n *Network) Degree(u int) int { return n.g.Degree(u) }
@@ -222,12 +197,6 @@ func EnabledRules(a Algorithm, net *Network, c *Configuration, u int) []int {
 // instead.
 func Enabled(a Algorithm, net *Network, c *Configuration, u int) bool {
 	return NewEvaluator(a, net).Enabled(c, u)
-}
-
-// EnabledSet returns the sorted set of enabled processes in c. Callers that
-// ask repeatedly about the same algorithm should hold an Evaluator instead.
-func EnabledSet(a Algorithm, net *Network, c *Configuration) []int {
-	return NewEvaluator(a, net).AppendEnabled(nil, c)
 }
 
 // Terminal reports whether c is a terminal configuration (no process

@@ -40,13 +40,6 @@ func (b bitset) fill(n int) {
 // copyFrom makes b an exact copy of o (same capacity required).
 func (b bitset) copyFrom(o bitset) { copy(b, o) }
 
-// subtract removes every element of o from b.
-func (b bitset) subtract(o bitset) {
-	for i := range b {
-		b[i] &^= o[i]
-	}
-}
-
 // subtractDiff removes (was \ now) from b, i.e. the elements that left the
 // set between the two snapshots.
 func (b bitset) subtractDiff(was, now bitset) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 )
@@ -278,67 +277,6 @@ func (d *GreedyAdversarialDaemon) Select(sel Selection) []int {
 	}
 	d.best = best
 	d.out[0] = best[d.rng.Intn(len(best))]
-	return d.out[:]
-}
-
-// applySingleMove returns the configuration obtained by letting only u move
-// (executing its first enabled rule) from c. It is the naive lookahead the
-// greedy daemon's neighbourhood-scoped Select replaced; the differential
-// test in daemon_greedy_test.go uses it as the reference.
-func applySingleMove(a Algorithm, net *Network, c *Configuration, u int) *Configuration {
-	v := net.View(c, u)
-	next := NewConfiguration(copyStates(c))
-	for _, r := range a.Rules() {
-		if r.Guard(v) {
-			next.SetState(u, r.Action(v))
-			return next
-		}
-	}
-	return next
-}
-
-func copyStates(c *Configuration) []State {
-	states := make([]State, c.N())
-	for i := 0; i < c.N(); i++ {
-		states[i] = c.State(i)
-	}
-	return states
-}
-
-// StarvingDaemon activates one enabled process per step, always preferring
-// processes other than the designated victim; the victim is only activated
-// when it is the sole enabled process. It exercises the unfairness the
-// distributed unfair daemon permits.
-type StarvingDaemon struct {
-	victim     int
-	rng        *rand.Rand
-	candidates []int  // reused by every Select
-	out        [1]int // the selection buffer, reused by every Select
-}
-
-var _ Daemon = (*StarvingDaemon)(nil)
-
-// NewStarvingDaemon returns a daemon that starves process victim.
-func NewStarvingDaemon(victim int, rng *rand.Rand) *StarvingDaemon {
-	return &StarvingDaemon{victim: victim, rng: rng}
-}
-
-// Name implements Daemon.
-func (d *StarvingDaemon) Name() string { return fmt.Sprintf("starving(%d)", d.victim) }
-
-// Select implements Daemon.
-func (d *StarvingDaemon) Select(sel Selection) []int {
-	candidates := d.candidates[:0]
-	for _, u := range sel.Enabled {
-		if u != d.victim {
-			candidates = append(candidates, u)
-		}
-	}
-	d.candidates = candidates
-	d.out[0] = d.victim
-	if len(candidates) > 0 {
-		d.out[0] = candidates[d.rng.Intn(len(candidates))]
-	}
 	return d.out[:]
 }
 

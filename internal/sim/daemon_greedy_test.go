@@ -55,3 +55,26 @@ func TestGreedyAdversarialMatchesNaiveLookahead(t *testing.T) {
 		}
 	}
 }
+
+// applySingleMove returns the configuration obtained by letting only u move
+// (executing its first enabled rule) from c: the naive lookahead the greedy
+// daemon's neighbourhood-scoped Select replaced.
+func applySingleMove(a Algorithm, net *Network, c *Configuration, u int) *Configuration {
+	v := net.View(c, u)
+	next := NewConfiguration(copyStates(c))
+	for _, r := range a.Rules() {
+		if r.Guard(v) {
+			next.SetState(u, r.Action(v))
+			return next
+		}
+	}
+	return next
+}
+
+func copyStates(c *Configuration) []State {
+	states := make([]State, c.N())
+	for i := 0; i < c.N(); i++ {
+		states[i] = c.State(i)
+	}
+	return states
+}

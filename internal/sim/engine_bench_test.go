@@ -137,9 +137,6 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		{"greedy-adversarial", func() Daemon {
 			return NewGreedyAdversarialDaemon(rand.New(rand.NewSource(1)))
 		}, func() []Option { return nil }},
-		{"starving", func() Daemon {
-			return NewStarvingDaemon(0, rand.New(rand.NewSource(1)))
-		}, func() []Option { return nil }},
 		{"locally-central", func() Daemon {
 			return NewLocallyCentralDaemon(rand.New(rand.NewSource(1)))
 		}, func() []Option { return nil }},

@@ -13,7 +13,7 @@ type RuleIndexer interface {
 // Evaluator is the shared guard-evaluation path of the package: it snapshots
 // an algorithm's rule set once and answers enabledness questions against it.
 // The engine's hot loop, the greedy daemon's lookahead, the package-level
-// Enabled/EnabledSet/Terminal helpers and the checker's state-space
+// Enabled/Terminal helpers and the checker's state-space
 // exploration all evaluate guards through it, so callers that ask many
 // enabledness questions about the same algorithm fetch the rule slice once
 // instead of per process per call.

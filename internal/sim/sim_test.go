@@ -120,27 +120,7 @@ func TestNewNetworkValidation(t *testing.T) {
 			t.Error("NewNetwork accepted a disconnected graph")
 		}
 	}()
-	NewNetwork(graph.New(3))
-}
-
-func TestNewNetworkWithIDs(t *testing.T) {
-	g := graph.Ring(4)
-	if _, err := NewNetworkWithIDs(g, []int{1, 2, 3}); err == nil {
-		t.Error("accepted wrong identifier count")
-	}
-	if _, err := NewNetworkWithIDs(g, []int{1, 2, 2, 3}); err == nil {
-		t.Error("accepted duplicate identifiers")
-	}
-	net, err := NewNetworkWithIDs(g, []int{40, 30, 20, 10})
-	if err != nil {
-		t.Fatalf("NewNetworkWithIDs: %v", err)
-	}
-	if net.ID(0) != 40 || net.ID(3) != 10 {
-		t.Error("identifier assignment not respected")
-	}
-	if _, err := NewNetworkWithIDs(graph.New(2), []int{0, 1}); err == nil {
-		t.Error("accepted a disconnected graph")
-	}
+	NewNetwork(graph.NewBuilder(3, 0).MustGraph())
 }
 
 func TestViewAccessors(t *testing.T) {
@@ -213,11 +193,11 @@ func TestRunMaxPropagationTerminates(t *testing.T) {
 					t.Fatalf("daemon %s: did not terminate", df.Name)
 				}
 				want := tc.g.N() - 1
-				res.Final.ForEach(func(u int, s State) {
-					if s.(intState).v != want {
-						t.Fatalf("daemon %s: process %d final value %d, want %d", df.Name, u, s.(intState).v, want)
+				for u := 0; u < res.Final.N(); u++ {
+					if v := res.Final.State(u).(intState).v; v != want {
+						t.Fatalf("daemon %s: process %d final value %d, want %d", df.Name, u, v, want)
 					}
-				})
+				}
 				if res.Moves == 0 || res.Steps == 0 || res.Rounds == 0 {
 					t.Fatalf("daemon %s: empty accounting %+v", df.Name, res)
 				}
@@ -539,30 +519,6 @@ func TestLocallyCentralDaemonMatchesPerm(t *testing.T) {
 	}
 }
 
-func TestStarvingDaemon(t *testing.T) {
-	net := NewNetwork(graph.Ring(5))
-	d := NewStarvingDaemon(2, rand.New(rand.NewSource(1)))
-	alg := ticker{}
-	c := InitialConfiguration(alg, net)
-	enabled := EnabledSet(alg, net, c)
-	for i := 0; i < 50; i++ {
-		sel := d.Select(Selection{Net: net, Alg: alg, Config: c, Enabled: enabled, Step: i})
-		for _, u := range sel {
-			if u == 2 {
-				t.Fatal("starving daemon activated the victim although others were enabled")
-			}
-		}
-	}
-	// Victim is activated when it is the only enabled process.
-	sel := d.Select(Selection{Net: net, Alg: alg, Config: c, Enabled: []int{2}, Step: 0})
-	if len(sel) != 1 || sel[0] != 2 {
-		t.Errorf("starving daemon with only the victim enabled selected %v", sel)
-	}
-	if d.Name() == "" {
-		t.Error("empty daemon name")
-	}
-}
-
 func TestRoundRobinDaemonIsWeaklyFair(t *testing.T) {
 	net := NewNetwork(graph.Ring(6))
 	d := NewRoundRobinDaemon()
@@ -651,13 +607,12 @@ func TestQuickMaxPropagationCorrect(t *testing.T) {
 		if !res.Terminated {
 			return false
 		}
-		ok := true
-		res.Final.ForEach(func(u int, s State) {
-			if s.(intState).v != n-1 {
-				ok = false
+		for u := 0; u < res.Final.N(); u++ {
+			if res.Final.State(u).(intState).v != n-1 {
+				return false
 			}
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -705,4 +660,9 @@ func TestStabilizationRoundsCountsPartialRound(t *testing.T) {
 		t.Errorf("synchronous stabilization = %d rounds (total %d), want exactly 1",
 			sync.StabilizationRounds, sync.Rounds)
 	}
+}
+
+// EnabledSet returns the sorted set of enabled processes in c.
+func EnabledSet(a Algorithm, net *Network, c *Configuration) []int {
+	return NewEvaluator(a, net).AppendEnabled(nil, c)
 }

@@ -84,13 +84,6 @@ func (c *Configuration) String() string {
 	return "[" + strings.Join(parts, " | ") + "]"
 }
 
-// ForEach calls fn for every process index and state.
-func (c *Configuration) ForEach(fn func(u int, s State)) {
-	for u, s := range c.states {
-		fn(u, s)
-	}
-}
-
 // Predicate is a predicate over configurations, e.g. a legitimacy predicate.
 type Predicate func(*Configuration) bool
 

@@ -112,12 +112,6 @@ func NewFor(g *graph.Graph, rootProcess int) *BFS {
 	return New(rootProcess, g.N())
 }
 
-// RootID returns the identifier of the root.
-func (b *BFS) RootID() int { return b.rootID }
-
-// MaxDist returns the unreached-distance value.
-func (b *BFS) MaxDist() int { return b.maxDist }
-
 // Name implements core.Resettable.
 func (b *BFS) Name() string { return fmt.Sprintf("BFS(root=%d)", b.rootID) }
 
@@ -349,9 +343,3 @@ func VerifyTree(g *graph.Graph, rootProcess int, c *sim.Configuration) error {
 	}
 	return nil
 }
-
-// MaxStandaloneMoves bounds the moves of Algorithm B alone from its
-// pre-defined configuration: every move strictly decreases a distance, which
-// starts at maxDist and ends at least at 1, so each process moves fewer than
-// maxDist times.
-func MaxStandaloneMoves(n, maxDist int) int { return n * maxDist }

@@ -59,8 +59,8 @@ func TestResettableContract(t *testing.T) {
 	g := graph.Ring(6)
 	net := sim.NewNetwork(g)
 	b := NewFor(g, 2)
-	if b.RootID() != 2 || b.MaxDist() != 6 {
-		t.Errorf("accessors: root=%d maxDist=%d", b.RootID(), b.MaxDist())
+	if b.rootID != 2 || b.maxDist != 6 {
+		t.Errorf("NewFor: root=%d maxDist=%d", b.rootID, b.maxDist)
 	}
 	if !strings.Contains(b.Name(), "BFS") {
 		t.Errorf("name %q should mention BFS", b.Name())
@@ -171,7 +171,7 @@ func TestStandaloneBFSBuildsTree(t *testing.T) {
 			if err := VerifyTree(g, root, res.Final); err != nil {
 				t.Errorf("n=%d root=%d: %v", g.N(), root, err)
 			}
-			if res.Moves > MaxStandaloneMoves(g.N(), b.MaxDist()) {
+			if res.Moves > maxStandaloneMoves(g.N(), b.maxDist) {
 				t.Errorf("n=%d root=%d: %d moves exceed the n·maxDist bound", g.N(), root, res.Moves)
 			}
 		}
@@ -362,3 +362,9 @@ func TestQuickSelfStabilizationOnRandomTrees(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// maxStandaloneMoves bounds the moves of Algorithm B alone from its
+// pre-defined configuration: every move strictly decreases a distance, which
+// starts at maxDist and ends at least at 1, so each process moves fewer than
+// maxDist times.
+func maxStandaloneMoves(n, maxDist int) int { return n * maxDist }

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical helpers the benchmark harness
-// and the experiment reports rely on: summaries of samples (min / mean / max /
-// standard deviation) and least-squares fits used to check the growth shape
-// of measured costs against the paper's asymptotic bounds.
+// and the experiment reports rely on: aggregates of samples (min / mean / max
+// / percentiles / confidence interval) and least-squares fits used to check
+// the growth shape of measured costs against the paper's asymptotic bounds.
 package stats
 
 import (
@@ -10,86 +10,11 @@ import (
 	"sort"
 )
 
-// Summary describes a sample of measurements.
-type Summary struct {
-	// Count is the number of samples.
-	Count int
-	// Min, Max, Mean and Median summarise the sample.
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	// StdDev is the population standard deviation.
-	StdDev float64
-}
-
-// Summarize computes a Summary of the samples. It returns a zero Summary for
-// an empty sample.
-func Summarize(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	s := Summary{Count: len(samples), Min: samples[0], Max: samples[0]}
-	sum := 0.0
-	for _, x := range samples {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		sum += x
-	}
-	s.Mean = sum / float64(len(samples))
-
-	varSum := 0.0
-	for _, x := range samples {
-		d := x - s.Mean
-		varSum += d * d
-	}
-	s.StdDev = math.Sqrt(varSum / float64(len(samples)))
-
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
-// SummarizeInts is Summarize over integer samples.
-func SummarizeInts(samples []int) Summary {
-	floats := make([]float64, len(samples))
-	for i, x := range samples {
-		floats[i] = float64(x)
-	}
-	return Summarize(floats)
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.1f mean=%.1f median=%.1f max=%.1f sd=%.1f",
-		s.Count, s.Min, s.Mean, s.Median, s.Max, s.StdDev)
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the samples using
-// linear interpolation between closest ranks (the R-7 method used by numpy
-// and spreadsheets): rank = p/100·(n-1), interpolated between the two
-// surrounding order statistics. p ≤ 0 returns the minimum, p ≥ 100 the
-// maximum, and an empty sample returns 0. The input is not modified.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// percentileSorted is Percentile over an already ascending-sorted sample.
+// percentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of an
+// ascending-sorted sample using linear interpolation between closest ranks
+// (the R-7 method used by numpy and spreadsheets): rank = p/100·(n-1),
+// interpolated between the two surrounding order statistics. p ≤ 0 returns
+// the minimum, p ≥ 100 the maximum, and an empty sample returns 0.
 func percentileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -110,10 +35,9 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
-// Aggregate is the full per-cell statistics record of a campaign: the
-// Summary moments plus tail percentiles and a two-sided 95% confidence
-// interval of the mean. Unlike Summary.StdDev (population), Aggregate.StdDev
-// is the sample (n-1) standard deviation, the one the CI is built from.
+// Aggregate is the statistics record of a sample: its moments, tail
+// percentiles and a two-sided 95% confidence interval of the mean. StdDev is
+// the sample (n-1) standard deviation, the one the CI is built from.
 type Aggregate struct {
 	// Count is the number of samples.
 	Count int `json:"count"`
@@ -185,16 +109,6 @@ func AggregateInts(samples []int) Aggregate {
 // CIHalfWidth returns half the width of the 95% confidence interval.
 func (a Aggregate) CIHalfWidth() float64 {
 	return (a.CIHigh - a.CILow) / 2
-}
-
-// RelativeCIHalfWidth returns the CI half-width as a fraction of the absolute
-// mean (0 when the mean is 0) — the quantity adaptive campaigns drive under
-// their precision target.
-func (a Aggregate) RelativeCIHalfWidth() float64 {
-	if a.Mean == 0 {
-		return 0
-	}
-	return a.CIHalfWidth() / math.Abs(a.Mean)
 }
 
 // String renders the aggregate compactly.

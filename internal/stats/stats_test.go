@@ -9,55 +9,8 @@ import (
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Count != 0 || s.Mean != 0 || s.Max != 0 {
-		t.Errorf("empty summary should be zero, got %+v", s)
-	}
-}
-
-func TestSummarizeKnownValues(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.Count != 8 || s.Min != 2 || s.Max != 9 {
-		t.Errorf("count/min/max wrong: %+v", s)
-	}
-	if !almostEqual(s.Mean, 5) {
-		t.Errorf("mean = %v, want 5", s.Mean)
-	}
-	if !almostEqual(s.StdDev, 2) {
-		t.Errorf("stddev = %v, want 2", s.StdDev)
-	}
-	if !almostEqual(s.Median, 4.5) {
-		t.Errorf("median = %v, want 4.5", s.Median)
-	}
-}
-
-func TestSummarizeOddMedian(t *testing.T) {
-	s := Summarize([]float64{9, 1, 5})
-	if !almostEqual(s.Median, 5) {
-		t.Errorf("median = %v, want 5", s.Median)
-	}
-}
-
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{1, 2, 3})
-	if !almostEqual(s.Mean, 2) || s.Count != 3 {
-		t.Errorf("SummarizeInts = %+v", s)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	str := s.String()
-	for _, want := range []string{"n=3", "mean=2.0", "min=1.0", "max=3.0"} {
-		if !strings.Contains(str, want) {
-			t.Errorf("summary string %q missing %q", str, want)
-		}
-	}
-}
-
 func TestPercentileInterpolation(t *testing.T) {
-	samples := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
+	sorted := []float64{1, 2, 3, 4}
 	cases := []struct{ p, want float64 }{
 		{0, 1},     // boundary: minimum
 		{100, 4},   // boundary: maximum
@@ -69,18 +22,15 @@ func TestPercentileInterpolation(t *testing.T) {
 		{99, 3.97}, // near-boundary interpolation, not snapped to max
 	}
 	for _, c := range cases {
-		if got := Percentile(samples, c.p); !almostEqual(got, c.want) {
-			t.Errorf("Percentile(%v, %v) = %v, want %v", samples, c.p, got, c.want)
+		if got := percentileSorted(sorted, c.p); !almostEqual(got, c.want) {
+			t.Errorf("percentileSorted(%v, %v) = %v, want %v", sorted, c.p, got, c.want)
 		}
 	}
-	if samples[0] != 4 {
-		t.Error("Percentile must not reorder its input")
+	if got := percentileSorted(nil, 50); got != 0 {
+		t.Errorf("percentile of the empty sample = %v, want 0", got)
 	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile of the empty sample = %v, want 0", got)
-	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
-		t.Errorf("Percentile of a singleton = %v, want 7", got)
+	if got := percentileSorted([]float64{7}, 99); got != 7 {
+		t.Errorf("percentile of a singleton = %v, want 7", got)
 	}
 }
 
@@ -115,9 +65,6 @@ func TestAggregateConstantSeries(t *testing.T) {
 	if a.CILow != 5 || a.CIHigh != 5 {
 		t.Errorf("zero-variance CI must be zero width: [%v, %v]", a.CILow, a.CIHigh)
 	}
-	if a.RelativeCIHalfWidth() != 0 {
-		t.Errorf("zero-variance relative half-width = %v, want 0", a.RelativeCIHalfWidth())
-	}
 }
 
 func TestAggregateKnownValues(t *testing.T) {
@@ -135,11 +82,34 @@ func TestAggregateKnownValues(t *testing.T) {
 	if !almostEqual(a.CIHalfWidth(), half) {
 		t.Errorf("CI half-width = %v, want %v", a.CIHalfWidth(), half)
 	}
-	if !almostEqual(a.RelativeCIHalfWidth(), half/5) {
-		t.Errorf("relative half-width = %v, want %v", a.RelativeCIHalfWidth(), half/5)
-	}
 	if !almostEqual(a.P50, 4.5) {
 		t.Errorf("p50 = %v, want 4.5", a.P50)
+	}
+}
+
+// TestSummarizeKnownValues checks the plain summary fields of AggregateSamples
+// (count, min, max, mean, stddev, median) on a sample with known values.
+func TestSummarizeKnownValues(t *testing.T) {
+	a := AggregateSamples([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	if a.Count != 8 || a.Min != 2 || a.Max != 9 {
+		t.Errorf("count/min/max wrong: %+v", a)
+	}
+	if !almostEqual(a.Mean, 5) {
+		t.Errorf("mean = %v, want 5", a.Mean)
+	}
+	// Aggregate reports the sample (n-1) deviation, sqrt(32/7), where the
+	// population deviation of this sample is 2.
+	if !almostEqual(a.StdDev, math.Sqrt(32.0/7.0)) {
+		t.Errorf("stddev = %v, want sqrt(32/7)", a.StdDev)
+	}
+	if !almostEqual(a.P50, 4.5) {
+		t.Errorf("median = %v, want 4.5", a.P50)
+	}
+}
+
+func TestSummarizeOddMedian(t *testing.T) {
+	if a := AggregateSamples([]float64{9, 1, 5}); !almostEqual(a.P50, 5) {
+		t.Errorf("median = %v, want 5", a.P50)
 	}
 }
 
@@ -263,10 +233,10 @@ func TestQuickSummaryBounds(t *testing.T) {
 		if len(samples) == 0 {
 			return true
 		}
-		s := Summarize(samples)
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 &&
-			s.Min <= s.Median+1e-9 && s.Median <= s.Max+1e-9 &&
-			s.StdDev >= 0
+		a := AggregateSamples(samples)
+		return a.Min <= a.Mean+1e-9 && a.Mean <= a.Max+1e-9 &&
+			a.Min <= a.P50+1e-9 && a.P50 <= a.Max+1e-9 &&
+			a.StdDev >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,45 +25,25 @@ type Event struct {
 	Activated []int `json:"activated"`
 	// Rules gives, for each activated process, the executed rule name.
 	Rules []string `json:"rules"`
-	// After is the textual rendering of the configuration after the step
-	// (recorded only when the recorder keeps configurations).
-	After string `json:"after,omitempty"`
 }
+
+// maxEvents caps the stored events; the events of further steps are dropped
+// and Truncated reports true, which keeps the memory of a long run bounded.
+const maxEvents = 10_000
 
 // Recorder collects the events of a run through a step hook. The zero value
 // is not usable; call NewRecorder.
 type Recorder struct {
-	rules              []sim.Rule
-	keepConfigurations bool
-	maxEvents          int
+	rules []sim.Rule
 
 	events    []Event
 	truncated bool
 }
 
-// RecorderOption customises a Recorder.
-type RecorderOption func(*Recorder)
-
-// WithConfigurations makes the recorder store the textual rendering of the
-// configuration after every step (memory-heavy; off by default).
-func WithConfigurations() RecorderOption {
-	return func(r *Recorder) { r.keepConfigurations = true }
-}
-
-// WithMaxEvents caps the number of stored events; the events of further
-// steps are dropped and Truncated reports true. 0 means no cap.
-func WithMaxEvents(maxEvents int) RecorderOption {
-	return func(r *Recorder) { r.maxEvents = maxEvents }
-}
-
 // NewRecorder returns a recorder for runs of alg; it names the rules of its
 // events through alg.Rules().
-func NewRecorder(alg sim.Algorithm, opts ...RecorderOption) *Recorder {
-	r := &Recorder{rules: alg.Rules()}
-	for _, opt := range opts {
-		opt(r)
-	}
-	return r
+func NewRecorder(alg sim.Algorithm) *Recorder {
+	return &Recorder{rules: alg.Rules()}
 }
 
 // Hook returns the sim.StepHook to register with sim.WithStepHook.
@@ -71,7 +52,7 @@ func (r *Recorder) Hook() sim.StepHook {
 }
 
 func (r *Recorder) observe(info sim.StepInfo) {
-	if r.maxEvents > 0 && len(r.events) >= r.maxEvents {
+	if len(r.events) >= maxEvents {
 		r.truncated = true
 		return
 	}
@@ -84,9 +65,6 @@ func (r *Recorder) observe(info sim.StepInfo) {
 	for i, ri := range info.Rules {
 		ev.Rules[i] = r.rules[ri].Name
 	}
-	if r.keepConfigurations {
-		ev.After = info.After.String()
-	}
 	r.events = append(r.events, ev)
 }
 
@@ -94,8 +72,13 @@ func (r *Recorder) observe(info sim.StepInfo) {
 // the entries).
 func (r *Recorder) Events() []Event { return r.events }
 
-// Truncated reports whether events were dropped because of WithMaxEvents.
+// Truncated reports whether events were dropped at the maxEvents cap.
 func (r *Recorder) Truncated() bool { return r.truncated }
+
+// maxListedProcesses is the largest process count for which Summary lists
+// the moves of every process; a larger run gets one line with the minimum,
+// mean and maximum instead, so the report stays readable at any n.
+const maxListedProcesses = 64
 
 // Summary renders the move counters of the run's result as a human-readable
 // block.
@@ -113,6 +96,15 @@ func Summary(res sim.Result) string {
 		fmt.Fprintf(&b, "  %-12s %d\n", name, res.MovesPerRule[name])
 	}
 
+	if moves := res.MovesPerProcess; len(moves) > maxListedProcesses {
+		total, hi := 0, slices.Max(moves)
+		for _, m := range moves {
+			total += m
+		}
+		fmt.Fprintf(&b, "moves by process: min %d, mean %.2f, max %d (p%d)\n",
+			slices.Min(moves), float64(total)/float64(len(moves)), hi, slices.Index(moves, hi))
+		return b.String()
+	}
 	b.WriteString("moves by process:\n")
 	for u, m := range res.MovesPerProcess {
 		fmt.Fprintf(&b, "  p%-3d %d\n", u, m)
@@ -124,11 +116,7 @@ func Summary(res sim.Result) string {
 // to w, followed by the Summary of the run's result.
 func (r *Recorder) WriteText(w io.Writer, res sim.Result) error {
 	for _, ev := range r.events {
-		line := fmt.Sprintf("step %4d  round %3d  activated %v  rules %v", ev.Step, ev.Round, ev.Activated, ev.Rules)
-		if ev.After != "" {
-			line += "  -> " + ev.After
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
+		if _, err := fmt.Fprintf(w, "step %4d  round %3d  activated %v  rules %v\n", ev.Step, ev.Round, ev.Activated, ev.Rules); err != nil {
 			return fmt.Errorf("trace: write text: %w", err)
 		}
 	}

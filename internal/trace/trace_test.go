@@ -15,18 +15,18 @@ import (
 	"sdr/internal/unison"
 )
 
-// recordedRun runs a short composed execution with a recorder attached and
-// returns both.
-func recordedRun(t *testing.T, opts ...RecorderOption) (*Recorder, sim.Result) {
+// recordedRun runs a composed execution of the given number of steps (U ∘ SDR
+// never terminates) with a recorder attached and returns both.
+func recordedRun(t *testing.T, steps int) (*Recorder, sim.Result) {
 	t.Helper()
 	g := graph.Ring(6)
 	u := unison.New(unison.DefaultPeriod(g.N()))
 	comp := core.Compose(u)
 	net := sim.NewNetwork(g)
-	rec := NewRecorder(comp, opts...)
+	rec := NewRecorder(comp)
 	daemon := sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(3)), 0.5)
 	res := sim.NewEngine(net, comp, daemon).Run(sim.InitialConfiguration(comp, net),
-		sim.WithMaxSteps(50),
+		sim.WithMaxSteps(steps),
 		sim.WithStepHook(rec.Hook()),
 	)
 	return rec, res
@@ -36,7 +36,7 @@ func recordedRun(t *testing.T, opts ...RecorderOption) (*Recorder, sim.Result) {
 // counters: one event per step, and the activated processes and rule names
 // of the events add up to Result's per-process and per-rule move counts.
 func TestRecorderCountsMatchEngine(t *testing.T) {
-	rec, res := recordedRun(t)
+	rec, res := recordedRun(t, 50)
 	if len(rec.Events()) != res.Steps {
 		t.Errorf("recorded %d events for %d steps", len(rec.Events()), res.Steps)
 	}
@@ -59,27 +59,10 @@ func TestRecorderCountsMatchEngine(t *testing.T) {
 	}
 }
 
-func TestRecorderConfigurationsOption(t *testing.T) {
-	rec, _ := recordedRun(t, WithConfigurations())
-	events := rec.Events()
-	if len(events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	for _, ev := range events {
-		if ev.After == "" {
-			t.Fatal("WithConfigurations must record the post-step configuration")
-		}
-	}
-	recPlain, _ := recordedRun(t)
-	if recPlain.Events()[0].After != "" {
-		t.Error("configurations must not be recorded by default")
-	}
-}
-
 func TestRecorderMaxEvents(t *testing.T) {
-	rec, _ := recordedRun(t, WithMaxEvents(5))
-	if len(rec.Events()) != 5 {
-		t.Errorf("recorded %d events, want the cap of 5", len(rec.Events()))
+	rec, _ := recordedRun(t, maxEvents+5)
+	if len(rec.Events()) != maxEvents {
+		t.Errorf("recorded %d events, want the cap of %d", len(rec.Events()), maxEvents)
 	}
 	if !rec.Truncated() {
 		t.Error("the recorder must report truncation")
@@ -87,7 +70,7 @@ func TestRecorderMaxEvents(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	_, res := recordedRun(t)
+	_, res := recordedRun(t, 50)
 	s := Summary(res)
 	for _, want := range []string{"moves:", "moves by rule:", "moves by process:", "p0"} {
 		if !strings.Contains(s, want) {
@@ -96,12 +79,34 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// TestSummaryAggregatesLargeRuns feeds the summary a run of 1000 processes:
+// one line gives the min, mean and max of the per-process moves and names
+// the process with the most, instead of one line per process.
+func TestSummaryAggregatesLargeRuns(t *testing.T) {
+	moves := make([]int, 1000)
+	total := 0
+	for u := range moves {
+		moves[u] = 1 + u%7
+		total += moves[u]
+	}
+	moves[617] = 40
+	total += 40 - (1 + 617%7)
+	s := Summary(sim.Result{Moves: total, Steps: total, MovesPerProcess: moves, MovesPerRule: map[string]int{"R": total}})
+	want := fmt.Sprintf("moves by process: min 1, mean %.2f, max 40 (p617)\n", float64(total)/1000)
+	if !strings.Contains(s, want) {
+		t.Errorf("summary lacks %q:\n%s", want, s)
+	}
+	if lines := strings.Count(s, "\n"); lines > 5 {
+		t.Errorf("summary of 1000 processes has %d lines:\n%s", lines, s)
+	}
+}
+
 // TestSummaryCountsAllSteps pins the summary's step count on a run longer
 // than the event cap: it is the run's, not the length of the event log.
 func TestSummaryCountsAllSteps(t *testing.T) {
-	rec, res := recordedRun(t, WithMaxEvents(5))
-	if res.Steps <= 5 {
-		t.Fatalf("the run took %d steps; it must outlast the cap of 5", res.Steps)
+	rec, res := recordedRun(t, maxEvents+5)
+	if res.Steps <= maxEvents {
+		t.Fatalf("the run took %d steps; it must outlast the cap of %d", res.Steps, maxEvents)
 	}
 	var buf bytes.Buffer
 	if err := rec.WriteText(&buf, res); err != nil {
@@ -114,7 +119,7 @@ func TestSummaryCountsAllSteps(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	rec, res := recordedRun(t, WithMaxEvents(3), WithConfigurations())
+	rec, res := recordedRun(t, maxEvents+3)
 	var buf bytes.Buffer
 	if err := rec.WriteText(&buf, res); err != nil {
 		t.Fatalf("WriteText: %v", err)
@@ -128,7 +133,7 @@ func TestWriteText(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	rec, res := recordedRun(t)
+	rec, res := recordedRun(t, 50)
 	var buf bytes.Buffer
 	if err := rec.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
@@ -148,7 +153,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteJSON(t *testing.T) {
-	rec, res := recordedRun(t)
+	rec, res := recordedRun(t, 50)
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf, res); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -165,39 +170,23 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// TestExportMatrix pins the JSON and CSV export paths across the recorder's
-// option matrix: event cap (unbounded vs truncating) × configuration keeping
-// (on vs off). The run is fully deterministic, so the exports of a truncated
-// recorder must be exact prefixes of the unbounded recorder's exports — same
-// events, same bytes per row — with only the truncation marker and the After
-// fields varying by option.
+// TestExportMatrix pins the JSON and CSV export paths of a run that fits
+// under the event cap and of a longer one that is truncated. The run is fully
+// deterministic, so the truncated exports hold exactly the events of the
+// unbounded run of maxEvents steps, with only the truncation marker and the
+// move counters differing.
 func TestExportMatrix(t *testing.T) {
-	type variant struct {
-		name        string
-		maxEvents   int
-		keepConfigs bool
-	}
-	variants := []variant{
-		{"unbounded", 0, false},
-		{"unbounded-configs", 0, true},
-		{"truncated", 4, false},
-		{"truncated-configs", 4, true},
-	}
 	type export struct {
 		csv  string
 		json JSONExport
 		res  sim.Result
 	}
 	exports := make(map[string]export)
-	for _, v := range variants {
-		var opts []RecorderOption
-		if v.maxEvents > 0 {
-			opts = append(opts, WithMaxEvents(v.maxEvents))
-		}
-		if v.keepConfigs {
-			opts = append(opts, WithConfigurations())
-		}
-		rec, res := recordedRun(t, opts...)
+	for _, v := range []struct {
+		name  string
+		steps int
+	}{{"unbounded", maxEvents}, {"truncated", maxEvents + 4}} {
+		rec, res := recordedRun(t, v.steps)
 		var csvBuf, jsonBuf bytes.Buffer
 		if err := rec.WriteCSV(&csvBuf); err != nil {
 			t.Fatalf("%s: WriteCSV: %v", v.name, err)
@@ -211,36 +200,21 @@ func TestExportMatrix(t *testing.T) {
 		}
 		exports[v.name] = export{csv: csvBuf.String(), json: ex, res: res}
 
-		wantEvents := res.Steps
-		if v.maxEvents > 0 && v.maxEvents < wantEvents {
-			wantEvents = v.maxEvents
+		if len(ex.Events) != min(res.Steps, maxEvents) {
+			t.Errorf("%s: %d exported events for %d steps", v.name, len(ex.Events), res.Steps)
 		}
-		if len(ex.Events) != wantEvents {
-			t.Errorf("%s: %d exported events, want %d", v.name, len(ex.Events), wantEvents)
-		}
-		if ex.Truncated != (v.maxEvents > 0 && res.Steps > v.maxEvents) {
-			t.Errorf("%s: truncated = %v with %d steps and cap %d", v.name, ex.Truncated, res.Steps, v.maxEvents)
+		if ex.Truncated != (res.Steps > maxEvents) {
+			t.Errorf("%s: truncated = %v with %d steps", v.name, ex.Truncated, res.Steps)
 		}
 		// The move counters always cover the whole run, cap or not.
 		if ex.Moves != res.Moves {
 			t.Errorf("%s: exported %d moves, engine reports %d", v.name, ex.Moves, res.Moves)
 		}
-		for _, ev := range ex.Events {
-			if v.keepConfigs && ev.After == "" {
-				t.Errorf("%s: event %d lost its configuration", v.name, ev.Step)
-			}
-			if !v.keepConfigs && ev.After != "" {
-				t.Errorf("%s: event %d carries a configuration without the option", v.name, ev.Step)
-			}
-		}
 	}
 
-	// Prefix pinning: the deterministic run makes the truncated CSV exactly
-	// the head of the unbounded CSV, and the truncated event list exactly the
-	// head of the unbounded event list.
 	full, cut := exports["unbounded"], exports["truncated"]
-	if !strings.HasPrefix(full.csv, cut.csv) {
-		t.Errorf("truncated CSV is not a prefix of the full CSV:\n--- truncated\n%s--- full\n%s", cut.csv, full.csv)
+	if cut.csv != full.csv {
+		t.Error("the truncated CSV differs from the CSV of the run that fits the cap")
 	}
 	for i, ev := range cut.json.Events {
 		fe := full.json.Events[i]
@@ -248,12 +222,6 @@ func TestExportMatrix(t *testing.T) {
 			len(ev.Activated) != len(fe.Activated) || len(ev.Rules) != len(fe.Rules) {
 			t.Errorf("truncated event %d diverges from the full export: %+v vs %+v", i, ev, fe)
 		}
-	}
-	// Keeping configurations must not perturb what is recorded, only add the
-	// After field: the configs-on CSV is byte-identical (CSV never includes
-	// configurations).
-	if exports["unbounded-configs"].csv != full.csv {
-		t.Error("WithConfigurations changed the CSV export")
 	}
 }
 
@@ -276,7 +244,7 @@ type writeError struct{}
 func (*writeError) Error() string { return "synthetic write failure" }
 
 func TestWriterErrorsArePropagated(t *testing.T) {
-	rec, res := recordedRun(t)
+	rec, res := recordedRun(t, 50)
 	if err := rec.WriteText(&failingWriter{remaining: 1}, res); err == nil {
 		t.Error("WriteText must propagate write failures")
 	}

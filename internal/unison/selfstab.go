@@ -54,21 +54,6 @@ func SafetyPredicate(u *Unison, net *sim.Network) sim.Predicate {
 	}
 }
 
-// StandaloneSafetyPredicate is SafetyPredicate for plain (non-composed)
-// ClockState configurations, used when running Algorithm U alone.
-func StandaloneSafetyPredicate(u *Unison, net *sim.Network) sim.Predicate {
-	return func(c *sim.Configuration) bool {
-		for _, e := range net.Graph().Edges() {
-			a := clockOf(c.State(e[0]))
-			b := clockOf(c.State(e[1]))
-			if CircularDistance(a, b, u.K()) > 1 {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // MaxDrift returns the maximum circular clock distance over all edges of the
 // network in the given composed configuration. A value of at most 1 means
 // the unison safety condition holds.
@@ -89,7 +74,6 @@ func MaxDrift(u *Unison, net *sim.Network, c *sim.Configuration) int {
 // liveness part of the unison specification on finite run prefixes.
 type TickCounter struct {
 	counts []int
-	rule   int // the tick rule's index in the observed algorithm's Rules()
 }
 
 // tickRule is the index of the tick rule in Algorithm U's InnerRules.
@@ -98,31 +82,19 @@ const tickRule = 0
 // NewTickCounter returns a counter for a network of n processes observing
 // executions of the composed algorithm (rule "I:tick").
 func NewTickCounter(n int) *TickCounter {
-	return &TickCounter{counts: make([]int, n), rule: core.InnerRuleIndex(tickRule)}
-}
-
-// NewStandaloneTickCounter returns a counter for runs of Algorithm U alone
-// (rule "tick").
-func NewStandaloneTickCounter(n int) *TickCounter {
-	return &TickCounter{counts: make([]int, n), rule: tickRule}
+	return &TickCounter{counts: make([]int, n)}
 }
 
 // Hook returns the sim.StepHook to register with sim.WithStepHook.
 func (t *TickCounter) Hook() sim.StepHook {
+	rule := core.InnerRuleIndex(tickRule)
 	return func(info sim.StepInfo) {
 		for i, u := range info.Activated {
-			if info.Rules[i] == t.rule {
+			if info.Rules[i] == rule {
 				t.counts[u]++
 			}
 		}
 	}
-}
-
-// Counts returns the per-process tick counts.
-func (t *TickCounter) Counts() []int {
-	out := make([]int, len(t.counts))
-	copy(out, t.counts)
-	return out
 }
 
 // Min returns the minimum tick count over all processes.

@@ -23,6 +23,21 @@ func randomStart(t *testing.T, alg sim.Algorithm, net *sim.Network, rng *rand.Ra
 	return c
 }
 
+// standaloneSafety is SafetyPredicate for plain (non-composed) ClockState
+// configurations, used when running Algorithm U alone.
+func standaloneSafety(u *Unison, net *sim.Network) sim.Predicate {
+	return func(c *sim.Configuration) bool {
+		for _, e := range net.Graph().Edges() {
+			a := clockOf(c.State(e[0]))
+			b := clockOf(c.State(e[1]))
+			if CircularDistance(a, b, u.K()) > 1 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 func TestNewSelfStabilizingBuildsComposition(t *testing.T) {
 	comp := NewSelfStabilizing(9)
 	if comp.Inner().Name() != New(9).Name() {
@@ -194,26 +209,17 @@ func TestUncooperativeVariantStillStabilizes(t *testing.T) {
 func TestTickCounter(t *testing.T) {
 	tc := NewTickCounter(3)
 	hook := tc.Hook()
-	rules := core.Compose(New(3)).Rules()
-	if name := rules[tc.rule].Name; name != core.InnerRuleName(RuleTick) {
+	tick := core.InnerRuleIndex(tickRule)
+	if name := core.Compose(New(3)).Rules()[tick].Name; name != core.InnerRuleName(RuleTick) {
 		t.Fatalf("the counter watches rule %q", name)
 	}
-	hook(sim.StepInfo{Activated: []int{0, 2}, Rules: []int{tc.rule, 0}})
-	hook(sim.StepInfo{Activated: []int{0}, Rules: []int{tc.rule}})
-	counts := tc.Counts()
-	if counts[0] != 2 || counts[1] != 0 || counts[2] != 0 {
+	hook(sim.StepInfo{Activated: []int{0, 2}, Rules: []int{tick, 0}})
+	hook(sim.StepInfo{Activated: []int{0}, Rules: []int{tick}})
+	if counts := tc.counts; counts[0] != 2 || counts[1] != 0 || counts[2] != 0 {
 		t.Errorf("counts = %v, want [2 0 0]", counts)
 	}
 	if tc.Min() != 0 {
 		t.Errorf("Min = %d, want 0", tc.Min())
-	}
-	standalone := NewStandaloneTickCounter(2)
-	if name := core.NewStandalone(New(3)).Rules()[standalone.rule].Name; name != RuleTick {
-		t.Fatalf("the standalone counter watches rule %q", name)
-	}
-	standalone.Hook()(sim.StepInfo{Activated: []int{1}, Rules: []int{standalone.rule}})
-	if got := standalone.Counts(); got[1] != 1 {
-		t.Errorf("standalone counter = %v, want a tick at process 1", got)
 	}
 	if empty := NewTickCounter(0); empty.Min() != 0 {
 		t.Error("Min of an empty counter is 0")
@@ -227,7 +233,7 @@ func TestQuickSafetyPreservedByTicks(t *testing.T) {
 	u := New(9)
 	alg := core.NewStandalone(u)
 	net := sim.NewNetwork(g)
-	safety := StandaloneSafetyPredicate(u, net)
+	safety := standaloneSafety(u, net)
 
 	property := func(raw [5]uint8) bool {
 		states := make([]sim.State, 5)

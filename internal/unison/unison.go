@@ -55,8 +55,8 @@ var (
 	_ core.InnerEnumerable = (*Unison)(nil)
 )
 
-// New returns Algorithm U with period k. It panics when k < 2; the
-// requirement K > n is network-dependent and checked by ValidatePeriod.
+// New returns Algorithm U with period k. It panics when k < 2. The paper
+// requires K > n; DefaultPeriod gives the smallest such K.
 func New(k int) *Unison {
 	if k < 2 {
 		panic(fmt.Sprintf("unison: period K must be at least 2, got %d", k))
@@ -72,14 +72,6 @@ func (u *Unison) K() int { return u.k }
 // SDR composition) read clock values only — so memoized guard caches may be
 // shared across processes with equal neighbourhood states.
 func (u *Unison) UsesIdentifiers() bool { return false }
-
-// ValidatePeriod checks the paper's requirement K > n for the given network.
-func (u *Unison) ValidatePeriod(net *sim.Network) error {
-	if u.k <= net.N() {
-		return fmt.Errorf("unison: period K=%d must exceed the number of processes n=%d", u.k, net.N())
-	}
-	return nil
-}
 
 // Name implements core.Resettable.
 func (u *Unison) Name() string { return fmt.Sprintf("U(K=%d)", u.k) }

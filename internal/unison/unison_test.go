@@ -2,6 +2,7 @@ package unison
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,16 +18,6 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	New(1)
-}
-
-func TestValidatePeriod(t *testing.T) {
-	net := sim.NewNetwork(graph.Ring(5))
-	if err := New(6).ValidatePeriod(net); err != nil {
-		t.Errorf("K=6 > n=5 should be accepted: %v", err)
-	}
-	if err := New(5).ValidatePeriod(net); err == nil {
-		t.Error("K=5 = n must be rejected (the paper requires K > n)")
-	}
 }
 
 func TestClockStateBasics(t *testing.T) {
@@ -188,13 +179,18 @@ func TestStandaloneUnisonFromInitSatisfiesSpecification(t *testing.T) {
 		u := New(DefaultPeriod(g.N()))
 		alg := core.NewStandalone(u)
 		net := sim.NewNetwork(g)
-		safety := StandaloneSafetyPredicate(u, net)
-		ticker := NewStandaloneTickCounter(g.N())
+		safety := standaloneSafety(u, net)
 
 		violations := 0
+		ticks := make([]int, g.N())
 		hook := func(info sim.StepInfo) {
 			if !safety(info.After) {
 				violations++
+			}
+			for i, p := range info.Activated {
+				if info.Rules[i] == tickRule {
+					ticks[p]++
+				}
 			}
 		}
 		daemon := sim.NewDistributedRandomDaemon(rand.New(rand.NewSource(5)), 0.5)
@@ -202,7 +198,6 @@ func TestStandaloneUnisonFromInitSatisfiesSpecification(t *testing.T) {
 		res := eng.Run(sim.InitialConfiguration(alg, net),
 			sim.WithMaxSteps(60*g.N()),
 			sim.WithStepHook(hook),
-			sim.WithStepHook(ticker.Hook()),
 		)
 		if violations > 0 {
 			t.Errorf("n=%d: unison safety violated %d times", g.N(), violations)
@@ -210,7 +205,7 @@ func TestStandaloneUnisonFromInitSatisfiesSpecification(t *testing.T) {
 		if res.Terminated {
 			t.Errorf("n=%d: Algorithm U must never terminate from γ_init (Lemma 18)", g.N())
 		}
-		if ticker.Min() == 0 {
+		if slices.Min(ticks) == 0 {
 			t.Errorf("n=%d: some process never ticked in %d steps (liveness, Lemma 19)", g.N(), res.Steps)
 		}
 	}
