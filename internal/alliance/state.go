@@ -100,12 +100,8 @@ func ResetFGAState() FGAState {
 	return FGAState{Col: true, Scr: 1, CanQ: true, Ptr: NoPointer}
 }
 
-// fgaOf extracts an FGA state, panicking on foreign state types so that
-// wiring mistakes surface immediately.
-func fgaOf(s sim.State) FGAState {
-	fs, ok := s.(FGAState)
-	if !ok {
-		panic(fmt.Sprintf("alliance: expected FGAState, got %T", s))
-	}
-	return fs
-}
+// fgaOf extracts an FGA state. A foreign state type is a wiring mistake,
+// and the bare type assertion panics on it with the runtime's message naming
+// both types; a formatted panic would keep this per-neighbour read from
+// inlining.
+func fgaOf(s sim.State) FGAState { return s.(FGAState) }

@@ -26,12 +26,15 @@ func (iv InnerView) Self() sim.State {
 // Degree returns the number of neighbours.
 func (iv InnerView) Degree() int { return iv.view.Degree() }
 
-// Neighbor returns the inner state of the i-th neighbour.
+// Neighbor returns the inner state of the i-th neighbour. It reads the
+// neighbour once and then branches, so that it stays within the inliner's
+// budget: inner algorithms call it once per neighbour of every guard.
 func (iv InnerView) Neighbor(i int) sim.State {
+	s := iv.view.Neighbor(i)
 	if iv.composed {
-		return InnerPart(iv.view.Neighbor(i))
+		return mustComposed(s).Inner
 	}
-	return iv.view.Neighbor(i)
+	return s
 }
 
 // ID returns the identifier of the process (identified networks only).

@@ -115,16 +115,15 @@ func boxIn[S boxable](t *boxTable, s S) sim.State {
 // hashing, which spreads the encodings' packed fields over the whole table.
 func boxPair(k uint64) int { return int((k*0x9E3779B97F4A7C15)>>(64-boxTableBits)) &^ 1 }
 
-// mustComposed extracts the composed state or panics with a clear message;
-// it guards against accidentally running composed rules on plain inner
-// states.
-func mustComposed(s sim.State) ComposedState {
-	cs, ok := s.(ComposedState)
-	if !ok {
-		panic(fmt.Sprintf("core: expected ComposedState, got %T", s))
-	}
-	return cs
-}
+// mustComposed extracts the composed state. Running composed rules on plain
+// inner states is a wiring mistake, and the bare type assertion panics on it
+// with the runtime's message naming both types ("interface conversion:
+// sim.State is unison.ClockState, not core.ComposedState"). It is a bare
+// assertion, not a checked one with a formatted panic, because the formatting
+// call would push it and every accessor above it (SDRPart, InnerPart,
+// InnerView.Self/Neighbor) past the inliner's budget, and these run once per
+// neighbour read.
+func mustComposed(s sim.State) ComposedState { return s.(ComposedState) }
 
 // SDRPart returns the SDR variables of the composed state held by s. It
 // panics if s is not a ComposedState.

@@ -278,38 +278,6 @@ func TestEccentricityRadius(t *testing.T) {
 	}
 }
 
-func TestCyclomaticNumber(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *Graph
-		want int
-	}{
-		{"tree", BinaryTree(7), 0},
-		{"ring", Ring(6), 1},
-		{"complete4", Complete(4), 3},
-		{"grid2x3", Grid(2, 3), 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.g.CyclomaticNumber(); got != tc.want {
-				t.Errorf("CyclomaticNumber = %d, want %d", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestIsTree(t *testing.T) {
-	if !BinaryTree(15).IsTree() {
-		t.Error("binary tree not recognised as tree")
-	}
-	if Ring(5).IsTree() {
-		t.Error("ring recognised as tree")
-	}
-	if isolated(3).IsTree() {
-		t.Error("disconnected graph recognised as tree")
-	}
-}
-
 func TestLongestChordlessCycle(t *testing.T) {
 	cases := []struct {
 		name string

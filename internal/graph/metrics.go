@@ -197,43 +197,6 @@ func pairBoundExceeds(far, suffix []int, top, lb int) bool {
 	return false
 }
 
-// CyclomaticNumber returns m - n + c where c is the number of connected
-// components. For a connected graph this is the dimension of the cycle space,
-// i.e. the number of independent cycles; it is 0 exactly for trees/forests.
-func (g *Graph) CyclomaticNumber() int {
-	return g.m - g.n + g.componentCount()
-}
-
-func (g *Graph) componentCount() int {
-	seen := make([]bool, g.n)
-	count := 0
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		count++
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.row(u) {
-				v := int(w)
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return count
-}
-
-// IsTree reports whether the graph is a tree (connected and acyclic).
-func (g *Graph) IsTree() bool {
-	return g.Connected() && g.m == g.n-1
-}
-
 // LongestChordlessCycle returns T_G, the length of the longest chordless
 // (induced) cycle, or 0 when the graph is acyclic. The Boulinier-Petit-Villain
 // unison baseline requires a parameter α ≥ T_G - 2, so T_G is needed to run

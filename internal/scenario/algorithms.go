@@ -2,12 +2,15 @@ package scenario
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 
 	"sdr/internal/alliance"
 	"sdr/internal/core"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
 	"sdr/internal/spantree"
+	"sdr/internal/trace"
 	"sdr/internal/unison"
 )
 
@@ -116,10 +119,11 @@ func allianceReport(spec alliance.Spec) func(r *Run, res sim.Result) Report {
 		return Report{
 			OK: res.Terminated && isAlliance && minimal,
 			render: func() []string {
-				return []string{
-					fmt.Sprintf("alliance  : %v (size %d)", members, len(members)),
-					fmt.Sprintf("valid     : alliance=%v, 1-minimal=%v", isAlliance, minimal),
+				first := fmt.Sprintf("alliance  : %v (size %d)", members, len(members))
+				if summarized(res.Final) {
+					first = fmt.Sprintf("alliance  : size %d, %s", len(members), digest(res.Final))
 				}
+				return []string{first, fmt.Sprintf("valid     : alliance=%v, 1-minimal=%v", isAlliance, minimal)}
 			},
 		}
 	}
@@ -267,29 +271,65 @@ func init() {
 }
 
 // unisonReport decides the unison outcome; its lines show the final clock
-// configuration.
+// configuration, or above trace.MaxListedProcesses its clock range, the
+// number of distinct clocks and the configuration's digest.
 func unisonReport(r *Run, res sim.Result) Report {
 	ok := true
 	if r.Legitimate != nil {
 		ok = res.LegitimateReached
 	}
 	return Report{
-		render: func() []string { return []string{fmt.Sprintf("final     : %s", res.Final)} },
-		OK:     ok,
+		render: func() []string {
+			if !summarized(res.Final) {
+				return []string{fmt.Sprintf("final     : %s", res.Final)}
+			}
+			clocks := unison.Clocks(res.Final)
+			slices.Sort(clocks)
+			lo, hi := clocks[0], clocks[len(clocks)-1]
+			return []string{fmt.Sprintf("final     : clocks in [%d, %d], %d distinct, %s",
+				lo, hi, len(slices.Compact(clocks)), digest(res.Final))}
+		},
+		OK: ok,
 	}
 }
 
 // bfsReport decides the spanning-tree outcome; its lines show the distance
-// vector and the exactness of the tree.
+// vector, or above trace.MaxListedProcesses its minimum, mean and maximum
+// and the configuration's digest, and the exactness of the tree.
 func bfsReport(r *Run, res sim.Result) Report {
 	err := spantree.VerifyTree(r.Net.Graph(), r.Spec.Params.Root, res.Final)
 	return Report{
 		render: func() []string {
-			return []string{
-				fmt.Sprintf("bfs tree  : distances=%v", spantree.Distances(res.Final)),
-				fmt.Sprintf("valid     : %v", err == nil),
+			dist := spantree.Distances(res.Final)
+			first := fmt.Sprintf("bfs tree  : distances=%v", dist)
+			if summarized(res.Final) {
+				total := 0
+				for _, d := range dist {
+					total += d
+				}
+				first = fmt.Sprintf("bfs tree  : distances min %d, mean %.2f, max %d, %s",
+					slices.Min(dist), float64(total)/float64(len(dist)), slices.Max(dist), digest(res.Final))
 			}
+			return []string{first, fmt.Sprintf("valid     : %v", err == nil)}
 		},
 		OK: res.Terminated && err == nil,
 	}
+}
+
+// summarized reports whether a report summarises the final configuration
+// instead of listing it: above trace.MaxListedProcesses processes, where
+// trace.Summary also stops listing per-process move counts.
+func summarized(c *sim.Configuration) bool { return c.N() > trace.MaxListedProcesses }
+
+// digest renders an FNV-64a hash of the configuration's per-process state
+// keys in process order. A summarised report carries it, so two reports
+// still differ whenever their final configurations do.
+func digest(c *sim.Configuration) string {
+	h := fnv.New64a()
+	var key []byte
+	for u := 0; u < c.N(); u++ {
+		key = append(sim.AppendStateKey(key[:0], c.State(u)), 0)
+		h.Write(key)
+	}
+	return fmt.Sprintf("digest %016x", h.Sum64())
 }

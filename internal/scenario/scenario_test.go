@@ -248,3 +248,52 @@ func TestParamsKnobs(t *testing.T) {
 		t.Errorf("EdgeProb ignored: dense m=%d, sparse m=%d", dense.Net.Graph().M(), sparse.Net.Graph().M())
 	}
 }
+
+// TestLargeReportsSummarize runs every report kind on 1000 processes: above
+// trace.MaxListedProcesses a report summarises the final configuration in
+// short lines that end with its digest, the digest is the same at every
+// shard count, and it changes with any one process's state. The BFS line
+// of a 1000-ring is checked in full.
+func TestLargeReportsSummarize(t *testing.T) {
+	for _, name := range []string{"unison", "unison-standalone", "bfstree", "alliance"} {
+		sp := Spec{Algorithm: name, Topology: "ring", N: 1000, Daemon: "synchronous", Fault: "random-all", Seed: 1}
+		if name == "unison-standalone" {
+			sp.Fault = "none"
+			sp.MaxSteps = 50
+		}
+		run := mustResolve(t, sp)
+		res := run.Execute()
+		rep := run.Report(res)
+		if !rep.OK {
+			t.Errorf("%s: report not OK", name)
+		}
+		lines := rep.Lines()
+		for _, l := range lines {
+			if len(l) > 120 {
+				t.Errorf("%s: report line of %d bytes: %.80s...", name, len(l), l)
+			}
+		}
+		want := digest(res.Final)
+		if len(lines) == 0 || !strings.HasSuffix(lines[0], want) {
+			t.Fatalf("%s: first report line %q does not end with %q", name, lines, want)
+		}
+		if bfs := "bfs tree  : distances min 0, mean 250.00, max 500, " + want; name == "bfstree" && lines[0] != bfs {
+			t.Errorf("bfstree on a 1000-ring: %q, want %q", lines[0], bfs)
+		}
+
+		sp.Shards = 4
+		sharded := mustResolve(t, sp)
+		if got := sharded.Report(sharded.Execute()).Lines(); !reflect.DeepEqual(got, lines) {
+			t.Errorf("%s: 4 shards report %q, 1 shard %q", name, got, lines)
+		}
+
+		changed := res.Final.Clone()
+		changed.SetState(999, res.Final.State(0))
+		if res.Final.State(999).Equal(res.Final.State(0)) {
+			changed.SetState(999, res.Final.State(1))
+		}
+		if !changed.Equal(res.Final) && digest(changed) == want {
+			t.Errorf("%s: digest did not change with process 999's state", name)
+		}
+	}
+}

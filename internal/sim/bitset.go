@@ -37,45 +37,12 @@ func (b bitset) fill(n int) {
 	}
 }
 
-// copyFrom makes b an exact copy of o (same capacity required).
-func (b bitset) copyFrom(o bitset) { copy(b, o) }
-
-// subtractDiff removes (was \ now) from b, i.e. the elements that left the
-// set between the two snapshots.
-func (b bitset) subtractDiff(was, now bitset) {
-	for i := range b {
-		b[i] &^= was[i] &^ now[i]
-	}
-}
-
-// empty reports whether the set has no elements.
-func (b bitset) empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// count returns the number of elements in the set.
-func (b bitset) count() int {
-	total := 0
-	for _, w := range b {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// appendIndices appends the elements of the set to dst in ascending order
-// and returns the extended slice.
-func (b bitset) appendIndices(dst []int) []int {
-	for wi, word := range b {
-		base := wi << 6
-		for word != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
+// appendWord appends the elements that word wi of a bitset holds to dst in
+// ascending order and returns the extended slice. The engine's shards list
+// their enabled processes a word at a time, right after deciding the word.
+func appendWord(dst []int, wi int, word uint64) []int {
+	for base := wi << 6; word != 0; word &= word - 1 {
+		dst = append(dst, base+bits.TrailingZeros64(word))
 	}
 	return dst
 }

@@ -6,9 +6,18 @@ import (
 	"testing"
 )
 
+// indices lists the elements of b in ascending order.
+func indices(b bitset) []int {
+	var out []int
+	for wi, w := range b {
+		out = appendWord(out, wi, w)
+	}
+	return out
+}
+
 func TestBitsetBasics(t *testing.T) {
 	b := newBitset(130)
-	if !b.empty() || b.count() != 0 {
+	if len(indices(b)) != 0 {
 		t.Fatal("new bitset not empty")
 	}
 	for _, u := range []int{0, 63, 64, 129} {
@@ -17,38 +26,38 @@ func TestBitsetBasics(t *testing.T) {
 			t.Fatalf("bit %d not set", u)
 		}
 	}
-	if b.count() != 4 || b.empty() {
-		t.Fatalf("count = %d, want 4", b.count())
-	}
-	if got := b.appendIndices(nil); !slices.Equal(got, []int{0, 63, 64, 129}) {
-		t.Fatalf("appendIndices = %v", got)
+	if got := indices(b); !slices.Equal(got, []int{0, 63, 64, 129}) {
+		t.Fatalf("indices = %v", got)
 	}
 	b.clear(64)
-	if b.get(64) || b.count() != 3 {
+	if b.get(64) || len(indices(b)) != 3 {
 		t.Fatal("clear failed")
 	}
 	b.reset()
-	if !b.empty() {
+	if len(indices(b)) != 0 {
 		t.Fatal("reset left bits behind")
 	}
 }
 
 func TestBitsetSetAlgebra(t *testing.T) {
-	n := 100
-	a, was, now := newBitset(n), newBitset(n), newBitset(n)
-	for _, u := range []int{1, 2, 3, 70, 71} {
-		a.set(u)
+	// fill makes the set exactly [0, n), masking the bits past n in the
+	// last word.
+	for _, n := range []int{1, 63, 64, 65, 100, 128} {
+		b := newBitset(n)
+		b.set(0)
+		b.fill(n)
+		want := make([]int, n)
+		for u := range want {
+			want[u] = u
+		}
+		if got := indices(b); !slices.Equal(got, want) {
+			t.Fatalf("fill(%d) = %v", n, got)
+		}
 	}
-	for _, u := range []int{2, 70} {
-		was.set(u)
-	}
-	now.set(70)
-	// subtractDiff removes was\now = {2} only.
-	d := newBitset(n)
-	d.copyFrom(a)
-	d.subtractDiff(was, now)
-	if got := d.appendIndices(nil); !slices.Equal(got, []int{1, 3, 70, 71}) {
-		t.Fatalf("subtractDiff = %v", got)
+	// appendWord lists one word's elements at the word's offset, after
+	// whatever dst holds.
+	if got := appendWord([]int{7}, 2, 1|1<<5|1<<63); !slices.Equal(got, []int{7, 128, 133, 191}) {
+		t.Fatalf("appendWord = %v", got)
 	}
 }
 
@@ -72,11 +81,8 @@ func TestBitsetAgainstMap(t *testing.T) {
 		want = append(want, u)
 	}
 	slices.Sort(want)
-	if got := b.appendIndices(nil); !slices.Equal(got, want) {
+	if got := indices(b); !slices.Equal(got, want) {
 		t.Fatalf("bitset %v != map %v", got, want)
-	}
-	if b.count() != len(want) {
-		t.Fatalf("count %d != %d", b.count(), len(want))
 	}
 }
 
@@ -92,7 +98,7 @@ func TestSanitizeSelectionInto(t *testing.T) {
 	if !slices.Equal(got, []int{3, 5}) {
 		t.Fatalf("sanitizeSelectionInto = %v, want [3 5]", got)
 	}
-	if !dedup.empty() {
+	if len(indices(dedup)) != 0 {
 		t.Fatal("dedup scratch not cleared")
 	}
 	got = sanitizeSelectionInto(nil, nil, enabledBits, dedup, enabled)

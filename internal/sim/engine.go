@@ -133,13 +133,17 @@ func WithMemoReadOnly(share *MemoShare) Option {
 // step phase — daemon select, rule execution, guard re-evaluation and
 // accounting without sharding; select, per-shard execute, merge, per-shard
 // boundary exchange and accounting when WithShards asked for more than one
-// shard (even if the ⌈n/64⌉ cap leaves one). All guard evaluation of an
-// unmemoized run falls in guard re-evaluation (or boundary exchange);
-// execute evaluates no guard, and asks the memo when one is attached.
-// Timing never feeds back into the execution, so profiled runs stay
-// bit-identical to unprofiled ones, and without a profiler (the default) the loop pays one nil check per step and
-// allocates nothing. The profiler belongs to a single run; read it with
-// Profile after the run returns.
+// shard (even if the ⌈n/64⌉ cap leaves one). Execute includes the move
+// counting; guard re-evaluation (boundary exchange) includes the round's
+// neutralizations and the next enabled list; merge only swaps the
+// configuration buffers, and account runs the hooks, closes the round and
+// decides legitimacy. All guard evaluation of an unmemoized run falls in guard
+// re-evaluation (or boundary exchange); execute evaluates no guard, and asks
+// the memo when one is attached. Timing never feeds back into the execution,
+// so profiled runs stay bit-identical to unprofiled ones, and without a
+// profiler (the default) the loop pays one nil check per step and allocates
+// nothing. The profiler belongs to a single run; read it with Profile after
+// the run returns.
 func WithProfiler(p *obs.PhaseProfiler) Option {
 	return func(o *Options) { o.profiler = p }
 }
@@ -311,19 +315,22 @@ func (e *Engine) Run(start *Configuration, opts ...Option) Result {
 //
 // There is one engine loop. It runs each step over a partition of the
 // processes into shards (see WithShards); without sharding the partition is
-// a single shard and every phase runs on the calling goroutine. The loop is
-// incremental and allocation-free in the steady state: the enabled set is
-// maintained as a bitset and, after a step, only the activated processes and
-// their neighbours are re-evaluated — rule guards read closed neighbourhoods
-// only (the locally shared memory model), so enabledness cannot change
-// anywhere else. Each guard is evaluated once per step: an activated process
-// executes its first enabled rule, which re-evaluation keeps next to the
-// process's enabled bit, so the next step executes it without evaluating
-// guards again. The configuration is double-buffered instead of cloned per
-// step, and the neutralization-based round accounting runs on reusable
-// bitsets. The test-only RunReference keeps the straightforward
-// implementation as the oracle; the differential tests compare the two bit
-// for bit.
+// a single shard and every phase runs on the calling goroutine. The daemon's
+// Select is the only per-process work of a step outside the shards: rule
+// execution, move counting, guard re-evaluation, the round's bookkeeping and
+// the next enabled list all run per shard, and what stays sequential is
+// O(shards) or O(1) apart from hooks and legitimacy. The loop is incremental
+// and allocation-free in the steady state: the enabled set is maintained as
+// a bitset and, after a step, only the activated processes and their
+// neighbours are re-evaluated — rule guards read closed neighbourhoods only
+// (the locally shared memory model), so enabledness cannot change anywhere
+// else. Each guard is evaluated once per step: an activated process executes
+// its first enabled rule, which re-evaluation keeps next to the process's
+// enabled bit, so the next step executes it without evaluating guards again.
+// The configuration is double-buffered instead of cloned per step, and the
+// neutralization-based round accounting runs on reusable bitsets. The
+// test-only RunReference keeps the straightforward implementation as the
+// oracle; the differential tests compare the two bit for bit.
 func (e *Engine) RunE(start *Configuration, opts ...Option) (Result, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -383,29 +390,33 @@ type engineRun struct {
 	bad, dirty bitset
 
 	// enabledBits is the authoritative enabled set; enabledList is its
-	// sorted materialisation handed to daemons. firstRule[u] is the index of
-	// u's first enabled rule (-1 when u is disabled), written next to u's
-	// enabled bit on the unmemoized path and read by the apply phase.
+	// sorted materialisation handed to daemons, a prefix of a buffer of
+	// capacity n. Every shard writes the enabled processes of its range at
+	// offset lo of that buffer, and collectEnabled compacts the blocks.
+	// firstRule[u] is the index of u's first enabled rule (-1 when u is
+	// disabled), written next to u's enabled bit on the unmemoized path and
+	// read by the apply phase.
 	enabledBits bitset
 	enabledList []int
 	firstRule   []int32
 	// Round accounting (neutralization-based): pending holds the processes
 	// enabled at the start of the current round that have neither moved nor
-	// been neutralized yet; wasEnabled snapshots the enabled set before a
-	// step. roundProgress records whether the current round saw any step, so
-	// that a final partial round is counted.
-	pending, wasEnabled bitset
-	roundProgress       bool
+	// been neutralized yet. The apply phase removes the activated processes
+	// and re-evaluation the neutralized ones, each shard in its own word
+	// range. roundProgress records whether the current round saw any step,
+	// so that a final partial round is counted.
+	pending       bitset
+	roundProgress bool
 
-	// The step's sorted selection is a prefix of selBuf, and the rule index
-	// selected[i] executes lands in ruleBuf[i]; hooks see both prefixes. Each
-	// shard works on its contiguous block of both. dedup is the selection
-	// sanitizer's scratch (selection is sequential). ruleMoves counts moves
-	// per rule index; run folds it into Result.MovesPerRule.
+	// The step's sorted selection is selected, and the rule index selected[i]
+	// executes lands in ruleBuf[i]; hooks see both. Each shard works on its
+	// contiguous block of both. A sanitized selection is a prefix of selBuf;
+	// a selection that is the enabled list itself trades places with selBuf
+	// instead (see selectShards). dedup is the selection sanitizer's scratch
+	// (selection is sequential).
 	selBuf, ruleBuf []int
 	selected        []int
 	dedup           bitset
-	ruleMoves       []int
 
 	// Phase profiling: on sampled steps the loop records the wall time of
 	// each phase. The clock reads sit between phases, never inside them, and
@@ -439,13 +450,16 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 		enabledList: make([]int, 0, n),
 		firstRule:   make([]int32, n),
 		pending:     newBitset(n),
-		wasEnabled:  newBitset(n),
 		selBuf:      make([]int, n),
 		ruleBuf:     make([]int, n),
 		dedup:       newBitset(n),
-		ruleMoves:   make([]int, len(ev.Rules())),
 		prof:        o.profiler,
 		sharded:     o.shards > 1,
+	}
+	for s := range r.shards {
+		// A cache line of spare capacity behind every shard's counters keeps
+		// two shards that count concurrently off the same line.
+		r.shards[s].ruleMoves = make([]int, len(r.rules), len(r.rules)+8)
 	}
 	if o.legitimate != nil {
 		r.bad, r.dirty = newBitset(n), newBitset(n)
@@ -490,9 +504,11 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 	}
 	res.Terminated = len(r.enabledList) == 0
 	res.Final = NewConfiguration(r.cur.states)
-	for ri, m := range r.ruleMoves {
-		if m > 0 {
-			res.MovesPerRule[r.rules[ri].Name] += m
+	for s := range r.shards {
+		for ri, m := range r.shards[s].ruleMoves {
+			if m > 0 {
+				res.MovesPerRule[r.rules[ri].Name] += m
+			}
 		}
 	}
 	res.finish()
@@ -508,8 +524,7 @@ func (e *Engine) run(start *Configuration, o Options) (Result, error) {
 // topology edits may have changed enabledness — and legitimacy — anywhere.
 func (r *engineRun) reseed() {
 	r.parallel((*engineRun).seedShard)
-	r.enabledList = r.enabledBits.appendIndices(r.enabledList[:0])
-	r.pending.copyFrom(r.enabledBits)
+	r.collectEnabled()
 	if r.dirty != nil {
 		r.dirty.fill(r.e.net.N())
 	}
@@ -593,9 +608,12 @@ func (r *engineRun) stopped() bool {
 	return r.res.LegitimateReached
 }
 
-// step executes one step: sequential selection, the parallel apply phase,
-// the sequential merge that installs the step, the parallel re-evaluation
-// and the sequential accounting.
+// step executes one step. Only the daemon's Select and the bookkeeping that
+// is O(shards) or O(1) run on the calling goroutine; every per-process part
+// runs inside the shards: the apply phase executes the rules and counts the
+// moves, and re-evaluation decides the touched guards, the round's
+// neutralizations and the shard's block of the next enabled list. merge and
+// account only install the step, run the hooks and close the round.
 func (r *engineRun) step() {
 	if r.prof != nil {
 		if r.profStep = r.prof.StartStep(); r.profStep {
@@ -620,7 +638,7 @@ func (r *engineRun) step() {
 	}
 
 	r.parallel((*engineRun).reevaluateShard)
-	r.enabledList = r.enabledBits.appendIndices(r.enabledList[:0])
+	r.collectEnabled()
 	if r.sharded {
 		r.lap(obs.PhaseBoundary, true)
 	} else {
@@ -635,7 +653,11 @@ func (r *engineRun) step() {
 }
 
 // selectShards is the selection phase, sequential: one Select call on the
-// whole sorted enabled list, sanitized over [0, n) into the front of selBuf.
+// whole sorted enabled list. A selection that is that list itself (same
+// backing array and length, as SynchronousDaemon returns it) is already
+// sorted, duplicate-free and enabled, so it becomes the step's selection as
+// it is, and selBuf becomes the buffer the next enabled list is written to.
+// Any other selection is sanitized over [0, n) into the front of selBuf.
 // Every shard then takes its range of the sorted selection by binary search
 // (shards are contiguous), together with that block's offset into ruleBuf.
 // The daemon sees exactly the calls of a one-shard run, so the schedule does
@@ -648,7 +670,12 @@ func (r *engineRun) selectShards() {
 		Enabled: r.enabledList,
 		Step:    r.res.Steps,
 	})
-	r.selected = sanitizeSelectionInto(r.selBuf[:0], raw, r.enabledBits, r.dedup, r.enabledList)
+	if len(raw) == len(r.enabledList) && &raw[0] == &r.enabledList[0] {
+		r.selected = raw
+		r.selBuf, r.enabledList = r.enabledList[:cap(r.enabledList)], r.selBuf[:0]
+	} else {
+		r.selected = sanitizeSelectionInto(r.selBuf[:0], raw, r.enabledBits, r.dedup, r.enabledList)
+	}
 	sel, off := r.selected, 0
 	for s := range r.shards {
 		sh := &r.shards[s]
@@ -667,19 +694,24 @@ func (r *engineRun) selectShards() {
 // processes, all reading cur (composite atomicity). Every selected process
 // is enabled (the selection is sanitized against the enabled set), so it has
 // a rule: its first enabled one, which without a memo the last evaluation of
-// u's guards cached in firstRule. Move accounting is left to the sequential
-// merge — Result's counters are not safe for concurrent writes.
+// u's guards cached in firstRule. The shard also records the moves — in
+// MovesPerProcess and pending at its own processes, and per rule in its own
+// counters — and marks the closed neighbourhoods to re-evaluate.
 func (r *engineRun) applyShard(sh *engineShard) {
 	t := r.shardStart()
 	cur, next := r.cur, r.next.states
 	copy(next[sh.lo:sh.hi], cur.states[sh.lo:sh.hi])
 	ruleIdxs := r.ruleBuf[sh.off : sh.off+len(sh.selected)]
+	moves := r.res.MovesPerProcess
 	for i, u := range sh.selected {
 		ri := int(r.firstRule[u])
 		if r.memo != nil {
 			ri = r.memo.FirstEnabledRule(cur, u)
 		}
 		ruleIdxs[i] = ri
+		sh.ruleMoves[ri]++
+		moves[u]++
+		r.pending.clear(u)
 		next[u] = r.rules[ri].Action(r.e.net.View(cur, u))
 	}
 	// Mark the closed neighbourhoods whose guards must be re-evaluated. The
@@ -695,17 +727,11 @@ func (r *engineRun) applyShard(sh *engineShard) {
 	r.shardEnd(sh, t)
 }
 
-// merge is the sequential merge: it records the moves of the step's sorted
-// selection, whose rule indices the shards wrote to the matching positions
-// of ruleBuf, and installs the step.
+// merge installs the step: it adds the step's moves to the total and swaps
+// the configuration buffers. The shards counted everything per process and
+// per rule.
 func (r *engineRun) merge() {
-	for i, u := range r.selected {
-		r.ruleMoves[r.ruleBuf[i]]++
-		r.res.MovesPerProcess[u]++
-	}
 	r.res.Moves += len(r.selected)
-	r.wasEnabled.copyFrom(r.enabledBits)
-
 	r.cur, r.next = r.next, r.cur
 	// Only the activated processes hold new states, so only their memoized
 	// ids go stale.
@@ -717,46 +743,85 @@ func (r *engineRun) merge() {
 }
 
 // seedShard evaluates every process of the shard's range, writing only the
-// shard's own enabledBits words and firstRule entries.
+// shard's own enabledBits and pending words, firstRule entries and block of
+// the enabled list: the round starts with every enabled process pending.
 func (r *engineRun) seedShard(sh *engineShard) {
-	for u := sh.lo; u < sh.hi; u++ {
-		if r.enabledAt(u) {
-			r.enabledBits.set(u)
-		} else {
-			r.enabledBits.clear(u)
+	list := r.enabledBlock(sh)
+	for wi := sh.wordLo; wi < sh.wordHi; wi++ {
+		var en uint64
+		for u, end := wi<<6, min(wi<<6+64, sh.hi); u < end; u++ {
+			if r.enabledAt(u) {
+				en |= 1 << uint(u&63)
+			}
 		}
+		r.enabledBits[wi], r.pending[wi] = en, en
+		list = appendWord(list, wi, en)
 	}
+	sh.enabled = len(list)
 }
 
 // reevaluateShard is the boundary exchange and re-evaluation of one shard:
 // it OR-merges every shard's touched marks for its own word range — the
 // only point where a shard observes its neighbours' writes — and
 // re-evaluates the marked processes of its range, updating exclusively its
-// own enabledBits words and firstRule entries. With a legitimacy predicate
-// the merged word also goes into the shard's own dirty words: the touched
-// processes are exactly those whose legitimacy verdict may have changed.
+// own enabledBits words and firstRule entries. The same pass removes the
+// neutralized processes (enabled before the step, not activated, not enabled
+// after it) from its pending words, records whether any of them is still
+// pending, and writes its block of the next enabled list. With a legitimacy
+// predicate the merged word also goes into the shard's own dirty words: the
+// touched processes are exactly those whose legitimacy verdict may have
+// changed.
 func (r *engineRun) reevaluateShard(sh *engineShard) {
 	t := r.shardStart()
+	list := r.enabledBlock(sh)
+	var pending uint64
 	for wi := sh.wordLo; wi < sh.wordHi; wi++ {
 		var word uint64
 		for s := range r.shards {
 			word |= r.shards[s].touched[wi]
 		}
-		if r.dirty != nil {
-			r.dirty[wi] |= word
-		}
-		base := wi << 6
-		for word != 0 {
-			u := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			if r.enabledAt(u) {
-				r.enabledBits.set(u)
-			} else {
-				r.enabledBits.clear(u)
+		en := r.enabledBits[wi]
+		if word != 0 {
+			if r.dirty != nil {
+				r.dirty[wi] |= word
 			}
+			was, base := en, wi<<6
+			for ; word != 0; word &= word - 1 {
+				b := bits.TrailingZeros64(word)
+				if r.enabledAt(base + b) {
+					en |= 1 << uint(b)
+				} else {
+					en &^= 1 << uint(b)
+				}
+			}
+			r.enabledBits[wi] = en
+			r.pending[wi] &^= was &^ en
 		}
+		pending |= r.pending[wi]
+		list = appendWord(list, wi, en)
 	}
+	sh.enabled = len(list)
+	sh.pendingLeft = pending != 0
 	r.shardEnd(sh, t)
+}
+
+// enabledBlock returns the empty start of sh's block of the enabled-list
+// buffer: offset lo, room for every process of the shard's range.
+func (r *engineRun) enabledBlock(sh *engineShard) []int {
+	return r.enabledList[sh.lo:sh.lo:sh.hi]
+}
+
+// collectEnabled compacts the shards' blocks of the enabled-list buffer into
+// the sorted enabled list. A block never starts before the end of the list
+// compacted so far, so the copies only move entries towards the front.
+func (r *engineRun) collectEnabled() {
+	buf := r.enabledList[:cap(r.enabledList)]
+	k := 0
+	for s := range r.shards {
+		sh := &r.shards[s]
+		k += copy(buf[k:], buf[sh.lo:sh.lo+sh.enabled])
+	}
+	r.enabledList = buf[:k]
 }
 
 // enabledAt evaluates u's guards in cur. Without a memo it also caches u's
@@ -771,18 +836,12 @@ func (r *engineRun) enabledAt(u int) bool {
 	return ri >= 0
 }
 
-// account closes the step: round accounting, hooks, legitimacy and
-// recovery tracking.
+// account closes the step: hooks, round accounting, legitimacy and recovery
+// tracking. The shards already removed the step's activated and neutralized
+// processes from pending.
 func (r *engineRun) account() {
 	res := &r.res
 	r.roundProgress = true
-	// pending loses the activated processes and the neutralized ones
-	// (enabled before the step, not activated, not enabled after it).
-	for _, u := range r.selected {
-		r.pending.clear(u)
-	}
-	r.pending.subtractDiff(r.wasEnabled, r.enabledBits)
-
 	for _, h := range r.o.hooks {
 		h(StepInfo{
 			Step:      res.Steps,
@@ -796,11 +855,11 @@ func (r *engineRun) account() {
 	}
 	res.Steps++
 
-	if r.pending.empty() {
+	if !r.pendingLeft() {
 		// The round is complete; the next one starts at cur.
 		res.Rounds++
 		r.roundProgress = false
-		r.pending.copyFrom(r.enabledBits)
+		copy(r.pending, r.enabledBits)
 	}
 
 	if r.o.injector != nil {
@@ -813,6 +872,17 @@ func (r *engineRun) account() {
 	}
 	r.recordLegit(r.roundProgress)
 	r.closeRecovered(r.roundProgress)
+}
+
+// pendingLeft reports whether some process of the round is still pending,
+// from the shards' answers of the last re-evaluation.
+func (r *engineRun) pendingLeft() bool {
+	for s := range r.shards {
+		if r.shards[s].pendingLeft {
+			return true
+		}
+	}
+	return false
 }
 
 // evalLegit brings curLegit up to date with cur (a no-op without a

@@ -7,34 +7,41 @@ import (
 
 // Sharded execution. The engine loop (engineRun in engine.go) runs every
 // step over a partition of the processes into contiguous index ranges
-// ("shards"). WithShards(k) asks for k shards; the per-step work — guard
-// re-evaluation and rule execution — then runs concurrently, one goroutine
-// per shard. Without sharding the partition is a single shard and every
-// phase runs on the calling goroutine: the sequential engine is the
-// one-shard case of the same loop. Shards read the topology concurrently
-// without synchronization: a graph is immutable, and churn replaces the
-// network's graph only at the sequential injection boundary between steps,
-// so no shard ever observes a topology mid-edit.
+// ("shards"). WithShards(k) asks for k shards; every per-process part of a
+// step except the daemon's Select — rule execution and move counting, guard
+// re-evaluation, the round's neutralizations and the shard's block of the
+// next enabled list — then runs concurrently, one goroutine per shard. The
+// sequential rest of a step is O(shards) or O(1): splitting the selection,
+// compacting the enabled list, swapping the buffers and closing the round,
+// besides hooks and legitimacy. Without sharding the partition is a single
+// shard and every phase runs on the calling goroutine: the sequential engine
+// is the one-shard case of the same loop. Shards read the topology
+// concurrently without synchronization: a graph is immutable, and churn
+// replaces the network's graph only at the sequential injection boundary
+// between steps, so no shard ever observes a topology mid-edit.
 //
 // Exactness. Selection is sequential and global: the daemon is consulted
 // once per step on the whole sorted enabled list, exactly as in a one-shard
 // run, and each shard then executes its contiguous block of the sorted
-// selection. Every activated process executes its first enabled rule, and
-// all accounting runs in ascending process order, so a run is bit-identical
-// for every shard count under every daemon. The test-only RunReference is the
-// independent oracle: the differential tests in shard_test.go compare
-// sharded runs against it and against the one-shard run.
+// selection. Every activated process executes its first enabled rule, every
+// counter a shard writes is its own (per-process entries of its range, its
+// own per-rule counters) or is summed in shard order, and the enabled list
+// is the concatenation of the shards' ascending blocks, so a run is
+// bit-identical for every shard count under every daemon. The test-only
+// RunReference is the independent oracle: the differential tests in
+// shard_test.go compare sharded runs against it and against the one-shard
+// run.
 //
 // Shard boundaries are aligned to multiples of 64 so that every bitset word
 // belongs to exactly one shard: a shard writes only words in its own range
 // during re-evaluation, making the phase race-free without atomics. The
-// per-process rule cache (engineRun.firstRule) follows the same rule: a
-// shard writes the entries of its own range next to their enabled bits, and
-// its apply phase reads only those entries. Writes to the touched set, whose
-// closed neighbourhoods cross shard boundaries, go to a per-shard
-// full-length bitset instead; the per-word OR-merge of those bitsets between
-// the apply and re-evaluation phases is the only boundary exchange of a
-// step.
+// per-process rule cache (engineRun.firstRule), the move counters, the
+// pending words and the enabled-list buffer follow the same rule: a shard
+// writes the entries of its own range, and its apply phase reads only those
+// entries. Writes to the touched set, whose closed neighbourhoods cross
+// shard boundaries, go to a per-shard full-length bitset instead; the
+// per-word OR-merge of those bitsets between the apply and re-evaluation
+// phases is the only boundary exchange of a step.
 
 // WithShards sets the number of shards of the run (default 1: one shard on
 // the calling goroutine). With k > 1 guard evaluation and rule execution run
@@ -64,6 +71,15 @@ type engineShard struct {
 	// its position in the run's selection and rule buffers.
 	selected []int
 	off      int
+
+	// ruleMoves counts the shard's moves per rule index over the whole run;
+	// the run folds every shard's counters into Result.MovesPerRule.
+	ruleMoves []int
+	// enabled is the length of the shard's block of the enabled list, and
+	// pendingLeft whether a process of its range is still pending in the
+	// round, both as of the last re-evaluation.
+	enabled     int
+	pendingLeft bool
 }
 
 // makeShards partitions [0, n) into at most k word-aligned contiguous

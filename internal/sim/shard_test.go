@@ -3,9 +3,12 @@ package sim_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sdr/internal/alliance"
+	"sdr/internal/churn"
 	"sdr/internal/core"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
@@ -287,5 +290,75 @@ func TestShardOptionValidation(t *testing.T) {
 	}
 	if res.Steps == 0 {
 		t.Fatal("capped sharded run executed no steps")
+	}
+}
+
+// cloningSynchronous selects every enabled process, like SynchronousDaemon,
+// but returns a copy of the enabled list: the engine takes only the list
+// itself as it is, so this selection goes through the sanitizer.
+type cloningSynchronous struct{}
+
+func (cloningSynchronous) Name() string { return "synchronous-clone" }
+
+func (cloningSynchronous) Select(sel sim.Selection) []int { return slices.Clone(sel.Enabled) }
+
+// TestSynchronousFastPathMatchesSanitizer checks that taking the synchronous
+// daemon's selection (the enabled list itself) without sanitizing it changes
+// nothing: on a torus, a ring and a caterpillar, at 1, 2 and 3 shards, static
+// and under churn that corrupts states and edits the topology, every Result
+// field and every step's activations and rules equal those of the same run
+// whose selection is sanitized.
+func TestSynchronousFastPathMatchesSanitizer(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"torus240", graph.Torus(12, 20)},
+		{"ring200", graph.Ring(200)},
+		{"caterpillar200", graph.Caterpillar(50, 3)},
+	}
+	sched := churn.Schedule{Pattern: churn.Periodic, Events: 4, Every: 30,
+		EventKinds: []churn.Kind{churn.CorruptFraction, churn.EdgeDrop, churn.NodeCrash, churn.Partition, churn.EdgeAdd, churn.Heal}}
+	for _, tg := range graphs {
+		u := unison.New(unison.DefaultPeriod(tg.g.N()))
+		comp := core.Compose(u)
+		start := randomStart(t, comp, sim.NewNetwork(tg.g), rand.New(rand.NewSource(3)))
+		for _, shards := range []int{1, 2, 3} {
+			for _, churned := range []bool{false, true} {
+				label := fmt.Sprintf("%s/shards=%d/churn=%v", tg.name, shards, churned)
+				run := func(d sim.Daemon) (sim.Result, [][]int) {
+					var steps [][]int
+					hook := func(info sim.StepInfo) {
+						steps = append(steps, slices.Clone(info.Activated), slices.Clone(info.Rules))
+					}
+					net := sim.NewNetwork(tg.g)
+					opts := []sim.Option{sim.WithMaxSteps(400), sim.WithLegitimate(core.NormalPredicate(u)),
+						sim.WithShards(shards), sim.WithStepHook(hook)}
+					if churned {
+						inj, err := churn.NewInjector(sched, comp, u, net, rand.New(rand.NewSource(4)))
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						opts = append(opts, sim.WithInjector(inj))
+					}
+					return sim.NewEngine(net, comp, d).Run(start, opts...), steps
+				}
+				fast, fastSteps := run(sim.SynchronousDaemon{})
+				sanitized, sanitizedSteps := run(cloningSynchronous{})
+				if !reflect.DeepEqual(fastSteps, sanitizedSteps) {
+					t.Fatalf("%s: hooks saw different activations or rules", label)
+				}
+				if churned && len(fast.Events) != sched.Events {
+					t.Fatalf("%s: %d events fired, want %d", label, len(fast.Events), sched.Events)
+				}
+				if !fast.Final.Equal(sanitized.Final) {
+					t.Fatalf("%s: final configurations differ", label)
+				}
+				fast.Final, sanitized.Final = nil, nil
+				if !reflect.DeepEqual(fast, sanitized) {
+					t.Fatalf("%s: results differ:\n  fast path %+v\n  sanitized %+v", label, fast, sanitized)
+				}
+			}
+		}
 	}
 }

@@ -111,7 +111,7 @@ func TestLegitimacyEvaluatedOnTouchedOnly(t *testing.T) {
 					marks.set(net.Neighbor(u, i))
 				}
 			}
-			touched += marks.count()
+			touched += len(indices(marks))
 			if marks.get(0) {
 				touchedZero++
 			}

@@ -118,14 +118,11 @@ func (b *BFS) Name() string { return fmt.Sprintf("BFS(root=%d)", b.rootID) }
 // isRoot reports whether the viewed process is the root.
 func (b *BFS) isRoot(v core.InnerView) bool { return v.ID() == b.rootID }
 
-// stateOf extracts a NodeState, panicking on foreign types.
-func stateOf(s sim.State) NodeState {
-	ns, ok := s.(NodeState)
-	if !ok {
-		panic(fmt.Sprintf("spantree: expected NodeState, got %T", s))
-	}
-	return ns
-}
+// stateOf extracts a NodeState. A foreign state type is a wiring mistake,
+// and the bare type assertion panics on it with the runtime's message naming
+// both types; a formatted panic would keep this per-neighbour read from
+// inlining.
+func stateOf(s sim.State) NodeState { return s.(NodeState) }
 
 // resetFor returns the pre-defined state of a process: (0, ⊥) for the root,
 // (maxDist, ⊥) for every other process.

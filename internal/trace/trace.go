@@ -75,10 +75,12 @@ func (r *Recorder) Events() []Event { return r.events }
 // Truncated reports whether events were dropped at the maxEvents cap.
 func (r *Recorder) Truncated() bool { return r.truncated }
 
-// maxListedProcesses is the largest process count for which Summary lists
+// MaxListedProcesses is the largest process count for which Summary lists
 // the moves of every process; a larger run gets one line with the minimum,
-// mean and maximum instead, so the report stays readable at any n.
-const maxListedProcesses = 64
+// mean and maximum instead, so the report stays readable at any n. The
+// algorithm reports of package scenario summarise their outputs above the
+// same count.
+const MaxListedProcesses = 64
 
 // Summary renders the move counters of the run's result as a human-readable
 // block.
@@ -96,7 +98,7 @@ func Summary(res sim.Result) string {
 		fmt.Fprintf(&b, "  %-12s %d\n", name, res.MovesPerRule[name])
 	}
 
-	if moves := res.MovesPerProcess; len(moves) > maxListedProcesses {
+	if moves := res.MovesPerProcess; len(moves) > MaxListedProcesses {
 		total, hi := 0, slices.Max(moves)
 		for _, m := range moves {
 			total += m

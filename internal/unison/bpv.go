@@ -154,13 +154,10 @@ func (b *BPV) Rules() []sim.Rule {
 	}
 }
 
-func bpvClock(s sim.State) int {
-	cs, ok := s.(BPVState)
-	if !ok {
-		panic(fmt.Sprintf("unison: expected BPVState, got %T", s))
-	}
-	return cs.R
-}
+// bpvClock extracts a BPV register value. Like clockOf it is a bare type
+// assertion, which panics on a foreign state type with the runtime's message
+// naming both types and keeps the per-neighbour read inlinable.
+func bpvClock(s sim.State) int { return s.(BPVState).R }
 
 // phi is the increment function on the tailed ring: tail values move towards
 // 0, ring values wrap modulo K.

@@ -69,6 +69,20 @@ func MaxDrift(u *Unison, net *sim.Network, c *sim.Configuration) int {
 	return maxDrift
 }
 
+// Clocks extracts the per-process clock values from a configuration of U or
+// of U ∘ SDR.
+func Clocks(c *sim.Configuration) []int {
+	out := make([]int, c.N())
+	for u := range out {
+		s := c.State(u)
+		if cs, ok := s.(core.ComposedState); ok {
+			s = cs.Inner
+		}
+		out[u] = clockOf(s)
+	}
+	return out
+}
+
 // TickCounter counts, per process, the number of clock increments (executions
 // of the tick rule) observed through a step hook. It is used to check the
 // liveness part of the unison specification on finite run prefixes.

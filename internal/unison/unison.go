@@ -89,15 +89,11 @@ func (u *Unison) IsReset(_ int, _ *sim.Network, inner sim.State) bool {
 	return ok && s.C == 0
 }
 
-// clockOf extracts a clock value, panicking on foreign state types so that
-// wiring mistakes surface immediately.
-func clockOf(s sim.State) int {
-	cs, ok := s.(ClockState)
-	if !ok {
-		panic(fmt.Sprintf("unison: expected ClockState, got %T", s))
-	}
-	return cs.C
-}
+// clockOf extracts a clock value. A foreign state type is a wiring mistake,
+// and the bare type assertion panics on it with the runtime's message naming
+// both types; a formatted panic would keep this per-neighbour read from
+// inlining.
+func clockOf(s sim.State) int { return s.(ClockState).C }
 
 // ok is P_Ok(u, v) ≡ c_v ∈ {(c_u-1)%K, c_u, (c_u+1)%K}. Clocks are always
 // in [0, K) — they start and reset at 0, tick modulo K, and every other
@@ -127,9 +123,10 @@ func (u *Unison) ICorrect(v core.InnerView) bool {
 // increment late with respect to every neighbour, so it may tick.
 func (u *Unison) pUp(v core.InnerView) bool {
 	cu := clockOf(v.Self())
+	next := u.tick(cu)
 	for i := 0; i < v.Degree(); i++ {
 		cv := clockOf(v.Neighbor(i))
-		if cv != cu && cv != mod(cu+1, u.k) {
+		if cv != cu && cv != next {
 			return false
 		}
 	}
@@ -140,7 +137,7 @@ func (u *Unison) pUp(v core.InnerView) bool {
 // for P_ICorrect(u) and P_Up(u) for the tick rule together.
 func (u *Unison) Decide(v core.InnerView) (correct bool, rule int) {
 	cu := clockOf(v.Self())
-	next := mod(cu+1, u.k)
+	next := u.tick(cu)
 	up := true
 	for i, deg := 0, v.Degree(); i < deg; i++ {
 		cv := clockOf(v.Neighbor(i))
@@ -169,7 +166,7 @@ func (u *Unison) InnerRules() []core.InnerRule {
 			return v.Clean() && u.pUp(v)
 		},
 		Action: func(v core.InnerView) sim.State {
-			c := mod(clockOf(v.Self())+1, u.k)
+			c := u.tick(clockOf(v.Self()))
 			if c < 256 {
 				// Go boxes 8-byte values below 256 without allocating.
 				return ClockState{C: c}
@@ -186,6 +183,17 @@ func (u *Unison) InnerStateCount(int, *sim.Network) int { return u.k }
 // increasing order.
 func (u *Unison) InnerStateAt(_ int, _ *sim.Network, i int) sim.State {
 	return ClockState{C: i}
+}
+
+// tick returns (c+1) % K for a clock c in [0, K) (see ok) by compare and
+// wrap: it runs once per guard evaluation and per tick, where an integer
+// division is a large share of the whole neighbour scan of a low-degree
+// process.
+func (u *Unison) tick(c int) int {
+	if c++; c == u.k {
+		return 0
+	}
+	return c
 }
 
 // mod returns x modulo k in [0, k).
