@@ -191,7 +191,7 @@ func run(args []string, out io.Writer) error {
 			Sizes:      cfg.Sizes,
 			Seed:       cfg.Seed,
 		}
-		table, err := bench.RunVerify(sw, bench.VerifyConfig{
+		table, err := bench.RunVerify(sw, scenario.VerifyOptions{
 			Starts:            *vStarts,
 			MaxConfigurations: *vMaxConfig,
 			MaxSelectionSize:  *vMaxSel,

@@ -9,26 +9,6 @@ import (
 	"sdr/internal/scenario"
 )
 
-// VerifyConfig sizes an exhaustive verification sweep: how many seeded
-// starts each cell explores from and how the exploration is bounded. The
-// zero value takes the scenario defaults (1 start, checker configuration
-// cap, exact selections, sequential exploration).
-type VerifyConfig struct {
-	// Starts is the number of seeded corrupted starts per cell.
-	Starts int
-	// MaxConfigurations caps each cell's explored set (0 = checker default).
-	MaxConfigurations int
-	// MaxSelectionSize caps the daemon selections branched on (0 = exact,
-	// exponential in the enabled-set size; k certifies daemons activating at
-	// most k processes per step).
-	MaxSelectionSize int
-	// Workers bounds each exploration's worker pool; verdicts are
-	// bit-identical for every value. ≤ 0 splits RunVerify's parallelism
-	// budget between the cell grid and the per-cell explorations, so the
-	// total worker count stays near the budget instead of multiplying.
-	Workers int
-}
-
 // RunVerify sweeps exhaustive verification over an algorithm × topology ×
 // size × fault grid: every cell is certified by checker.Explore through
 // scenario's Run.Verify instead of sampled by the engine — the -verify mode
@@ -37,9 +17,15 @@ type VerifyConfig struct {
 // a single entry; cells whose algorithm cannot run on the resolved topology
 // are reported as skipped. A cell whose exploration finds a property
 // violation (a cycle avoiding the legitimate set, an illegitimate terminal
-// configuration) or cannot cover the reachable space within the
-// configuration cap counts as a violation.
-func RunVerify(sw scenario.Sweep, vc VerifyConfig, parallel int) (Table, error) {
+// configuration, a process where the engine's rule choice differs from the
+// guards) or cannot cover the reachable space within the configuration cap
+// counts as a violation.
+//
+// The zero VerifyOptions take the scenario defaults (1 start, checker
+// configuration cap, exact selections). Workers ≤ 0 splits the parallelism
+// budget between the cell grid and the per-cell explorations, so the total
+// worker count stays near the budget instead of multiplying.
+func RunVerify(sw scenario.Sweep, vo scenario.VerifyOptions, parallel int) (Table, error) {
 	if len(sw.Daemons) == 0 {
 		sw.Daemons = []string{"synchronous"}
 	}
@@ -48,28 +34,24 @@ func RunVerify(sw scenario.Sweep, vc VerifyConfig, parallel int) (Table, error) 
 		return Table{}, err
 	}
 	selections := "exact"
-	if vc.MaxSelectionSize > 0 {
-		selections = fmt.Sprintf("≤%d", vc.MaxSelectionSize)
+	if vo.MaxSelectionSize > 0 {
+		selections = fmt.Sprintf("≤%d", vo.MaxSelectionSize)
 	}
-	starts := vc.Starts
-	if starts < 1 {
-		starts = 1
-	}
+	vo.Starts = max(vo.Starts, 1)
 	t := Table{
 		ID: "VERIFY",
 		Title: fmt.Sprintf("exhaustive convergence certification (%d starts per cell, selections %s, base seed %d)",
-			starts, selections, sw.Seed),
+			vo.Starts, selections, sw.Seed),
 		Columns: []string{"algorithm", "topology", "n", "fault", "configs", "transitions", "depth", "terminal", "legit", "verdict"},
 	}
 	cells := sw.Cells()
-	workers := vc.Workers
-	if workers <= 0 {
+	if vo.Workers <= 0 {
 		// Split the parallelism budget between the cell grid and the
 		// explorations inside each cell: parallel cells each get
 		// parallel/#grid-workers exploration workers, so the total stays
 		// near `parallel` instead of multiplying to parallel².
 		gridWorkers := min(parallel, max(len(cells), 1))
-		workers = max(1, parallel/max(gridWorkers, 1))
+		vo.Workers = max(1, parallel/max(gridWorkers, 1))
 	}
 	type cellResult struct {
 		report  checker.ExploreReport
@@ -83,12 +65,7 @@ func RunVerify(sw scenario.Sweep, vc VerifyConfig, parallel int) (Table, error) 
 		if err != nil {
 			return cellResult{skipped: errors.Is(err, scenario.ErrUnsatisfiable), err: err}
 		}
-		report, err := run.Verify(scenario.VerifyOptions{
-			Starts:            starts,
-			MaxConfigurations: vc.MaxConfigurations,
-			MaxSelectionSize:  vc.MaxSelectionSize,
-			Workers:           workers,
-		})
+		report, err := run.Verify(vo)
 		switch {
 		case err != nil && errors.Is(err, scenario.ErrUnverifiable):
 			return cellResult{err: err}
@@ -129,7 +106,7 @@ func RunVerify(sw scenario.Sweep, vc VerifyConfig, parallel int) (Table, error) 
 	}
 	if cappedCells > 0 {
 		t.AddNote("%d cell(s) branched on capped selections: their verdicts certify convergence under every daemon activating ≤%d processes per step (set the cap to 0 for the fully distributed daemon, at exponential cost)",
-			cappedCells, vc.MaxSelectionSize)
+			cappedCells, vo.MaxSelectionSize)
 	}
 	return t, nil
 }

@@ -19,7 +19,7 @@ func verifyTestSweep() scenario.Sweep {
 }
 
 func TestRunVerifyCertifiesGrid(t *testing.T) {
-	table, err := RunVerify(verifyTestSweep(), VerifyConfig{Starts: 3, MaxSelectionSize: 1, Workers: 2}, 1)
+	table, err := RunVerify(verifyTestSweep(), scenario.VerifyOptions{Starts: 3, MaxSelectionSize: 1, Workers: 2}, 1)
 	if err != nil {
 		t.Fatalf("RunVerify: %v", err)
 	}
@@ -43,11 +43,11 @@ func TestRunVerifyCertifiesGrid(t *testing.T) {
 // is bit-identical whether the cells and explorations run sequentially or
 // fanned out over worker pools.
 func TestRunVerifyParallelDeterministic(t *testing.T) {
-	sequential, err := RunVerify(verifyTestSweep(), VerifyConfig{Starts: 3, MaxSelectionSize: 1, Workers: 1}, 1)
+	sequential, err := RunVerify(verifyTestSweep(), scenario.VerifyOptions{Starts: 3, MaxSelectionSize: 1, Workers: 1}, 1)
 	if err != nil {
 		t.Fatalf("sequential RunVerify: %v", err)
 	}
-	parallel, err := RunVerify(verifyTestSweep(), VerifyConfig{Starts: 3, MaxSelectionSize: 1, Workers: 6}, 4)
+	parallel, err := RunVerify(verifyTestSweep(), scenario.VerifyOptions{Starts: 3, MaxSelectionSize: 1, Workers: 6}, 4)
 	if err != nil {
 		t.Fatalf("parallel RunVerify: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestRunVerifySkipsUnsatisfiableCells(t *testing.T) {
 		Sizes:      []int{5},
 		Seed:       1,
 	}
-	table, err := RunVerify(sw, VerifyConfig{Starts: 2, MaxSelectionSize: 1}, 1)
+	table, err := RunVerify(sw, scenario.VerifyOptions{Starts: 2, MaxSelectionSize: 1}, 1)
 	if err != nil {
 		t.Fatalf("RunVerify: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestRunVerifyReportsTruncation(t *testing.T) {
 	sw := verifyTestSweep()
 	sw.Algorithms = []string{"unison"}
 	sw.Sizes = []int{5}
-	table, err := RunVerify(sw, VerifyConfig{Starts: 3, MaxSelectionSize: 1, MaxConfigurations: 20}, 1)
+	table, err := RunVerify(sw, scenario.VerifyOptions{Starts: 3, MaxSelectionSize: 1, MaxConfigurations: 20}, 1)
 	if err != nil {
 		t.Fatalf("RunVerify: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestRunVerifyReportsTruncation(t *testing.T) {
 func TestRunVerifyRejectsUnverifiableAlgorithm(t *testing.T) {
 	sw := verifyTestSweep()
 	sw.Algorithms = []string{"unison-standalone"}
-	if _, err := RunVerify(sw, VerifyConfig{}, 1); err == nil {
+	if _, err := RunVerify(sw, scenario.VerifyOptions{}, 1); err == nil {
 		t.Error("an algorithm without a legitimacy predicate must fail the verify sweep")
 	}
 }

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"strings"
 	"testing"
 
 	"sdr/internal/graph"
@@ -132,10 +133,6 @@ func TestExploreConvergence(t *testing.T) {
 	}
 	report, err := Explore(net, alg, starts, ExploreOptions{
 		Legitimate: allAtCap(2, g.N()),
-		Invariant: func(c *sim.Configuration) bool {
-			return c.State(0).(counterState).V <= 2 && c.State(1).(counterState).V <= 2
-		},
-		TerminalOK: allAtCap(2, g.N()),
 	})
 	if err != nil {
 		t.Fatalf("exploration failed: %v", err)
@@ -182,18 +179,44 @@ func TestExploreDetectsIllegitimateTerminal(t *testing.T) {
 	}
 }
 
-func TestExploreInvariantViolation(t *testing.T) {
+// skipAtOneAlg is counterAlg with a RuleIndexer that disagrees with the
+// guards at one reachable view: it reports process 1 disabled whenever its
+// counter is 1, where the inc guard may hold.
+type skipAtOneAlg struct{ counterAlg }
+
+func (a skipAtOneAlg) FirstEnabled(v sim.View) int {
+	if v.Process() == 1 && v.Self().(counterState).V == 1 {
+		return -1
+	}
+	if a.Rules()[0].Guard(v) {
+		return 0
+	}
+	return -1
+}
+
+var _ sim.RuleIndexer = skipAtOneAlg{}
+
+// TestExploreRefutesIndexerDisagreement pins that Explore checks the engine's
+// decision path against the guards: an indexer that skips a guard-enabled
+// rule at one reachable configuration is refuted, naming the process and
+// both rule indices, even though the guards alone converge.
+func TestExploreRefutesIndexerDisagreement(t *testing.T) {
 	g := graph.Path(2)
 	net := sim.NewNetwork(g)
-	alg := counterAlg{cap: 2}
-	starts := []*sim.Configuration{sim.InitialConfiguration(alg, net)}
-	_, err := Explore(net, alg, starts, ExploreOptions{
-		Invariant: func(c *sim.Configuration) bool {
-			return c.State(0).(counterState).V == 0
-		},
-	})
+	starts := []*sim.Configuration{sim.NewConfiguration([]sim.State{counterState{V: 0}, counterState{V: 0}})}
+	opts := ExploreOptions{Legitimate: allAtCap(2, g.N())}
+	if _, err := Explore(net, counterAlg{cap: 2}, starts, opts); err != nil {
+		t.Fatalf("the guards alone converge, got %v", err)
+	}
+	report, err := Explore(net, skipAtOneAlg{counterAlg{cap: 2}}, starts, opts)
 	if err == nil {
-		t.Error("a reachable invariant violation must be reported")
+		t.Fatal("an indexer disagreeing with the guards must be refuted")
+	}
+	if want := "checker: process 1: engine picks rule -1, guards 0 in "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q, want prefix %q", err, want)
+	}
+	if report.Complete {
+		t.Error("an aborted exploration must not be reported complete")
 	}
 }
 

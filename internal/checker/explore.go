@@ -23,19 +23,15 @@ type ExploreOptions struct {
 	MaxSelectionSize int
 	// Legitimate is the legitimacy predicate. Legitimate configurations are
 	// not required to be terminal; convergence means every cycle of the
-	// reachable transition graph goes through a legitimate configuration.
+	// reachable transition graph goes through a legitimate configuration and
+	// every reachable terminal configuration is legitimate.
 	Legitimate sim.Predicate
-	// Invariant, when non-nil, must hold in every reachable configuration.
-	Invariant sim.Predicate
-	// TerminalOK, when non-nil, must hold in every reachable terminal
-	// configuration.
-	TerminalOK sim.Predicate
 	// Workers bounds the number of goroutines expanding the BFS frontier;
 	// values ≤ 1 explore sequentially. The frontier is expanded level by
 	// level and merged in deterministic order, so reports and verdicts are
 	// bit-identical for every worker count. With Workers > 1 the algorithm's
-	// rule guards/actions and the Legitimate/Invariant/TerminalOK predicates
-	// are evaluated from multiple goroutines and must be safe for concurrent
+	// rule guards, indexer and actions and the Legitimate predicate are
+	// evaluated from multiple goroutines and must be safe for concurrent
 	// use — pure functions of the configuration, as every algorithm and
 	// predicate in this repository is.
 	Workers int
@@ -53,9 +49,9 @@ type ExploreReport struct {
 	Transitions int
 	// Complete reports whether the whole reachable space was explored (false
 	// when MaxConfigurations was hit, or when the exploration aborted on a
-	// mid-exploration violation; a post-exploration verdict error — an
-	// illegitimate cycle or terminal — leaves Complete true, since the space
-	// was fully covered).
+	// mid-exploration violation; the post-exploration verdict error — an
+	// illegitimate cycle — leaves Complete true, since the space was fully
+	// covered).
 	Complete bool
 	// Depth is the number of fully expanded BFS levels: after Depth levels,
 	// every configuration within Depth-1 daemon steps of a start has been
@@ -94,29 +90,45 @@ type expansion struct {
 	succs    []succ
 }
 
+// scratch holds one expanding goroutine's reusable buffers: the enabled
+// processes, one process's enabled rules, the rule each process executes
+// when selected, the selection enumeration's positions and the key bytes.
+type scratch struct {
+	enabled, rules, ruleOf, sel []int
+	key                         []byte
+}
+
 // Explore exhaustively explores the configurations reachable from the given
 // starting configurations under every daemon choice (every non-empty subset
-// of the enabled set, capped by MaxSelectionSize) and verifies:
+// of the enabled set, capped by MaxSelectionSize). At every expanded
+// configuration it checks each process's rules:
 //
-//   - Invariant holds everywhere (when provided);
-//   - TerminalOK holds at every terminal configuration (when provided);
-//   - when Legitimate is provided, there is no cycle consisting solely of
-//     illegitimate configurations, and no illegitimate terminal
-//     configuration — together these imply that every execution reaches the
-//     legitimate set, i.e. convergence under the distributed unfair daemon
-//     restricted to the explored space (and to daemons activating at most
-//     MaxSelectionSize processes per step when a cap is set).
+//   - the rule Guards, the paper's specification, give the enabled set and
+//     the rule each process executes, so the exploration branches on the
+//     paper's rules;
+//   - at most one Guard holds per process: the rules must be pairwise
+//     mutually exclusive, which is the case for SDR compositions (Lemma 5,
+//     Remark 2), so that a selection determines the step;
+//   - the engine's decision path (sim.Evaluator.FirstEnabledRule, that is
+//     the algorithm's RuleIndexer when it has one) picks the same rule, so a
+//     certified verdict covers the rule choice the engine actually runs.
 //
-// The exploration requires the algorithm's rules to be pairwise mutually
-// exclusive per process (at most one enabled rule per process), which is the
-// case for SDR compositions (Lemma 5, Remark 2); it returns an error
-// otherwise so that results are never silently unsound.
+// A process with more than one enabled Guard, or whose engine choice differs
+// from its Guards, stops the exploration with an error naming the process
+// and the configuration, so results are never silently unsound. When Legitimate
+// is provided, Explore also verifies that no reachable terminal
+// configuration is illegitimate (checked when it is expanded) and that there
+// is no cycle consisting solely of illegitimate configurations — together
+// these imply that every execution reaches the legitimate set, i.e.
+// convergence under the distributed unfair daemon restricted to the explored
+// space (and to daemons activating at most MaxSelectionSize processes per
+// step when a cap is set).
 //
-// The frontier is expanded level by level: with Workers > 1 the guard
-// evaluation, successor construction and key interning of one level are
-// fanned out over a bounded worker pool, and the results are merged
-// sequentially in frontier order, so every report, verdict and error is
-// bit-identical to the sequential exploration.
+// The frontier is expanded level by level: with Workers > 1 the rule checks,
+// successor construction and key interning of one level are fanned out over
+// a bounded worker pool, and the results are merged sequentially in frontier
+// order, so every report, verdict and error is bit-identical to the
+// sequential exploration.
 func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, opts ExploreOptions) (ExploreReport, error) {
 	report := ExploreReport{Complete: true}
 	maxConfigs := opts.MaxConfigurations
@@ -131,29 +143,14 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 	// The interner maps each distinct local state to a small integer once, so
 	// visited keys are a few bytes per process instead of full rendered state
 	// strings; its id table is internally synchronised, so workers intern
-	// concurrently through AppendKey with per-worker buffers. Guard
-	// evaluation goes through a single Evaluator shared with the engine's
-	// code path, so the rule set is fetched once for the whole exploration;
-	// the Evaluator is immutable and shared by all workers.
-	//
-	// On top of it, each worker owns a MemoEvaluator: distinct configurations
-	// share most of their local neighbourhoods, so exploration re-asks the
-	// same (neighbourhood → enabled rules) questions constantly, and the memo
-	// tables answer repeats with a map probe instead of a guard scan. The
-	// share's interner doubles as the configuration-key interner, so both key
-	// spaces use the same state ids. Memoized masks are pure functions of the
-	// neighbourhood, so reports, verdicts and errors are unchanged — the
-	// per-worker-count bit-identity guarantee is unaffected. Algorithms whose
-	// rule set cannot be memoized (nil MemoEvaluator) fall back to the direct
-	// evaluator.
-	share := sim.NewMemoShare(0)
-	interner := share.Interner()
+	// concurrently through AppendKey with their own buffers. Rule checks go
+	// through one Evaluator, the engine's own code path, shared read-only by
+	// all workers.
+	interner := sim.NewKeyInterner()
 	ev := sim.NewEvaluator(alg, net)
-	newMemo := func() *sim.MemoEvaluator { return sim.NewMemoEvaluator(ev, share) }
 	visited := make(map[string]int)
 	var configs []*sim.Configuration
 	var succs [][]int
-	var terminal []bool
 	var legit []bool
 	truncated := false
 
@@ -173,7 +170,6 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 		visited[key] = idx
 		configs = append(configs, c)
 		succs = append(succs, nil)
-		terminal = append(terminal, false)
 		legit = append(legit, isLegit)
 		return idx, true, true
 	}
@@ -211,58 +207,46 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 		}
 	}
 
-	// expand computes the full expansion of one configuration: predicate
-	// checks, terminal detection, the mutual-exclusion sanity check and every
+	// expand computes the full expansion of one configuration: the rule
+	// checks of every process, terminal detection and every
 	// capped-selection successor with its interned key. It reads only
-	// immutable shared state (configs of already-merged levels, the network,
-	// the evaluator) plus the caller-owned scratch buffers, so the frontier
-	// can be expanded concurrently.
-	expand := func(idx int, memo *sim.MemoEvaluator, enabledBuf, rulesBuf, selScratch []int, buf []byte) (expansion, []int, []int, []int, []byte) {
+	// immutable shared state (configs and legitimacy of already-merged
+	// levels, the network, the evaluator) plus the caller-owned scratch, so
+	// the frontier can be expanded concurrently.
+	expand := func(idx int, sc *scratch) expansion {
 		c := configs[idx]
 		var ex expansion
-
-		if opts.Invariant != nil && !opts.Invariant(c) {
-			ex.err = fmt.Errorf("checker: invariant violated in reachable configuration %s", c)
-			return ex, enabledBuf, rulesBuf, selScratch, buf
+		sc.enabled = sc.enabled[:0]
+		for u := range sc.ruleOf {
+			sc.rules = ev.AppendEnabledRules(sc.rules[:0], c, u)
+			if len(sc.rules) > 1 {
+				ex.err = fmt.Errorf("checker: process %d has %d enabled rules in %s; exploration requires mutually exclusive rules", u, len(sc.rules), c)
+				return ex
+			}
+			rule := -1
+			if len(sc.rules) == 1 {
+				rule = sc.rules[0]
+				sc.enabled = append(sc.enabled, u)
+			}
+			if engine := ev.FirstEnabledRule(c, u); engine != rule {
+				ex.err = fmt.Errorf("checker: process %d: engine picks rule %d, guards %d in %s", u, engine, rule, c)
+				return ex
+			}
+			sc.ruleOf[u] = rule
 		}
-
-		// Every expansion looks at a different configuration, so the memo's
-		// per-process state-id mirror is revalidated wholesale; the tables
-		// themselves carry over (the exploration's whole point).
-		var enabled []int
-		if memo != nil {
-			memo.InvalidateAll()
-			enabled = memo.AppendEnabled(enabledBuf[:0], c)
-		} else {
-			enabled = ev.AppendEnabled(enabledBuf[:0], c)
-		}
-		enabledBuf = enabled
-		if len(enabled) == 0 {
+		if len(sc.enabled) == 0 {
 			ex.terminal = true
-			if opts.TerminalOK != nil && !opts.TerminalOK(c) {
-				ex.err = fmt.Errorf("checker: terminal configuration violates the terminal predicate: %s", c)
+			if opts.Legitimate != nil && !legit[idx] {
+				ex.err = fmt.Errorf("checker: illegitimate terminal configuration %s", c)
 			}
-			return ex, enabledBuf, rulesBuf, selScratch, buf
+			return ex
 		}
 
-		// Mutual-exclusion sanity check: at most one rule enabled per process.
-		for _, u := range enabled {
-			if memo != nil {
-				rulesBuf = memo.AppendEnabledRules(rulesBuf[:0], c, u)
-			} else {
-				rulesBuf = ev.AppendEnabledRules(rulesBuf[:0], c, u)
-			}
-			if len(rulesBuf) > 1 {
-				ex.err = fmt.Errorf("checker: process %d has %d enabled rules in %s; exploration requires mutually exclusive rules", u, len(rulesBuf), c)
-				return ex, enabledBuf, rulesBuf, selScratch, buf
-			}
-		}
-
-		ex.capped = opts.MaxSelectionSize > 0 && len(enabled) > opts.MaxSelectionSize
-		selScratch = forEachSelection(enabled, opts.MaxSelectionSize, selScratch, func(sel []int) {
-			next := applyStep(ev, memo, c, sel)
+		ex.capped = opts.MaxSelectionSize > 0 && len(sc.enabled) > opts.MaxSelectionSize
+		sc.sel = forEachSelection(sc.enabled, opts.MaxSelectionSize, sc.sel, func(sel []int) {
+			next := applyStep(ev, c, sel, sc.ruleOf)
 			var key string
-			key, buf = interner.AppendKey(buf, next)
+			key, sc.key = interner.AppendKey(sc.key, next)
 			s := succ{key: key, cfg: next, idx: -1}
 			if prev, ok := visited[key]; ok {
 				// Already merged in an earlier level; the merge phase skips
@@ -274,16 +258,12 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 			}
 			ex.succs = append(ex.succs, s)
 		})
-		return ex, enabledBuf, rulesBuf, selScratch, buf
+		return ex
 	}
 
-	// One memo evaluator per potential worker, created once so the tables
-	// accumulate across BFS levels (evaluator 0 doubles as the sequential
-	// path's). A MemoEvaluator is single-goroutine state; only the share
-	// behind them is synchronised.
-	memos := make([]*sim.MemoEvaluator, workers)
-	for i := range memos {
-		memos[i] = newMemo()
+	scratches := make([]scratch, workers)
+	for i := range scratches {
+		scratches[i].ruleOf = make([]int, net.N())
 	}
 
 	expansions := make([]expansion, 0, len(queue))
@@ -296,26 +276,21 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 		expansions = expansions[:len(level)]
 
 		if w := min(workers, len(level)); w <= 1 {
-			var enabledBuf, rulesBuf, selScratch []int
 			for i, idx := range level {
-				expansions[i], enabledBuf, rulesBuf, selScratch, keyBuf =
-					expand(idx, memos[0], enabledBuf, rulesBuf, selScratch, keyBuf)
+				expansions[i] = expand(idx, &scratches[0])
 			}
 		} else {
 			// Fan the level out over the worker pool, strided so assignment
 			// needs no coordination. Workers only read already-merged shared
-			// state; each owns its scratch buffers and memo evaluator, and the
-			// interner is internally synchronised.
+			// state; each owns its scratch, and the interner is internally
+			// synchronised.
 			var wg sync.WaitGroup
 			for g := 0; g < w; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					var enabledBuf, rulesBuf, selScratch []int
-					var buf []byte
 					for i := g; i < len(level); i += w {
-						expansions[i], enabledBuf, rulesBuf, selScratch, buf =
-							expand(level[i], memos[g], enabledBuf, rulesBuf, selScratch, buf)
+						expansions[i] = expand(level[i], &scratches[g])
 					}
 				}(g)
 			}
@@ -335,7 +310,6 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 				finalize(false)
 				return report, ex.err
 			}
-			terminal[idx] = ex.terminal
 			if ex.terminal {
 				report.TerminalConfigurations++
 				continue
@@ -378,12 +352,6 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 	if opts.Legitimate != nil && report.Complete {
 		if cycleNode := findIllegitimateCycle(succs, legit); cycleNode >= 0 {
 			return report, fmt.Errorf("checker: cycle of illegitimate configurations through %s — the algorithm can avoid the legitimate set forever", configs[cycleNode])
-		}
-		// Illegitimate terminal configurations.
-		for idx, c := range configs {
-			if terminal[idx] && !legit[idx] {
-				return report, fmt.Errorf("checker: illegitimate terminal configuration %s", c)
-			}
 		}
 	}
 	return report, nil
@@ -437,10 +405,8 @@ func forEachSelection(enabled []int, maxSize int, scratch []int, fn func(sel []i
 }
 
 // applyStep applies a composite-atomicity step in which exactly the selected
-// processes execute their (single) enabled rule. With a memo evaluator, the
-// rule is read from the cached mask (the caller has just synchronised the
-// memo against c); the action itself always evaluates directly.
-func applyStep(ev *sim.Evaluator, memo *sim.MemoEvaluator, c *sim.Configuration, selected []int) *sim.Configuration {
+// processes execute their (single) enabled rule, ruleOf[u] for process u.
+func applyStep(ev *sim.Evaluator, c *sim.Configuration, selected, ruleOf []int) *sim.Configuration {
 	states := make([]sim.State, c.N())
 	for u := 0; u < c.N(); u++ {
 		states[u] = c.State(u)
@@ -448,19 +414,7 @@ func applyStep(ev *sim.Evaluator, memo *sim.MemoEvaluator, c *sim.Configuration,
 	next := sim.NewConfiguration(states)
 	net, rules := ev.Network(), ev.Rules()
 	for _, u := range selected {
-		if memo != nil {
-			if ri := memo.FirstEnabledRule(c, u); ri >= 0 {
-				next.SetState(u, rules[ri].Action(net.View(c, u)))
-			}
-			continue
-		}
-		v := net.View(c, u)
-		for i := range rules {
-			if rules[i].Guard(v) {
-				next.SetState(u, rules[i].Action(v))
-				break
-			}
-		}
+		next.SetState(u, rules[ruleOf[u]].Action(net.View(c, u)))
 	}
 	return next
 }

@@ -184,16 +184,6 @@ func (o *Observer) AliveRootViolations() int { return max(o.worstViolations, o.v
 // fault-free stretch observed so far. It is 0 before any step or priming.
 func (o *Observer) Segments() int { return max(o.worstSegments, o.segments) }
 
-// SDRMovesPerProcess returns, for each process, the largest number of
-// SDR-rule moves it executed within one fault-free stretch.
-func (o *Observer) SDRMovesPerProcess() []int {
-	out := make([]int, len(o.sdrMoves))
-	for u, m := range o.sdrMoves {
-		out[u] = max(o.worstSDRMoves[u], m)
-	}
-	return out
-}
-
 // MaxSDRMoves returns the largest number of SDR-rule moves any single
 // process executed within one fault-free stretch (to compare against the
 // 3n+3 bound of Corollary 4).

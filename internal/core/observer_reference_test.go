@@ -133,6 +133,17 @@ func (o *ReferenceObserver) AliveRootViolations() int { return o.aliveRootViolat
 // Segments returns the number of segments observed so far.
 func (o *ReferenceObserver) Segments() int { return o.segments }
 
+// SDRMovesPerProcess returns, for each process, the largest number of
+// SDR-rule moves it executed within one fault-free stretch; the tests
+// compare it with the reference observer's count.
+func (o *Observer) SDRMovesPerProcess() []int {
+	out := make([]int, len(o.sdrMoves))
+	for u, m := range o.sdrMoves {
+		out[u] = max(o.worstSDRMoves[u], m)
+	}
+	return out
+}
+
 // SDRMovesPerProcess returns the number of SDR-rule moves of each process.
 func (o *ReferenceObserver) SDRMovesPerProcess() []int {
 	return append([]int(nil), o.sdrMovesPerProcess...)

@@ -64,16 +64,6 @@ func (iv InnerView) Clean() bool {
 	return true
 }
 
-// AnyNeighbor reports whether some neighbour's inner state satisfies pred.
-func (iv InnerView) AnyNeighbor(pred func(sim.State) bool) bool {
-	for i := 0; i < iv.Degree(); i++ {
-		if pred(iv.Neighbor(i)) {
-			return true
-		}
-	}
-	return false
-}
-
 // AllNeighbors reports whether every neighbour's inner state satisfies pred.
 func (iv InnerView) AllNeighbors(pred func(sim.State) bool) bool {
 	for i := 0; i < iv.Degree(); i++ {

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// Eccentricity returns the eccentricity of u: the maximum distance from u to
+// any other node. It returns -1 when the graph is disconnected.
+func (g *Graph) Eccentricity(u int) int {
+	ecc := 0
+	for _, d := range g.BFS(u) {
+		if d < 0 {
+			return -1
+		}
+		ecc = max(ecc, d)
+	}
+	return ecc
+}
+
 // allPairsDiameter is the definition Diameter must match: the largest
 // eccentricity, from one BFS per node, or -1 when the graph is disconnected.
 func allPairsDiameter(g *Graph) int {

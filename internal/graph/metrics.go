@@ -33,21 +33,6 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
-// Eccentricity returns the eccentricity of u: the maximum distance from u to
-// any other node. It returns -1 when the graph is disconnected.
-func (g *Graph) Eccentricity(u int) int {
-	ecc := 0
-	for _, d := range g.BFS(u) {
-		if d < 0 {
-			return -1
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
 // Diameter returns D, the maximum distance between any pair of nodes.
 // It returns -1 when the graph is disconnected and 0 for a single node.
 //

@@ -271,8 +271,9 @@ func init() {
 }
 
 // unisonReport decides the unison outcome; its lines show the final clock
-// configuration, or above trace.MaxListedProcesses its clock range, the
-// number of distinct clocks and the configuration's digest.
+// configuration, or above trace.MaxListedProcesses the shortest circular arc
+// of clocks modulo K that holds every clock, the number of distinct clocks
+// and the configuration's digest.
 func unisonReport(r *Run, res sim.Result) Report {
 	ok := true
 	if r.Legitimate != nil {
@@ -283,14 +284,32 @@ func unisonReport(r *Run, res sim.Result) Report {
 			if !summarized(res.Final) {
 				return []string{fmt.Sprintf("final     : %s", res.Final)}
 			}
+			k := periodOf(r.Spec.Params, r.Net.N())
 			clocks := unison.Clocks(res.Final)
 			slices.Sort(clocks)
-			lo, hi := clocks[0], clocks[len(clocks)-1]
-			return []string{fmt.Sprintf("final     : clocks in [%d, %d], %d distinct, %s",
-				lo, hi, len(slices.Compact(clocks)), digest(res.Final))}
+			clocks = slices.Compact(clocks)
+			from, to := clockArc(clocks, k)
+			return []string{fmt.Sprintf("final     : clocks on the arc %d..%d mod %d (span %d), %d distinct, %s",
+				from, to, k, (to-from+k)%k, len(clocks), digest(res.Final))}
 		},
 		OK: ok,
 	}
+}
+
+// clockArc returns the shortest circular arc modulo k, from one clock
+// forward to another, that holds every clock of the sorted distinct list
+// clocks: the complement of the largest gap between circularly adjacent
+// clocks (the first such gap on a tie). Its span is k minus that gap.
+func clockArc(clocks []int, k int) (from, to int) {
+	last := len(clocks) - 1
+	gap := clocks[0] + k - clocks[last] // the gap that wraps from K-1 to 0
+	from, to = clocks[0], clocks[last]
+	for i := 0; i < last; i++ {
+		if g := clocks[i+1] - clocks[i]; g > gap {
+			gap, from, to = g, clocks[i+1], clocks[i]
+		}
+	}
+	return from, to
 }
 
 // bfsReport decides the spanning-tree outcome; its lines show the distance

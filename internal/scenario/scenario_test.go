@@ -9,6 +9,7 @@ import (
 
 	"sdr/internal/obs"
 	"sdr/internal/sim"
+	"sdr/internal/unison"
 )
 
 func TestResolveEveryAlgorithm(t *testing.T) {
@@ -295,5 +296,18 @@ func TestLargeReportsSummarize(t *testing.T) {
 		if !changed.Equal(res.Final) && digest(changed) == want {
 			t.Errorf("%s: digest did not change with process 999's state", name)
 		}
+	}
+
+	// Unison clocks wrap modulo K = 1001: a legitimate configuration that
+	// straddles K−1 and 0 lies on a short arc, not on the range [0, K−1].
+	run := mustResolve(t, Spec{Algorithm: "unison-standalone", Topology: "ring", N: 1000, Daemon: "synchronous", Fault: "none", Seed: 1})
+	states := make([]sim.State, 1000)
+	for u := range states {
+		states[u] = unison.ClockState{C: (999 + min(u, 999-u, 3)) % 1001}
+	}
+	final := sim.NewConfiguration(states)
+	want := "final     : clocks on the arc 999..1 mod 1001 (span 3), 4 distinct, " + digest(final)
+	if got := run.Report(sim.Result{Final: final}).Lines(); len(got) == 0 || got[0] != want {
+		t.Errorf("clocks straddling K-1 and 0: %q, want %q", got, want)
 	}
 }

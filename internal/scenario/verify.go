@@ -67,7 +67,10 @@ func (r *Run) VerifyStarts(count int) ([]*sim.Configuration, error) {
 // Verify exhaustively explores every configuration reachable from the run's
 // seeded starts under every daemon choice (capped by MaxSelectionSize) and
 // certifies convergence to the entry's legitimate set: no reachable cycle of
-// illegitimate configurations and no illegitimate terminal configuration.
+// illegitimate configurations and no illegitimate terminal configuration. At
+// every explored configuration it also checks that the engine's decision
+// path picks the rule the paper's Guards enable (see checker.Explore), so a
+// certified cell covers the rule choices the engine runs.
 // The returned report carries the coverage counters even when verification
 // fails; a nil error together with Report.Complete means the property is
 // certified on the whole reachable space.
@@ -84,15 +87,14 @@ func (r *Run) Verify(opts VerifyOptions) (checker.ExploreReport, error) {
 	if err != nil {
 		return checker.ExploreReport{}, err
 	}
-	legit := sim.AllProcesses(r.Net, r.Legitimate)
+	// Terminal configurations must themselves be legitimate (for SDR
+	// compositions, terminal ⇔ normal, Theorem 1): Explore refutes an
+	// illegitimate one as soon as it expands it, so truncated explorations
+	// check them too.
 	return checker.Explore(r.Net, r.Alg, starts, checker.ExploreOptions{
 		MaxConfigurations: opts.MaxConfigurations,
 		MaxSelectionSize:  opts.MaxSelectionSize,
-		Legitimate:        legit,
-		// Terminal configurations must themselves be legitimate (for SDR
-		// compositions, terminal ⇔ normal, Theorem 1); checking it as a
-		// per-configuration predicate also covers truncated explorations.
-		TerminalOK: legit,
-		Workers:    opts.Workers,
+		Legitimate:        sim.AllProcesses(r.Net, r.Legitimate),
+		Workers:           opts.Workers,
 	})
 }

@@ -94,16 +94,6 @@ func (v View) Process() int { return v.u }
 // their closed neighbourhood.
 func (v View) Network() *Network { return v.net }
 
-// AnyNeighbor reports whether some neighbour state satisfies pred.
-func (v View) AnyNeighbor(pred func(State) bool) bool {
-	for i := 0; i < v.Degree(); i++ {
-		if pred(v.Neighbor(i)) {
-			return true
-		}
-	}
-	return false
-}
-
 // AllNeighbors reports whether every neighbour state satisfies pred.
 func (v View) AllNeighbors(pred func(State) bool) bool {
 	for i := 0; i < v.Degree(); i++ {

@@ -20,8 +20,9 @@ type RuleIndexer interface {
 //
 // FirstEnabledRule, Enabled, AppendEnabled and Terminal go through the
 // algorithm's RuleIndexer when it implements one. AppendEnabledRules always
-// evaluates every Guard, as do the paths that need the full enabled-rule
-// set: the memo's mask fill and the checker's transition enumeration.
+// evaluates every Guard, as does the memo's mask fill. The checker asks both
+// at every process of every explored configuration: the Guards give the
+// rules it branches on, and FirstEnabledRule must pick the first of them.
 type Evaluator struct {
 	net     *Network
 	alg     Algorithm

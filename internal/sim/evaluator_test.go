@@ -8,6 +8,12 @@ import (
 	"sdr/internal/graph"
 )
 
+// Key returns the compact key of c, freshly allocated like AppendKey's.
+func (ki *KeyInterner) Key(c *Configuration) string {
+	key, _ := ki.AppendKey(nil, c)
+	return key
+}
+
 // evaluatorTestSetup builds the max-propagation test algorithm on a ring in
 // a random configuration, so that enabledness varies across processes.
 func evaluatorTestSetup(t *testing.T) (*Network, Algorithm, *Configuration) {

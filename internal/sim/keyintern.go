@@ -22,12 +22,10 @@ import (
 //
 // The id table is internally synchronised: AppendKey may be called from
 // many goroutines (each with its own scratch buffer), which is how the
-// checker's parallel exploration interns frontier successors. Key reuses one
-// internal buffer and is therefore not safe for concurrent use.
+// checker's parallel exploration interns frontier successors.
 type KeyInterner struct {
 	mu  sync.RWMutex
 	ids map[string]uint64
-	buf []byte
 }
 
 // NewKeyInterner returns an empty interner.
@@ -136,15 +134,6 @@ func (ki *KeyInterner) AppendKey(buf []byte, c *Configuration) (string, []byte) 
 		buf = binary.AppendUvarint(buf[:mark], id)
 	}
 	return string(buf), buf
-}
-
-// Key returns the compact key of c using the interner's internal scratch
-// buffer. The returned string is freshly allocated and safe to retain as a
-// map key. Not safe for concurrent use; concurrent callers use AppendKey.
-func (ki *KeyInterner) Key(c *Configuration) string {
-	key, buf := ki.AppendKey(ki.buf, c)
-	ki.buf = buf
-	return key
 }
 
 // States returns the number of distinct local states interned so far.

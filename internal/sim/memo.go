@@ -141,9 +141,6 @@ func newMemoTable(alg string, rules int, identified bool, maxEntries int) *MemoT
 	}
 }
 
-// Entries returns the number of cached neighbourhoods.
-func (t *MemoTable) Entries() int { return t.entries }
-
 // compatible reports whether the table caches the same (algorithm, rule set,
 // identifier mode) the evaluator asks about; a frozen table from a
 // mismatched share is ignored rather than consulted unsoundly.
@@ -247,10 +244,6 @@ func NewMemoShare(maxEntries int) *MemoShare {
 	return &MemoShare{interner: NewKeyInterner(), maxEntries: maxEntries}
 }
 
-// Interner returns the share's state interner, for callers (the checker)
-// that also intern whole-configuration keys and want one id space.
-func (s *MemoShare) Interner() *KeyInterner { return s.interner }
-
 // Frozen returns the published read-only table, or nil before donation.
 func (s *MemoShare) Frozen() *MemoTable { return s.frozen.Load() }
 
@@ -325,9 +318,6 @@ func NewMemoEvaluator(ev *Evaluator, share *MemoShare) *MemoEvaluator {
 	m.local = newMemoTable(alg, len(rules), m.identified, maxEntries)
 	return m
 }
-
-// Evaluator returns the wrapped direct evaluator.
-func (m *MemoEvaluator) Evaluator() *Evaluator { return m.ev }
 
 // Stats returns the lookup counters accumulated so far.
 func (m *MemoEvaluator) Stats() MemoStats { return m.stats }
@@ -466,28 +456,6 @@ func (m *MemoEvaluator) FirstEnabledRule(c *Configuration, u int) int {
 		return -1
 	}
 	return bits.TrailingZeros64(mask)
-}
-
-// AppendEnabledRules appends the indices of the rules enabled at u in c to
-// dst, like Evaluator.AppendEnabledRules.
-func (m *MemoEvaluator) AppendEnabledRules(dst []int, c *Configuration, u int) []int {
-	mask := m.Mask(c, u)
-	for mask != 0 {
-		dst = append(dst, bits.TrailingZeros64(mask))
-		mask &= mask - 1
-	}
-	return dst
-}
-
-// AppendEnabled appends the sorted set of enabled processes in c to dst,
-// like Evaluator.AppendEnabled.
-func (m *MemoEvaluator) AppendEnabled(dst []int, c *Configuration) []int {
-	for u := 0; u < m.net.N(); u++ {
-		if m.Enabled(c, u) {
-			dst = append(dst, u)
-		}
-	}
-	return dst
 }
 
 // Finish donates the run-local table to the share when this run started

@@ -8,6 +8,9 @@ import (
 	"sdr/internal/graph"
 )
 
+// Entries returns the number of cached neighbourhoods.
+func (t *MemoTable) Entries() int { return t.entries }
+
 func TestPackKey(t *testing.T) {
 	if key, ok := packKey([]uint64{5}); !ok || key != 5 {
 		t.Fatalf("single component: key=%d ok=%v, want 5 true", key, ok)
@@ -210,32 +213,9 @@ func TestMemoEvaluatorMatchesEvaluator(t *testing.T) {
 				if got, ref := m.Enabled(c, u), ev.Enabled(c, u); got != ref {
 					t.Fatalf("Enabled(%d) = %v, evaluator %v", u, got, ref)
 				}
-				gotRules := m.AppendEnabledRules(nil, c, u)
-				refRules := ev.AppendEnabledRules(nil, c, u)
-				if len(gotRules) != len(refRules) {
-					t.Fatalf("AppendEnabledRules(%d) = %v, evaluator %v", u, gotRules, refRules)
-				}
-				for i := range gotRules {
-					if gotRules[i] != refRules[i] {
-						t.Fatalf("AppendEnabledRules(%d) = %v, evaluator %v", u, gotRules, refRules)
-					}
-				}
-				first := m.FirstEnabledRule(c, u)
-				if len(refRules) == 0 && first != -1 {
-					t.Fatalf("FirstEnabledRule(%d) = %d on disabled process", u, first)
-				}
-				if len(refRules) > 0 && first != refRules[0] {
-					t.Fatalf("FirstEnabledRule(%d) = %d, want %d", u, first, refRules[0])
-				}
-			}
-			gotSet := m.AppendEnabled(nil, c)
-			refSet := ev.AppendEnabled(nil, c)
-			if len(gotSet) != len(refSet) {
-				t.Fatalf("AppendEnabled = %v, evaluator %v", gotSet, refSet)
-			}
-			for i := range gotSet {
-				if gotSet[i] != refSet[i] {
-					t.Fatalf("AppendEnabled = %v, evaluator %v", gotSet, refSet)
+				first, ref := m.FirstEnabledRule(c, u), ev.FirstEnabledRule(c, u)
+				if first != ref {
+					t.Fatalf("FirstEnabledRule(%d) = %d, evaluator %d", u, first, ref)
 				}
 			}
 		}

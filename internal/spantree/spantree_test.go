@@ -290,7 +290,7 @@ func TestExhaustiveConvergenceTinyPath(t *testing.T) {
 	treePredicate := func(c *sim.Configuration) bool { return VerifyTree(g, root, c) == nil }
 	report, err := checker.Explore(net, comp, starts, checker.ExploreOptions{
 		MaxConfigurations: 800_000,
-		TerminalOK:        treePredicate,
+		Legitimate:        treePredicate,
 	})
 	if err != nil {
 		t.Fatalf("exploration failed: %v", err)
